@@ -3,7 +3,7 @@
 //!
 //! Batch verification cost is dominated by a few directed-symbolic-
 //! execution jobs; most corpus rows resolve in microseconds. Static
-//! chunking (the pre-`octo-sched` `verify_portfolio` strategy) pins the
+//! chunking (the pre-`octo-sched` batch strategy) pins the
 //! heavy job's whole chunk on one worker while the rest idle, so its
 //! wall time approaches `heavy + chunk_mates`; the work-stealing deque
 //! redistributes the chunk-mates and approaches `max(heavy, rest/N)`.
@@ -32,7 +32,7 @@ fn costs() -> Vec<u64> {
         .collect()
 }
 
-/// The old `verify_portfolio` strategy: contiguous chunks, one thread
+/// The pre-`octo-sched` batch strategy: contiguous chunks, one thread
 /// each, no rebalancing.
 fn run_chunked(jobs: &[u64], workers: usize) -> u64 {
     let chunk = jobs.len().div_ceil(workers).max(1);

@@ -1,57 +1,13 @@
-//! Minimal JSON emit/parse for the table row types.
+//! JSON emit for the table row types.
 //!
 //! The offline build cannot fetch `serde`/`serde_json`, and the row types
-//! are flat records of strings, numbers, bools and optionals — a
-//! dependency-free emitter plus a small flat-object parser covers the
-//! whole need (pretty output for the table binaries, a parser so the
-//! serialisation round-trip stays testable).
+//! are flat records of strings, numbers, bools and optionals. Cells use
+//! the workspace's one JSON value type, [`octo_serve::json::JsonValue`];
+//! [`octo_serve::json::parse_json`] reads the emitted rows back.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One JSON scalar as used by the row types.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// JSON string.
-    Str(String),
-    /// JSON number (all row numerics fit f64).
-    Num(f64),
-    /// JSON boolean.
-    Bool(bool),
-    /// JSON null (optional cells).
-    Null,
-}
-
-impl JsonValue {
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a number, if it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-}
+use octo_serve::json::{json_escape, JsonValue};
 
 /// Rows that can emit themselves as ordered `(key, value)` JSON fields.
 pub trait JsonRow {
@@ -59,42 +15,16 @@ pub trait JsonRow {
     fn json_fields(&self) -> Vec<(&'static str, JsonValue)>;
 }
 
-/// Escapes `s` as the body of a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_value(out: &mut String, v: &JsonValue) {
-    match v {
-        JsonValue::Str(s) => {
-            out.push('"');
-            out.push_str(&escape(s));
-            out.push('"');
-        }
-        JsonValue::Num(n) => {
-            if n.is_finite() {
-                let _ = write!(out, "{n}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Null => out.push_str("null"),
-    }
+    let _ = match v {
+        JsonValue::Str(s) => write!(out, "\"{}\"", json_escape(s)),
+        JsonValue::Num(n) if n.is_finite() => write!(out, "{n}"),
+        JsonValue::Int(i) => write!(out, "{i}"),
+        JsonValue::Bool(b) => write!(out, "{b}"),
+        // Cells are scalars: null, a non-finite number or a container
+        // renders as `null`.
+        _ => write!(out, "null"),
+    };
 }
 
 /// Serialises one row as a compact JSON object.
@@ -139,161 +69,21 @@ pub fn to_json_pretty<R: JsonRow>(rows: &[R]) -> String {
     out
 }
 
-/// Parses one flat JSON object (`{"k": scalar, ...}`) into a field map.
-/// Nested objects/arrays are out of scope — the row types have none.
-pub fn parse_object(input: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut map = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        return Ok(map);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        let value = p.parse_scalar()?;
-        map.insert(key, value);
-        p.skip_ws();
-        match p.next() {
-            Some(b',') => continue,
-            Some(b'}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    Ok(map)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.next() {
-            Some(got) if got == b => Ok(()),
-            got => Err(format!("expected {:?}, got {got:?}", b as char)),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(first) => {
-                    // Multi-byte UTF-8: collect the full sequence.
-                    let len = match first {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8 sequence".into());
-                    }
-                    let s =
-                        std::str::from_utf8(&self.bytes[start..end]).map_err(|e| e.to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.parse_lit("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(
-                    self.peek(),
-                    Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-                ) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|e| format!("bad number {text:?}: {e}"))
-            }
-            other => Err(format!("unexpected scalar start {other:?}")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-        let end = self.pos + lit.len();
-        if self.bytes.get(self.pos..end) == Some(lit.as_bytes()) {
-            self.pos = end;
-            Ok(value)
-        } else {
-            Err(format!("expected literal {lit}"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octo_serve::json::parse_json;
 
     struct Demo;
 
     impl JsonRow for Demo {
         fn json_fields(&self) -> Vec<(&'static str, JsonValue)> {
             vec![
-                ("name", JsonValue::Str("a \"quoted\" name".into())),
-                ("count", JsonValue::Num(3.0)),
+                ("name", JsonValue::Str("a \"quoted\" héllo → 世界".into())),
+                ("count", JsonValue::Num(3.5)),
                 ("ok", JsonValue::Bool(true)),
                 ("missing", JsonValue::Null),
+                ("nan", JsonValue::Num(f64::NAN)),
             ]
         }
     }
@@ -301,11 +91,13 @@ mod tests {
     #[test]
     fn emit_and_parse_round_trip() {
         let json = to_json(&Demo);
-        let map = parse_object(&json).expect("parses");
-        assert_eq!(map["name"].as_str(), Some("a \"quoted\" name"));
-        assert_eq!(map["count"].as_num(), Some(3.0));
-        assert_eq!(map["ok"].as_bool(), Some(true));
-        assert!(map["missing"].is_null());
+        let doc = parse_json(&json).expect("parses");
+        let field = |k: &str| doc.get(k).expect(k);
+        assert_eq!(field("name").as_str(), Some("a \"quoted\" héllo → 世界"));
+        assert_eq!(field("count").as_f64(), Some(3.5));
+        assert_eq!(field("ok").as_bool(), Some(true));
+        assert_eq!(field("missing"), &JsonValue::Null);
+        assert_eq!(field("nan"), &JsonValue::Null, "non-finite renders as null");
     }
 
     #[test]
@@ -315,24 +107,5 @@ mod tests {
         assert!(text.ends_with("  }\n]"));
         assert_eq!(text.matches("\"name\"").count(), 2);
         assert_eq!(to_json_pretty::<Demo>(&[]), "[]");
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_object("{\"a\" 1}").is_err());
-        assert!(parse_object("{\"a\": }").is_err());
-        assert!(parse_object("[1]").is_err());
-    }
-
-    #[test]
-    fn unicode_strings_survive() {
-        struct U;
-        impl JsonRow for U {
-            fn json_fields(&self) -> Vec<(&'static str, JsonValue)> {
-                vec![("s", JsonValue::Str("héllo → 世界".into()))]
-            }
-        }
-        let map = parse_object(&to_json(&U)).expect("parses");
-        assert_eq!(map["s"].as_str(), Some("héllo → 世界"));
     }
 }

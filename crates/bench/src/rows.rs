@@ -1,6 +1,8 @@
 //! Serialisable row types for each regenerated table.
 
-use crate::json::{JsonRow, JsonValue};
+use octo_serve::json::{parse_json, JsonValue};
+
+use crate::json::JsonRow;
 
 fn num(v: f64) -> JsonValue {
     JsonValue::Num(v)
@@ -155,16 +157,16 @@ impl Table5Row {
     /// Parses a row back from its [`crate::json::to_json`] form (used to
     /// keep the serialisation round-trip testable without serde).
     pub fn from_json(input: &str) -> Result<Table5Row, String> {
-        let map = crate::json::parse_object(input)?;
-        let get = |k: &str| map.get(k).ok_or_else(|| format!("missing field {k}"));
+        let doc = parse_json(input)?;
+        let get = |k: &str| doc.get(k).ok_or_else(|| format!("missing field {k}"));
         Ok(Table5Row {
             s: get("s")?.as_str().ok_or("s: not a string")?.to_string(),
             t: get("t")?.as_str().ok_or("t: not a string")?.to_string(),
-            aflfast_seconds: get("aflfast_seconds")?.as_num(),
-            aflgo_seconds: get("aflgo_seconds")?.as_num(),
+            aflfast_seconds: get("aflfast_seconds")?.as_f64(),
+            aflgo_seconds: get("aflgo_seconds")?.as_f64(),
             aflgo_error: get("aflgo_error")?.as_str().map(str::to_string),
             octopocs_seconds: get("octopocs_seconds")?
-                .as_num()
+                .as_f64()
                 .ok_or("octopocs_seconds: not a number")?,
         })
     }

@@ -36,6 +36,8 @@ use octo_sched::{
     run_jobs, ArtifactCache, CacheStats, CancelToken, Event, EventClock, EventKind, EventSink,
     KeyHasher, SchedStats, Watchdog, WatchdogConfig,
 };
+use octo_serve::json::json_escape;
+use octo_serve::VerdictSummary;
 use octo_store::{BlobStore, StoreStats};
 use octo_trace::{FlightRecorder, TraceKind};
 
@@ -45,11 +47,10 @@ use crate::pipeline::{
     prepare, verify_prepared_observed, PrepareFailure, PreparedSource, SoftwarePairInput,
     VerificationReport,
 };
-use crate::portfolio::Urgency;
+use crate::verdict::Verdict;
 
-/// One owned batch job (the borrowing [`crate::portfolio::Job`] is for
-/// in-process callers; batch jobs own their programs so they can be
-/// loaded from files or the corpus and shipped across worker threads).
+/// One owned batch job: it owns its programs so it can be loaded from
+/// files or the corpus and shipped across worker threads.
 #[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Display name (e.g. `"idx10 CVE-2016-10095 tiffsplit->opj_compress"`).
@@ -153,13 +154,54 @@ pub fn prefix_cache_key(
     h.finish()
 }
 
+/// The §VII patch-urgency bucket a verdict lands in (ascending = more
+/// urgent): "assume that a developer has confirmed that several pieces of
+/// propagated vulnerable code exist in their software. At this point,
+/// they can use OCTOPOCS to determine which vulnerabilities need to be
+/// patched more urgently".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Urgency {
+    /// Triggered with a memory-corruption class crash (CWE-119 /
+    /// CWE-190): patch immediately.
+    TriggeredCorruption,
+    /// Triggered with any other crash class (DoS-style): patch next.
+    TriggeredOther,
+    /// Verification failed — the risk is unknown; investigate manually.
+    Unknown,
+    /// Verified not triggerable — "it must be patched in the end" but can
+    /// wait.
+    VerifiedSafe,
+}
+
+impl Urgency {
+    /// Classifies one verdict.
+    pub fn of(verdict: &Verdict) -> Urgency {
+        match verdict {
+            Verdict::Triggered { crash_class, .. } => match *crash_class {
+                "CWE-119" | "CWE-190" => Urgency::TriggeredCorruption,
+                _ => Urgency::TriggeredOther,
+            },
+            Verdict::Failure { .. } => Urgency::Unknown,
+            Verdict::NotTriggerable { .. } => Urgency::VerifiedSafe,
+        }
+    }
+
+    /// Human-readable recommendation.
+    pub fn recommendation(self) -> &'static str {
+        match self {
+            Urgency::TriggeredCorruption => "patch immediately (exploitable memory corruption)",
+            Urgency::TriggeredOther => "patch soon (demonstrated denial of service)",
+            Urgency::Unknown => "investigate manually (verification failed)",
+            Urgency::VerifiedSafe => "schedule routine patch (verified not triggerable)",
+        }
+    }
+}
+
 /// One verified batch entry, in submission order.
 #[derive(Debug)]
 pub struct BatchEntry {
     /// Job name.
     pub name: String,
-    /// Patch-urgency bucket of the verdict.
-    pub urgency: Urgency,
     /// Whether the pipeline prefix came from the artifact cache.
     pub cache_hit: bool,
     /// Whether the job ended quarantined: its final attempt still failed
@@ -169,6 +211,25 @@ pub struct BatchEntry {
     /// The full verification report (`wall_seconds` covers the whole job
     /// as this batch executed it, cached prefix included).
     pub report: VerificationReport,
+}
+
+impl BatchEntry {
+    /// Patch-urgency bucket of the verdict.
+    pub fn urgency(&self) -> Urgency {
+        Urgency::of(&self.report.verdict)
+    }
+
+    /// The stable verdict fields, as the wire protocol and the verdicts
+    /// document carry them.
+    pub fn summary(&self) -> VerdictSummary {
+        VerdictSummary {
+            verdict: self.report.verdict.type_label().to_string(),
+            poc_generated: self.report.verdict.poc_generated(),
+            verified: self.report.verdict.verified(),
+            attempts: self.report.attempts,
+            quarantined: self.quarantined,
+        }
+    }
 }
 
 /// Everything a batch run produced.
@@ -195,27 +256,11 @@ pub struct BatchReport {
     pub wall_seconds: f64,
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl BatchReport {
     /// Entries re-ordered most-urgent-first (stable within a bucket).
     pub fn by_urgency(&self) -> Vec<&BatchEntry> {
         let mut refs: Vec<&BatchEntry> = self.entries.iter().collect();
-        refs.sort_by_key(|e| e.urgency);
+        refs.sort_by_key(|e| e.urgency());
         refs
     }
 
@@ -230,7 +275,7 @@ impl BatchReport {
                 e.report.verdict.type_label(),
                 if e.cache_hit { "cached" } else { "" },
                 e.report.wall_seconds,
-                e.urgency.recommendation()
+                e.urgency().recommendation()
             ));
         }
         out.push_str("phases (seconds):\n");
@@ -317,7 +362,7 @@ impl BatchReport {
                 e.report.verdict.type_label(),
                 e.report.verdict.poc_generated(),
                 e.report.verdict.verified(),
-                e.urgency.recommendation(),
+                e.urgency().recommendation(),
                 e.cache_hit,
                 e.report.prescreen,
                 e.report.attempts,
@@ -371,22 +416,9 @@ impl BatchReport {
     /// plan and retry policy, never on wall time). This is what the CI
     /// golden files diff against.
     pub fn render_verdicts_json(&self) -> String {
-        let mut out = String::from("{\"jobs\":[\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\
-                 \"attempts\":{},\"quarantined\":{}}}{}\n",
-                json_escape(&e.name),
-                e.report.verdict.type_label(),
-                e.report.verdict.poc_generated(),
-                e.report.verdict.verified(),
-                e.report.attempts,
-                e.quarantined,
-                if i + 1 == self.entries.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("]}\n");
-        out
+        octo_serve::render_verdicts_json(
+            self.entries.iter().map(|e| (e.name.as_str(), e.summary())),
+        )
     }
 }
 
@@ -398,8 +430,8 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
     }
 }
 
-/// Runs one job against the shared prefix cache. Used by both
-/// [`run_batch`] and [`crate::portfolio::verify_portfolio`].
+/// Runs one job against the shared prefix cache (the core of
+/// [`BatchRuntime::run_job`]).
 ///
 /// `obs` receives the phase spans: `"prepare"` fires only when this call
 /// actually computed the prefix (a cache miss); `"symex"` and `"p4"`
@@ -412,7 +444,7 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
 /// payload fails [`blob::from_blob`] is quarantined exactly like frame
 /// corruption; the job recomputes and the hit flag reflects whether
 /// *this job* ran `prepare`, so metric billing stays single-count.
-pub(crate) fn verify_with_cache(
+fn verify_with_cache(
     cache: &ArtifactCache<Result<PreparedSource, PrepareFailure>>,
     disk: Option<&BlobStore>,
     input: &SoftwarePairInput<'_>,
@@ -1005,7 +1037,7 @@ impl BatchRuntime {
                 report.attempts = attempt;
                 let transient = matches!(
                     &report.verdict,
-                    crate::verdict::Verdict::Failure { reason } if reason.is_transient()
+                    Verdict::Failure { reason } if reason.is_transient()
                 );
                 if transient && self.drained() {
                     // The attempt most likely died *because* the drain
@@ -1051,7 +1083,7 @@ impl BatchRuntime {
         let mut report = report;
         if matches!(
             &report.verdict,
-            crate::verdict::Verdict::Failure {
+            Verdict::Failure {
                 reason: crate::verdict::FailureReason::Cancelled
             }
         ) {
@@ -1078,7 +1110,6 @@ impl BatchRuntime {
         ));
         let entry = BatchEntry {
             name: job.name.clone(),
-            urgency: Urgency::of(&report.verdict),
             cache_hit,
             quarantined,
             report,
@@ -1127,7 +1158,6 @@ pub fn run_batch(
                 report.wall_seconds = start.elapsed().as_secs_f64();
                 let entry = BatchEntry {
                     name: jobs[i].name.clone(),
-                    urgency: Urgency::of(&report.verdict),
                     cache_hit: false,
                     quarantined: true,
                     report,
@@ -1453,9 +1483,21 @@ fine:
             !stable.contains("wall_seconds"),
             "stable output must not carry timings"
         );
-        // Urgency ordering puts the triggered clone first.
+        // Urgency ordering puts the triggered clone first and the
+        // verified-safe clone last, each with its recommendation.
         let ordered = report.by_urgency();
         assert_eq!(ordered[0].name, "gated");
+        assert_eq!(ordered[1].name, "safe");
+        assert_eq!(ordered[1].urgency(), Urgency::VerifiedSafe);
+        assert!(human.contains("patch soon"), "{human}");
+        assert!(human.contains("verified not triggerable"), "{human}");
+    }
+
+    #[test]
+    fn urgency_ordering_is_total() {
+        assert!(Urgency::TriggeredCorruption < Urgency::TriggeredOther);
+        assert!(Urgency::TriggeredOther < Urgency::Unknown);
+        assert!(Urgency::Unknown < Urgency::VerifiedSafe);
     }
 
     #[test]

@@ -99,30 +99,19 @@
 //! journal replay).
 
 use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Duration;
 
 use octo_ir::parse::parse_program;
+use octo_obs::MetricsRegistry;
 use octo_poc::PocFile;
+use octo_sched::{Event, EventSink, NullSink};
 use octo_serve::{Client, Endpoint, Priority as ServePriority, Request, Response};
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
-use octopocs::{verify, PipelineConfig, SoftwarePairInput, Verdict};
+use octopocs::batch::{run_batch, BatchJob, BatchReport};
+use octopocs::cli::{walk, Argv, EngineFlags, ENGINE_FLAGS};
+use octopocs::{verify, ScanSource, ScanTarget, SoftwarePairInput, Verdict};
 
-struct Args {
-    s_path: String,
-    t_path: String,
-    poc_path: String,
-    shared: Vec<String>,
-    out: Option<String>,
-    minimize: bool,
-    theta: Option<u32>,
-    accelerate_loops: bool,
-    static_cfg: bool,
-    context_free: bool,
-    prescreen: bool,
-    json: bool,
-}
-
-fn usage() -> String {
-    "usage: octopocs --s S.mir --t T.mir --poc poc.bin --shared f1,f2 \
+const USAGE: &str = "usage: octopocs --s S.mir --t T.mir --poc poc.bin --shared f1,f2 \
      [--out poc_prime.bin] [--minimize] [--theta N] [--accelerate-loops] \
      [--static-cfg] [--context-free] [--prescreen] [--json]\n       \
      octopocs lint program.mir [--format human|json] [--canonical]\n       \
@@ -148,71 +137,76 @@ fn usage() -> String {
      octopocs watch --id N [--socket PATH | --tcp ADDR]\n       \
      octopocs results [--wait] [--verdicts-json] [--socket PATH | --tcp ADDR]\n       \
      octopocs drain [--shutdown] [--socket PATH | --tcp ADDR]\n       \
-     octopocs top --http ADDR [--windows N] [--json]"
-        .to_string()
+     octopocs top --http ADDR [--windows N] [--json]";
+
+/// The engine flags `scan` accepts (`batch` accepts all of them).
+const SCAN_ENGINE_FLAGS: &[&str] = &["--workers", "--deadline-secs", "--cache-dir"];
+
+/// The engine flags the single-pair mode accepts.
+const PAIR_ENGINE_FLAGS: &[&str] = &[
+    "--theta",
+    "--accelerate-loops",
+    "--static-cfg",
+    "--context-free",
+    "--prescreen",
+];
+
+/// A subcommand's outcome: `Err` is an early exit whose diagnostic has
+/// already been printed.
+type Exit = Result<ExitCode, ExitCode>;
+
+/// A subcommand: its arguments (after the name) to its outcome.
+type Subcommand = fn(&[String]) -> Exit;
+
+/// The subcommands by name; any other first argument is the single-pair
+/// mode.
+const SUBCOMMANDS: [(&str, Subcommand); 11] = [
+    ("lint", lint_main),
+    ("batch", batch_main),
+    ("clone", clone_main),
+    ("scan", scan_main),
+    ("cache", cache_main),
+    ("submit", submit_main),
+    ("status", status_main),
+    ("watch", watch_main),
+    ("results", results_main),
+    ("drain", drain_main),
+    ("top", top_main),
+];
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let subcommand = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| argv.first().is_some_and(|arg| arg == name));
+    let exit = match subcommand {
+        Some((_, run)) => run(&argv[1..]),
+        None => pair_main(&argv),
+    };
+    exit.unwrap_or_else(|code| code)
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        s_path: String::new(),
-        t_path: String::new(),
-        poc_path: String::new(),
-        shared: Vec::new(),
-        out: None,
-        minimize: false,
-        theta: None,
-        accelerate_loops: false,
-        static_cfg: false,
-        context_free: false,
-        prescreen: false,
-        json: false,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--s" => args.s_path = value("--s")?,
-            "--t" => args.t_path = value("--t")?,
-            "--poc" => args.poc_path = value("--poc")?,
-            "--shared" => {
-                args.shared = value("--shared")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--theta" => {
-                args.theta = Some(
-                    value("--theta")?
-                        .parse()
-                        .map_err(|e| format!("bad --theta: {e}"))?,
-                )
-            }
-            "--minimize" => args.minimize = true,
-            "--accelerate-loops" => args.accelerate_loops = true,
-            "--static-cfg" => args.static_cfg = true,
-            "--context-free" => args.context_free = true,
-            "--prescreen" => args.prescreen = true,
-            "--json" => args.json = true,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
-        }
-    }
-    if args.s_path.is_empty() || args.t_path.is_empty() || args.poc_path.is_empty() {
-        return Err(format!("--s, --t and --poc are required\n{}", usage()));
-    }
-    if args.shared.is_empty() {
-        return Err(format!(
-            "--shared must list at least one function\n{}",
-            usage()
-        ));
-    }
-    Ok(args)
+/// A usage error: `msg` (when not empty), then the usage text; exit 3.
+fn usage_error(msg: impl AsRef<str>) -> ExitCode {
+    octopocs::cli::usage_error(USAGE, msg.as_ref())
+}
+
+/// A message printed as it is; exit 3. The single-pair mode and `lint`
+/// put the usage text into the messages that need it.
+fn bare_error(msg: String) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(3)
+}
+
+/// An input, output or connection error: `error: msg`; exit 3.
+fn input_error(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(3)
+}
+
+/// A daemon reply the subcommand has no use for; exit 3.
+fn unexpected(response: &Response) -> ExitCode {
+    input_error(format!("unexpected response {}", response.render()))
 }
 
 fn load_program(path: &str) -> Result<octo_ir::Program, String> {
@@ -227,64 +221,247 @@ fn load_program(path: &str) -> Result<octo_ir::Program, String> {
     Ok(p)
 }
 
-/// The `octopocs lint` subcommand: static analysis of one program.
-fn lint_main(argv: &[String]) -> ExitCode {
-    let mut path: Option<&str> = None;
-    let mut json = false;
-    let mut canonical = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--canonical" => canonical = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("human") => json = false,
-                other => {
-                    eprintln!(
-                        "bad --format `{}` (expected human|json)",
-                        other.unwrap_or("")
-                    );
-                    return ExitCode::from(3);
+/// Writes `content` to `path`; a failure prints `error writing` and
+/// exits 3.
+fn write_file(path: &str, content: impl AsRef<[u8]>) -> Result<(), ExitCode> {
+    std::fs::write(path, content).map_err(|e| {
+        eprintln!("error writing {path}: {e}");
+        ExitCode::from(3)
+    })
+}
+
+/// Writes every output file the command line asked for, in order.
+fn write_outputs(outputs: Vec<(&Option<String>, String)>) -> Result<(), ExitCode> {
+    for (path, content) in outputs {
+        if let Some(path) = path {
+            write_file(path, content)?;
+        }
+    }
+    Ok(())
+}
+
+/// Splits a `--shared` list (`f1,f2`) into function names; blanks around
+/// the commas are not part of a name.
+fn split_shared(list: &str) -> Vec<String> {
+    list.split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect()
+}
+
+/// The files of one explicit `(S, T, poc, ℓ)` pair: the single-pair mode
+/// and `submit`.
+#[derive(Default)]
+struct PairPaths {
+    s: String,
+    t: String,
+    poc: String,
+    shared: Vec<String>,
+}
+
+impl PairPaths {
+    /// Takes `--s`, `--t`, `--poc` or `--shared`; `false` for any other
+    /// flag.
+    fn flag(&mut self, flag: &str, args: &mut Argv<'_>) -> Result<bool, String> {
+        match flag {
+            "--s" => self.s = args.value(flag)?,
+            "--t" => self.t = args.value(flag)?,
+            "--poc" => self.poc = args.value(flag)?,
+            "--shared" => self.shared = split_shared(&args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Reads S, T and the PoC into a job named `S => T`, printing an
+    /// `error:` line for every input that fails.
+    fn load(self) -> Result<BatchJob, ExitCode> {
+        match (
+            load_program(&self.s),
+            load_program(&self.t),
+            std::fs::read(&self.poc),
+        ) {
+            (Ok(s), Ok(t), Ok(poc)) => Ok(BatchJob {
+                name: format!("{} => {}", self.s, self.t),
+                s,
+                t,
+                poc: PocFile::new(poc),
+                shared: self.shared,
+            }),
+            (s, t, poc) => {
+                let poc = poc.err().map(|e| format!("{}: {e}", self.poc));
+                for msg in [s.err(), t.err(), poc].into_iter().flatten() {
+                    eprintln!("error: {msg}");
                 }
-            },
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                return ExitCode::from(3);
-            }
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => {
-                eprintln!("unknown lint argument `{other}`\n{}", usage());
-                return ExitCode::from(3);
+                Err(ExitCode::from(3))
             }
         }
     }
+}
+
+/// Reads the source, PoC and target files of a file-based scan (`scan`
+/// and `submit --scan`); the first failure prints `error:` and exits 3.
+fn load_scan(
+    s_path: &str,
+    poc_path: &str,
+    target_paths: &[String],
+) -> Result<(ScanSource, Vec<ScanTarget>), ExitCode> {
+    let s = load_program(s_path).map_err(input_error)?;
+    let poc = std::fs::read(poc_path).map_err(|e| input_error(format!("{poc_path}: {e}")))?;
+    let targets = target_paths
+        .iter()
+        .map(|path| {
+            let t = load_program(path).map_err(input_error)?;
+            Ok(ScanTarget {
+                name: path.clone(),
+                t,
+            })
+        })
+        .collect::<Result<_, ExitCode>>()?;
+    let source = ScanSource {
+        name: s_path.to_string(),
+        s,
+        poc: PocFile::new(poc),
+    };
+    Ok((source, targets))
+}
+
+/// The single-pair mode: verify one `(S, T, poc, ℓ)` pair.
+fn pair_main(argv: &[String]) -> Exit {
+    let mut pair = PairPaths::default();
+    let mut engine = EngineFlags::default();
+    let mut out: Option<String> = None;
+    let (mut minimize, mut json) = (false, false);
+    walk(argv, |flag, args| {
+        match flag {
+            "--out" => out = Some(args.value(flag)?),
+            "--minimize" => minimize = true,
+            "--json" => json = true,
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other => {
+                if !pair.flag(other, args)? && !engine.flag(other, args, PAIR_ENGINE_FLAGS)? {
+                    return Err(format!("unknown flag `{other}`\n{USAGE}"));
+                }
+            }
+        }
+        Ok(())
+    })
+    .map_err(bare_error)?;
+    if pair.s.is_empty() || pair.t.is_empty() || pair.poc.is_empty() {
+        return Err(bare_error(format!(
+            "--s, --t and --poc are required\n{USAGE}"
+        )));
+    }
+    if pair.shared.is_empty() {
+        return Err(bare_error(format!(
+            "--shared must list at least one function\n{USAGE}"
+        )));
+    }
+    let job = pair.load()?;
+    let input = SoftwarePairInput {
+        s: &job.s,
+        t: &job.t,
+        poc: &job.poc,
+        shared: &job.shared,
+    };
+    let report = verify(&input, &engine.config);
+
+    if json {
+        // Hand-rolled JSON keeps the core crate dependency-free.
+        println!(
+            "{{\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\"ep\":\"{}\",\
+             \"ep_entries\":{},\"prescreen\":{},\"wall_seconds\":{:.6}}}",
+            report.verdict.type_label(),
+            report.verdict.poc_generated(),
+            report.verdict.verified(),
+            report.ep_name.as_deref().unwrap_or(""),
+            report.ep_entries,
+            report.prescreen,
+            report.wall_seconds,
+        );
+    } else {
+        println!("verdict    : {}", report.verdict);
+        if let Some(ep) = &report.ep_name {
+            println!("ep         : {ep} ({} entries in S)", report.ep_entries);
+        }
+        if report.prescreen {
+            println!("prescreen  : verdict decided statically in P0");
+        }
+        println!("time       : {:.3}s", report.wall_seconds);
+    }
+
+    let poc_prime = match &report.verdict {
+        Verdict::Triggered { poc_prime, .. } => poc_prime,
+        Verdict::NotTriggerable { .. } => return Ok(ExitCode::from(1)),
+        Verdict::Failure { .. } => return Ok(ExitCode::from(2)),
+    };
+    let poc_prime = if minimize {
+        let shared_ids = job.t.resolve_names(job.shared.iter().map(String::as_str));
+        let (min, stats) =
+            octopocs::minimize_poc(&job.t, poc_prime, &shared_ids, octo_vm::Limits::default());
+        if !json {
+            println!(
+                "minimized  : {} -> {} bytes ({} zeroed, {} execs)",
+                stats.len_before, stats.len_after, stats.bytes_zeroed, stats.execs
+            );
+        }
+        min
+    } else {
+        poc_prime.clone()
+    };
+    if let Some(out) = &out {
+        write_file(out, poc_prime.bytes())?;
+        if !json {
+            println!("poc' written to {out} ({} bytes)", poc_prime.len());
+        }
+    } else if !json {
+        println!("poc' hexdump:\n{}", poc_prime.hexdump());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The `octopocs lint` subcommand: static analysis of one program.
+fn lint_main(argv: &[String]) -> Exit {
+    let mut path: Option<&str> = None;
+    let (mut json, mut canonical) = (false, false);
+    walk(argv, |arg, args| {
+        match arg {
+            "--canonical" => canonical = true,
+            "--format" => {
+                json = match args.value(arg).as_deref() {
+                    Ok("json") => true,
+                    Ok("human") => false,
+                    other => {
+                        return Err(format!(
+                            "bad --format `{}` (expected human|json)",
+                            other.unwrap_or("")
+                        ))
+                    }
+                }
+            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
+            other if !other.starts_with('-') && path.is_none() => path = Some(other),
+            other => return Err(format!("unknown lint argument `{other}`\n{USAGE}")),
+        }
+        Ok(())
+    })
+    .map_err(bare_error)?;
     let Some(path) = path else {
-        eprintln!("lint: a program file is required\n{}", usage());
-        return ExitCode::from(3);
+        return Err(bare_error(format!(
+            "lint: a program file is required\n{USAGE}"
+        )));
     };
     // Parse only — structural validation is the lint's own VAL001 rule,
     // so invalid programs are reported, not rejected.
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    let program = match parse_program(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(3);
-        }
-    };
+    let src = std::fs::read_to_string(path).map_err(|e| input_error(format!("{path}: {e}")))?;
+    let program = parse_program(&src).map_err(|e| input_error(format!("{path}: {e}")))?;
     if canonical {
         // Canonicalization mode: print the normal form (entry-first DFS
         // block order, dense register/label renumbering) instead of the
         // diagnostics. `parse(print_canonical(p))` is a fixed point, so
         // the output is diffable across renamed/reordered variants.
         print!("{}", octo_ir::printer::print_program_canonical(&program));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let report = octo_lint::lint_program(&program);
     if json {
@@ -292,41 +469,29 @@ fn lint_main(argv: &[String]) -> ExitCode {
     } else {
         print!("{}", report.render_human());
     }
-    if report.error_count() > 0 {
+    Ok(if report.error_count() > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-/// Parses the retrieval knobs shared by `clone` and `scan`.
-fn parse_clone_params(
+/// Parses the retrieval knobs shared by `clone`, `scan` and `submit`;
+/// `false` for any other flag.
+fn clone_param(
     flag: &str,
-    value: &mut dyn FnMut(&str) -> Result<String, String>,
+    args: &mut Argv<'_>,
     params: &mut octo_clone::CloneParams,
 ) -> Result<bool, String> {
     match flag {
         "--threshold" => {
-            params.threshold = value("--threshold")?
-                .parse()
-                .map_err(|e| format!("bad --threshold: {e}"))?;
+            params.threshold = args.parse(flag)?;
             if !(0.0..=1.0).contains(&params.threshold) {
                 return Err("--threshold must be in [0, 1]".to_string());
             }
         }
-        "--top-k" => {
-            params.top_k = value("--top-k")?
-                .parse()
-                .map_err(|e| format!("bad --top-k: {e}"))?;
-            if params.top_k == 0 {
-                return Err("--top-k must be at least 1".to_string());
-            }
-        }
-        "--min-insts" => {
-            params.min_insts = value("--min-insts")?
-                .parse()
-                .map_err(|e| format!("bad --min-insts: {e}"))?;
-        }
+        "--top-k" => params.top_k = args.parse_nonzero(flag)?,
+        "--min-insts" => params.min_insts = args.parse(flag)?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -335,44 +500,27 @@ fn parse_clone_params(
 /// The `octopocs clone` subcommand: retrieve clone candidates between
 /// two programs (no verification). Exit 0 = at least one candidate,
 /// 1 = none, 3 = usage or input error.
-fn clone_main(argv: &[String]) -> ExitCode {
-    let mut s_path = String::new();
-    let mut t_path = String::new();
+fn clone_main(argv: &[String]) -> Exit {
+    let (mut s_path, mut t_path) = (String::new(), String::new());
     let mut params = octo_clone::CloneParams::default();
     let mut json = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--s" => s_path = value("--s")?,
-                "--t" => t_path = value("--t")?,
-                "--json" => json = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown clone flag `{other}`"));
-                    }
+    walk(argv, |flag, args| {
+        match flag {
+            "--s" => s_path = args.value(flag)?,
+            "--t" => t_path = args.value(flag)?,
+            "--json" => json = true,
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !clone_param(other, args, &mut params)? {
+                    return Err(format!("unknown clone flag `{other}`"));
                 }
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            if msg.is_empty() {
-                eprintln!("{}", usage());
-            } else {
-                eprintln!("{msg}\n{}", usage());
-            }
-            return ExitCode::from(3);
         }
-    }
+        Ok(())
+    })
+    .map_err(usage_error)?;
     if s_path.is_empty() || t_path.is_empty() {
-        eprintln!("clone: --s and --t are required\n{}", usage());
-        return ExitCode::from(3);
+        return Err(usage_error("clone: --s and --t are required"));
     }
     let (s, t) = match (load_program(&s_path), load_program(&t_path)) {
         (Ok(s), Ok(t)) => (s, t),
@@ -380,16 +528,16 @@ fn clone_main(argv: &[String]) -> ExitCode {
             for msg in [s.err(), t.err()].into_iter().flatten() {
                 eprintln!("error: {msg}");
             }
-            return ExitCode::from(3);
+            return Err(ExitCode::from(3));
         }
     };
     let expansion = octopocs::expand_scan(
-        &[octopocs::ScanSource {
+        &[ScanSource {
             name: s_path.clone(),
             s,
             poc: PocFile::new(Vec::new()),
         }],
-        &[octopocs::ScanTarget {
+        &[ScanTarget {
             name: t_path.clone(),
             t,
         }],
@@ -400,178 +548,149 @@ fn clone_main(argv: &[String]) -> ExitCode {
     } else {
         print!("{}", expansion.render_candidates_human());
     }
-    if expansion.candidate_count() > 0 {
+    Ok(if expansion.candidate_count() > 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    })
+}
+
+/// Prints one progress event to stderr (`--events`).
+fn print_event(event: Event) {
+    eprintln!("{}", event.render_human());
+}
+
+/// The report flags `batch` and `scan` share.
+#[derive(Default)]
+struct ReportFlags {
+    json: bool,
+    verdicts_json: bool,
+    events: bool,
+    metrics_json: Option<String>,
+    metrics_prom: Option<String>,
+}
+
+impl ReportFlags {
+    /// Takes one report flag; `false` for any other flag.
+    fn flag(&mut self, flag: &str, args: &mut Argv<'_>) -> Result<bool, String> {
+        match flag {
+            "--json" => self.json = true,
+            "--verdicts-json" => self.verdicts_json = true,
+            "--events" => self.events = true,
+            "--metrics-json" => self.metrics_json = Some(args.value(flag)?),
+            "--metrics-prom" => self.metrics_prom = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Refuses `--json` together with `--verdicts-json`.
+    fn check(&self) -> Result<(), ExitCode> {
+        if self.json && self.verdicts_json {
+            return Err(usage_error(
+                "--json and --verdicts-json are mutually exclusive",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Where progress events go: stderr under `--events`, else nowhere.
+    fn sink(&self) -> &'static dyn EventSink {
+        if self.events {
+            &print_event
+        } else {
+            &NullSink
+        }
+    }
+
+    /// The metrics files asked for, rendered.
+    fn metrics_outputs(&self, metrics: &MetricsRegistry) -> Vec<(&Option<String>, String)> {
+        vec![
+            (&self.metrics_json, metrics.render_json()),
+            (&self.metrics_prom, metrics.render_prometheus()),
+        ]
+    }
+
+    /// Prints the report in the chosen format: the stable verdicts
+    /// document, the full JSON report, or the human summary.
+    fn print(&self, report: &BatchReport) {
+        if self.verdicts_json {
+            print!("{}", report.render_verdicts_json());
+        } else if self.json {
+            println!("{}", report.render_json());
+        } else {
+            print!("{}", report.render_human());
+        }
     }
 }
 
 /// The `octopocs scan` subcommand: discover ℓ per target and verify
 /// every discovered pair on the batch scheduler. Exit 0 = the scan ran,
 /// 3 = usage or input error.
-fn scan_main(argv: &[String]) -> ExitCode {
+fn scan_main(argv: &[String]) -> Exit {
     let mut corpus = false;
-    let mut s_path = String::new();
-    let mut poc_path = String::new();
+    let (mut s_path, mut poc_path) = (String::new(), String::new());
     let mut target_paths: Vec<String> = Vec::new();
     let mut params = octo_clone::CloneParams::default();
-    let mut options = BatchOptions::default();
-    let config = PipelineConfig::default();
-    let mut json = false;
-    let mut verdicts_json = false;
+    let mut engine = EngineFlags::default();
+    let mut report_flags = ReportFlags::default();
     let mut candidates_json: Option<String> = None;
-    let mut events = false;
-    let mut metrics_json: Option<String> = None;
-    let mut metrics_prom: Option<String> = None;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--s" => s_path = value("--s")?,
-                "--poc" => poc_path = value("--poc")?,
-                "--target" => target_paths.push(value("--target")?),
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if options.workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                }
-                "--deadline-secs" => {
-                    let secs: f64 = value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline-secs must be positive".to_string());
-                    }
-                    options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--cache-dir" => {
-                    options.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?))
-                }
-                "--json" => json = true,
-                "--verdicts-json" => verdicts_json = true,
-                "--candidates-json" => candidates_json = Some(value("--candidates-json")?),
-                "--events" => events = true,
-                "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-                "--metrics-prom" => metrics_prom = Some(value("--metrics-prom")?),
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown scan flag `{other}`"));
-                    }
+    walk(argv, |flag, args| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--s" => s_path = args.value(flag)?,
+            "--poc" => poc_path = args.value(flag)?,
+            "--target" => target_paths.push(args.value(flag)?),
+            "--candidates-json" => candidates_json = Some(args.value(flag)?),
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !report_flags.flag(other, args)?
+                    && !engine.flag(other, args, SCAN_ENGINE_FLAGS)?
+                    && !clone_param(other, args, &mut params)?
+                {
+                    return Err(format!("unknown scan flag `{other}`"));
                 }
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
-    }
+        Ok(())
+    })
+    .map_err(usage_error)?;
     if corpus == (!s_path.is_empty() || !target_paths.is_empty()) {
-        return parse_error(
-            "exactly one of --corpus or (--s/--poc/--target...) is required".to_string(),
-        );
+        return Err(usage_error(
+            "exactly one of --corpus or (--s/--poc/--target...) is required",
+        ));
     }
-    if json && verdicts_json {
-        return parse_error("--json and --verdicts-json are mutually exclusive".to_string());
-    }
+    report_flags.check()?;
     let (sources, targets) = if corpus {
         octopocs::corpus_scan_inputs()
     } else {
         if s_path.is_empty() || poc_path.is_empty() || target_paths.is_empty() {
-            return parse_error("scan needs --s, --poc and at least one --target".to_string());
+            return Err(usage_error(
+                "scan needs --s, --poc and at least one --target",
+            ));
         }
-        let s = match load_program(&s_path) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        };
-        let poc_bytes = match std::fs::read(&poc_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {poc_path}: {e}");
-                return ExitCode::from(3);
-            }
-        };
-        let mut targets = Vec::new();
-        for path in &target_paths {
-            match load_program(path) {
-                Ok(t) => targets.push(octopocs::ScanTarget {
-                    name: path.clone(),
-                    t,
-                }),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-        (
-            vec![octopocs::ScanSource {
-                name: s_path.clone(),
-                s,
-                poc: PocFile::new(poc_bytes),
-            }],
-            targets,
-        )
+        let (source, targets) = load_scan(&s_path, &poc_path, &target_paths)?;
+        (vec![source], targets)
     };
 
-    let stderr_sink = |event: octo_sched::Event| eprintln!("{}", event.render_human());
-    let report = if events {
-        octopocs::run_scan(&sources, &targets, &params, &config, &options, &stderr_sink)
-    } else {
-        octopocs::run_scan(
-            &sources,
-            &targets,
-            &params,
-            &config,
-            &options,
-            &octo_sched::NullSink,
-        )
-    };
+    let report = octopocs::run_scan(
+        &sources,
+        &targets,
+        &params,
+        &engine.config,
+        &engine.options,
+        report_flags.sink(),
+    );
 
-    let outputs: Vec<(&Option<String>, String)> = vec![
-        (&candidates_json, report.expansion.render_candidates_json()),
-        (&metrics_json, report.batch.metrics.render_json()),
-        (&metrics_prom, report.batch.metrics.render_prometheus()),
-    ];
-    for (path, content) in outputs {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::from(3);
-            }
-        }
-    }
+    let mut outputs = vec![(&candidates_json, report.expansion.render_candidates_json())];
+    outputs.extend(report_flags.metrics_outputs(&report.batch.metrics));
+    write_outputs(outputs)?;
 
-    if verdicts_json {
-        print!("{}", report.batch.render_verdicts_json());
-    } else if json {
-        println!("{}", report.batch.render_json());
-    } else {
+    if !report_flags.json && !report_flags.verdicts_json {
         print!("{}", report.expansion.render_candidates_human());
-        print!("{}", report.batch.render_human());
     }
-    ExitCode::SUCCESS
+    report_flags.print(&report.batch);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Reads a `--jobs` file: one job per whitespace-separated line
@@ -599,11 +718,7 @@ fn load_job_file(path: &str) -> Result<Vec<BatchJob>, String> {
             s: load_program(s_path).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?,
             t: load_program(t_path).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?,
             poc: PocFile::new(poc_bytes),
-            shared: shared
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect(),
+            shared: split_shared(shared),
         });
     }
     if jobs.is_empty() {
@@ -627,145 +742,47 @@ fn corpus_jobs() -> Vec<BatchJob> {
 }
 
 /// The `octopocs batch` subcommand: scheduled batch verification.
-fn batch_main(argv: &[String]) -> ExitCode {
+fn batch_main(argv: &[String]) -> Exit {
     let mut corpus = false;
     let mut jobs_path: Option<String> = None;
-    let mut options = BatchOptions::default();
-    let mut config = PipelineConfig::default();
-    let mut json = false;
-    let mut verdicts_json = false;
-    let mut events = false;
-    let mut metrics_json: Option<String> = None;
-    let mut metrics_prom: Option<String> = None;
-    let mut trace_chrome: Option<String> = None;
-    let mut trace_jsonl: Option<String> = None;
+    let mut engine = EngineFlags::default();
+    let mut report_flags = ReportFlags::default();
+    let (mut trace_chrome, mut trace_jsonl): (Option<String>, Option<String>) = (None, None);
     let mut post_mortem = false;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--jobs" => jobs_path = Some(value("--jobs")?),
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if options.workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
+    walk(argv, |flag, args| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--jobs" => jobs_path = Some(args.value(flag)?),
+            "--trace-chrome" => trace_chrome = Some(args.value(flag)?),
+            "--trace-jsonl" => trace_jsonl = Some(args.value(flag)?),
+            "--post-mortem" => post_mortem = true,
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !report_flags.flag(other, args)? && !engine.flag(other, args, ENGINE_FLAGS)? {
+                    return Err(format!("unknown batch flag `{other}`"));
                 }
-                "--deadline-secs" => {
-                    let secs: f64 = value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline-secs must be positive".to_string());
-                    }
-                    options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--theta" => {
-                    config.theta = value("--theta")?
-                        .parse()
-                        .map_err(|e| format!("bad --theta: {e}"))?
-                }
-                "--accelerate-loops" => config.loop_acceleration = true,
-                "--static-cfg" => config.cfg_mode = octo_cfg::CfgMode::Static,
-                "--context-free" => config.taint_context = octo_taint::ContextMode::ContextFree,
-                "--prescreen" => config.static_prescreen = true,
-                "--cache-dir" => {
-                    options.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?))
-                }
-                "--json" => json = true,
-                "--verdicts-json" => verdicts_json = true,
-                "--events" => events = true,
-                "--fault-plan" => {
-                    let path = value("--fault-plan")?;
-                    let text =
-                        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                    let plan = octopocs::FaultPlan::parse_json(&text)
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    options.faults = Some(std::sync::Arc::new(plan));
-                }
-                "--retry" => {
-                    options.retry.max_attempts = value("--retry")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry: {e}"))?;
-                    if options.retry.max_attempts == 0 {
-                        return Err("--retry must be at least 1".to_string());
-                    }
-                }
-                "--retry-backoff-ms" => {
-                    let ms: u64 = value("--retry-backoff-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry-backoff-ms: {e}"))?;
-                    if ms == 0 {
-                        return Err(
-                            "--retry-backoff-ms must be positive (omit the flag for no backoff)"
-                                .to_string(),
-                        );
-                    }
-                    options.retry.base_backoff = std::time::Duration::from_millis(ms);
-                }
-                "--watchdog-quiet-secs" => {
-                    let secs: f64 = value("--watchdog-quiet-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --watchdog-quiet-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--watchdog-quiet-secs must be positive".to_string());
-                    }
-                    options.watchdog = Some(octopocs::WatchdogConfig::with_quiet(
-                        std::time::Duration::from_secs_f64(secs),
-                    ));
-                }
-                "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-                "--metrics-prom" => metrics_prom = Some(value("--metrics-prom")?),
-                "--trace-chrome" => trace_chrome = Some(value("--trace-chrome")?),
-                "--trace-jsonl" => trace_jsonl = Some(value("--trace-jsonl")?),
-                "--post-mortem" => post_mortem = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown batch flag `{other}`")),
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
-    }
+        Ok(())
+    })
+    .map_err(usage_error)?;
     if corpus == jobs_path.is_some() {
-        return parse_error("exactly one of --corpus or --jobs is required".to_string());
+        return Err(usage_error("exactly one of --corpus or --jobs is required"));
     }
-    if json && verdicts_json {
-        return parse_error("--json and --verdicts-json are mutually exclusive".to_string());
-    }
-    let jobs = if corpus {
-        corpus_jobs()
-    } else {
-        match load_job_file(jobs_path.as_deref().expect("checked above")) {
-            Ok(jobs) => jobs,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        }
+    report_flags.check()?;
+    let jobs = match &jobs_path {
+        Some(path) => load_job_file(path).map_err(input_error)?,
+        None => corpus_jobs(),
     };
+    let EngineFlags {
+        mut options,
+        config,
+    } = engine;
 
     // A flight recorder only when an export asked for one; otherwise
     // tracing stays a no-op in every engine.
     let recorder = (trace_chrome.is_some() || trace_jsonl.is_some())
-        .then(|| std::sync::Arc::new(octopocs::FlightRecorder::with_default_capacity()));
+        .then(|| Arc::new(octopocs::FlightRecorder::with_default_capacity()));
     options.trace = recorder.clone();
 
     // Graceful drain on the first SIGINT/SIGTERM: the run-level token
@@ -777,17 +794,9 @@ fn batch_main(argv: &[String]) -> ExitCode {
         options.cancel = Some(drain.clone());
     }
 
-    let stderr_sink = |event: octo_sched::Event| eprintln!("{}", event.render_human());
-    let report = if events {
-        run_batch(&jobs, &config, &options, &stderr_sink)
-    } else {
-        run_batch(&jobs, &config, &options, &octo_sched::NullSink)
-    };
+    let report = run_batch(&jobs, &config, &options, report_flags.sink());
 
-    let mut outputs: Vec<(&Option<String>, String)> = vec![
-        (&metrics_json, report.metrics.render_json()),
-        (&metrics_prom, report.metrics.render_prometheus()),
-    ];
+    let mut outputs = report_flags.metrics_outputs(&report.metrics);
     if let Some(rec) = &recorder {
         let snapshot = rec.snapshot();
         if rec.dropped() > 0 {
@@ -797,21 +806,10 @@ fn batch_main(argv: &[String]) -> ExitCode {
             );
         }
         outputs.push((&trace_chrome, octo_trace::chrome::render_chrome(&snapshot)));
-        let mut lines = String::new();
-        for e in &snapshot {
-            lines.push_str(&e.render_json());
-            lines.push('\n');
-        }
+        let lines: String = snapshot.iter().map(|e| e.render_json() + "\n").collect();
         outputs.push((&trace_jsonl, lines));
     }
-    for (path, content) in outputs {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::from(3);
-            }
-        }
-    }
+    write_outputs(outputs)?;
 
     if post_mortem {
         let mortems = report.render_post_mortems();
@@ -821,20 +819,14 @@ fn batch_main(argv: &[String]) -> ExitCode {
             mortems
         };
         // Keep machine-readable stdout intact when a JSON mode is on.
-        if json || verdicts_json {
+        if report_flags.json || report_flags.verdicts_json {
             eprint!("{text}");
         } else {
             print!("{text}");
         }
     }
 
-    if verdicts_json {
-        print!("{}", report.render_verdicts_json());
-    } else if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
+    report_flags.print(&report);
     if drain.is_cancelled() {
         let incomplete = report
             .entries
@@ -849,78 +841,49 @@ fn batch_main(argv: &[String]) -> ExitCode {
             })
             .count();
         eprintln!("batch: drained by signal; {incomplete} job(s) incomplete");
-        return ExitCode::from(130);
+        return Ok(ExitCode::from(130));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `octopocs cache` subcommand: offline maintenance of a disk
 /// artifact cache (`--cache-dir`) — `stats`, `verify` (re-check every
 /// blob's frame and checksum), `gc` (prune by generation/age, sweep
 /// orphan temp files). See docs/caching.md.
-fn cache_main(argv: &[String]) -> ExitCode {
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
+fn cache_main(argv: &[String]) -> Exit {
     let Some(action) = argv.first().map(String::as_str) else {
-        return parse_error("cache needs an action: stats, verify or gc".to_string());
+        return Err(usage_error("cache needs an action: stats, verify or gc"));
     };
     if !matches!(action, "stats" | "verify" | "gc") {
-        return parse_error(format!("unknown cache action `{action}`"));
+        return Err(usage_error(format!("unknown cache action `{action}`")));
     }
     let mut cache_dir: Option<String> = None;
     let mut json = false;
-    let mut keep_generations: Option<u64> = None;
-    let mut max_age_secs: Option<u64> = None;
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--cache-dir" => cache_dir = Some(value("--cache-dir")?),
-                "--json" => json = true,
-                "--keep-generations" => {
-                    keep_generations = Some(
-                        value("--keep-generations")?
-                            .parse()
-                            .map_err(|e| format!("bad --keep-generations: {e}"))?,
-                    )
-                }
-                "--max-age-secs" => {
-                    max_age_secs = Some(
-                        value("--max-age-secs")?
-                            .parse()
-                            .map_err(|e| format!("bad --max-age-secs: {e}"))?,
-                    )
-                }
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown cache flag `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
+    let (mut keep_generations, mut max_age_secs): (Option<u64>, Option<u64>) = (None, None);
+    walk(&argv[1..], |flag, args| {
+        match flag {
+            "--cache-dir" => cache_dir = Some(args.value(flag)?),
+            "--json" => json = true,
+            "--keep-generations" => keep_generations = Some(args.parse(flag)?),
+            "--max-age-secs" => max_age_secs = Some(args.parse(flag)?),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown cache flag `{other}`")),
         }
-    }
+        Ok(())
+    })
+    .map_err(usage_error)?;
     let Some(dir) = cache_dir else {
-        return parse_error("cache needs --cache-dir DIR".to_string());
+        return Err(usage_error("cache needs --cache-dir DIR"));
     };
     if (keep_generations.is_some() || max_age_secs.is_some()) && action != "gc" {
-        return parse_error("--keep-generations/--max-age-secs only apply to gc".to_string());
+        return Err(usage_error(
+            "--keep-generations/--max-age-secs only apply to gc",
+        ));
     }
     let store = octopocs::BlobStore::open(std::path::Path::new(&dir));
     if store.is_degraded() {
         eprintln!("error: {dir} is not usable as a cache directory");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
     match action {
         "stats" => {
@@ -936,7 +899,7 @@ fn cache_main(argv: &[String]) -> ExitCode {
                     stats.entries, stats.generation
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "verify" => {
             let report = store.verify();
@@ -963,11 +926,11 @@ fn cache_main(argv: &[String]) -> ExitCode {
                     report.orphan_temps
                 );
             }
-            if report.corrupt.is_empty() {
+            Ok(if report.corrupt.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            }
+            })
         }
         _ => {
             let report = store.gc(keep_generations, max_age_secs);
@@ -982,7 +945,7 @@ fn cache_main(argv: &[String]) -> ExitCode {
                     report.removed, report.kept, report.temps_swept
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
     }
 }
@@ -991,210 +954,105 @@ fn cache_main(argv: &[String]) -> ExitCode {
 // Service client subcommands: thin drivers of a running `octopocsd`
 // daemon over the `octo-serve` wire protocol (see docs/service.md).
 
-/// Connects to the daemon. The default endpoint is the daemon's default
-/// Unix socket, `octopocsd.sock`, in the current directory.
-fn service_connect(socket: Option<String>, tcp: Option<String>) -> Result<Client, String> {
+/// Connects to the daemon — by default on its default Unix socket,
+/// `octopocsd.sock`, in the current directory. A failure prints `error:`
+/// and exits 3.
+fn connect(socket: Option<String>, tcp: Option<String>) -> Result<Client, ExitCode> {
     let endpoint = match (socket, tcp) {
-        (Some(_), Some(_)) => return Err("--socket and --tcp are mutually exclusive".to_string()),
+        (Some(_), Some(_)) => return Err(input_error("--socket and --tcp are mutually exclusive")),
         (_, Some(addr)) => Endpoint::Tcp(addr),
         (path, None) => Endpoint::Unix(path.unwrap_or_else(|| "octopocsd.sock".to_string()).into()),
     };
-    Client::connect(&endpoint)
+    Client::connect(&endpoint).map_err(input_error)
 }
 
 /// The `octopocs submit` subcommand: admit jobs into a running daemon.
 /// Exit 0 = every job accepted, 1 = at least one rejected (backpressure
 /// or invalid), 3 = usage or connection error.
-fn submit_main(argv: &[String]) -> ExitCode {
-    let mut corpus = false;
-    let mut scan = false;
-    let mut s_path = String::new();
-    let mut t_path = String::new();
-    let mut poc_path = String::new();
-    let mut shared: Vec<String> = Vec::new();
+fn submit_main(argv: &[String]) -> Exit {
+    let (mut corpus, mut scan) = (false, false);
+    let mut pair = PairPaths::default();
     let mut target_paths: Vec<String> = Vec::new();
     let mut params = octo_clone::CloneParams::default();
     let mut priority: Option<ServePriority> = None;
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--scan" => scan = true,
-                "--s" => s_path = value("--s")?,
-                "--t" => t_path = value("--t")?,
-                "--poc" => poc_path = value("--poc")?,
-                "--shared" => {
-                    shared = value("--shared")?
-                        .split(',')
-                        .map(str::to_string)
-                        .filter(|s| !s.is_empty())
-                        .collect()
-                }
-                "--target" => target_paths.push(value("--target")?),
-                "--priority" => {
-                    priority = Some(
-                        ServePriority::parse(&value("--priority")?)
-                            .map_err(|e| format!("bad --priority: {e}"))?,
-                    )
-                }
-                "--socket" => socket = Some(value("--socket")?),
-                "--tcp" => tcp = Some(value("--tcp")?),
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown submit flag `{other}`"));
-                    }
+    let (mut socket, mut tcp): (Option<String>, Option<String>) = (None, None);
+    walk(argv, |flag, args| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--scan" => scan = true,
+            "--target" => target_paths.push(args.value(flag)?),
+            "--priority" => {
+                priority = Some(
+                    ServePriority::parse(&args.value(flag)?)
+                        .map_err(|e| format!("bad --priority: {e}"))?,
+                )
+            }
+            "--socket" => socket = Some(args.value(flag)?),
+            "--tcp" => tcp = Some(args.value(flag)?),
+            "--help" | "-h" => return Err(String::new()),
+            other => {
+                if !pair.flag(other, args)? && !clone_param(other, args, &mut params)? {
+                    return Err(format!("unknown submit flag `{other}`"));
                 }
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
-    }
-    let single = !s_path.is_empty() && !scan;
+        Ok(())
+    })
+    .map_err(usage_error)?;
+    let single = !pair.s.is_empty() && !scan;
     if usize::from(corpus) + usize::from(scan) + usize::from(single) != 1 {
-        return parse_error(
-            "exactly one of --corpus, --scan, or (--s/--t/--poc/--shared) is required".to_string(),
-        );
+        return Err(usage_error(
+            "exactly one of --corpus, --scan, or (--s/--t/--poc/--shared) is required",
+        ));
     }
     // Corpus/scan expansions default to bulk; a single pair is a human
     // waiting and defaults to interactive.
     let (jobs, default_priority) = if corpus {
         (corpus_jobs(), ServePriority::Bulk)
     } else if scan {
-        if s_path.is_empty() || poc_path.is_empty() || target_paths.is_empty() {
-            return parse_error("--scan needs --s, --poc and at least one --target".to_string());
+        if pair.s.is_empty() || pair.poc.is_empty() || target_paths.is_empty() {
+            return Err(usage_error(
+                "--scan needs --s, --poc and at least one --target",
+            ));
         }
-        let s = match load_program(&s_path) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        };
-        let poc = match std::fs::read(&poc_path) {
-            Ok(bytes) => PocFile::new(bytes),
-            Err(e) => {
-                eprintln!("error: {poc_path}: {e}");
-                return ExitCode::from(3);
-            }
-        };
-        let mut targets = Vec::new();
-        for path in &target_paths {
-            match load_program(path) {
-                Ok(t) => targets.push(octopocs::ScanTarget {
-                    name: path.clone(),
-                    t,
-                }),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-        let expansion = octopocs::expand_scan(
-            &[octopocs::ScanSource {
-                name: s_path.clone(),
-                s,
-                poc,
-            }],
-            &targets,
-            &params,
-        );
+        let (source, targets) = load_scan(&pair.s, &pair.poc, &target_paths)?;
+        let expansion = octopocs::expand_scan(&[source], &targets, &params);
         (expansion.jobs, ServePriority::Bulk)
     } else {
-        if t_path.is_empty() || poc_path.is_empty() || shared.is_empty() {
-            return parse_error("submit needs --s, --t, --poc and --shared".to_string());
+        if pair.t.is_empty() || pair.poc.is_empty() || pair.shared.is_empty() {
+            return Err(usage_error("submit needs --s, --t, --poc and --shared"));
         }
-        let (s, t, poc_bytes) = match (
-            load_program(&s_path),
-            load_program(&t_path),
-            std::fs::read(&poc_path),
-        ) {
-            (Ok(s), Ok(t), Ok(p)) => (s, t, p),
-            (s, t, p) => {
-                for msg in [
-                    s.err(),
-                    t.err(),
-                    p.err().map(|e| format!("{poc_path}: {e}")),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    eprintln!("error: {msg}");
-                }
-                return ExitCode::from(3);
-            }
-        };
-        (
-            vec![BatchJob {
-                name: format!("{s_path} => {t_path}"),
-                s,
-                t,
-                poc: PocFile::new(poc_bytes),
-                shared,
-            }],
-            ServePriority::Interactive,
-        )
+        (vec![pair.load()?], ServePriority::Interactive)
     };
     let priority = priority.unwrap_or(default_priority);
 
-    let mut client = match service_connect(socket, tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+    let mut client = connect(socket, tcp)?;
     let mut refused = 0usize;
     for job in &jobs {
         let spec = octopocs::batch_job_to_spec(job, priority);
-        match client.request(&Request::Submit { job: spec }) {
-            Ok(Response::Accepted { id }) => println!("accepted {id} {}", job.name),
-            Ok(Response::Rejected { reason }) => {
-                eprintln!("rejected {}: {reason}", job.name);
-                refused += 1;
+        let refusal = match client.request(&Request::Submit { job: spec }) {
+            Ok(Response::Accepted { id }) => {
+                println!("accepted {id} {}", job.name);
+                continue;
             }
-            Ok(Response::Error { message }) => {
-                eprintln!("error {}: {message}", job.name);
-                refused += 1;
-            }
-            Ok(other) => {
-                eprintln!("error {}: unexpected response {}", job.name, other.render());
-                refused += 1;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
-        }
+            Ok(Response::Rejected { reason }) => format!("rejected {}: {reason}", job.name),
+            Ok(Response::Error { message }) => format!("error {}: {message}", job.name),
+            Ok(other) => format!("error {}: unexpected response {}", job.name, other.render()),
+            Err(e) => return Err(input_error(e)),
+        };
+        eprintln!("{refusal}");
+        refused += 1;
     }
-    if refused > 0 {
+    Ok(if refused > 0 {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-/// Parses the shared `--socket`/`--tcp`/`--id`-style flags of the small
-/// client subcommands. Returns `Err` on unknown flags.
+/// The flags of the small client subcommands (`status`, `watch`,
+/// `results`, `drain`).
+#[derive(Default)]
 struct ClientArgs {
     socket: Option<String>,
     tcp: Option<String>,
@@ -1205,44 +1063,29 @@ struct ClientArgs {
     shutdown: bool,
 }
 
-fn parse_client_args(argv: &[String], subcommand: &str) -> Result<ClientArgs, String> {
-    let mut args = ClientArgs {
-        socket: None,
-        tcp: None,
-        id: None,
-        metrics_json: None,
-        wait: false,
-        verdicts_json: false,
-        shutdown: false,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--socket" => args.socket = Some(value("--socket")?),
-            "--tcp" => args.tcp = Some(value("--tcp")?),
-            "--id" => {
-                args.id = Some(
-                    value("--id")?
-                        .parse()
-                        .map_err(|e| format!("bad --id: {e}"))?,
-                )
-            }
-            "--metrics-json" if subcommand == "status" => {
-                args.metrics_json = Some(value("--metrics-json")?)
-            }
-            "--wait" if subcommand == "results" => args.wait = true,
-            "--verdicts-json" if subcommand == "results" => args.verdicts_json = true,
-            "--shutdown" if subcommand == "drain" => args.shutdown = true,
+/// Parses a client subcommand's flags; an error prints the message and
+/// the usage text and exits 3.
+fn parse_client_args(argv: &[String], subcommand: &str) -> Result<ClientArgs, ExitCode> {
+    let mut a = ClientArgs::default();
+    walk(argv, |flag, args| {
+        match flag {
+            "--socket" => a.socket = Some(args.value(flag)?),
+            "--tcp" => a.tcp = Some(args.value(flag)?),
+            "--id" => a.id = Some(args.parse(flag)?),
+            "--metrics-json" if subcommand == "status" => a.metrics_json = Some(args.value(flag)?),
+            "--wait" if subcommand == "results" => a.wait = true,
+            "--verdicts-json" if subcommand == "results" => a.verdicts_json = true,
+            "--shutdown" if subcommand == "drain" => a.shutdown = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown {subcommand} flag `{other}`")),
         }
-    }
-    Ok(args)
+        Ok(())
+    })
+    .map_err(|msg| {
+        eprintln!("{msg}\n{USAGE}");
+        ExitCode::from(3)
+    })?;
+    Ok(a)
 }
 
 fn render_job_status(j: &octo_serve::JobStatus) -> String {
@@ -1268,256 +1111,141 @@ fn render_job_status(j: &octo_serve::JobStatus) -> String {
 
 /// The `octopocs status` subcommand. Exit 0 = answered, 1 = unknown job
 /// id, 3 = usage or connection error.
-fn status_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "status") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+fn status_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "status")?;
+    let mut client = connect(args.socket, args.tcp)?;
     if let Some(path) = &args.metrics_json {
-        match client.request(&Request::Metrics) {
-            Ok(Response::Metrics { body }) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error writing {path}: {e}");
-                    return ExitCode::from(3);
-                }
-            }
-            Ok(other) => {
-                eprintln!("error: unexpected response {}", other.render());
-                return ExitCode::from(3);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
+        match client.request(&Request::Metrics).map_err(input_error)? {
+            Response::Metrics { body } => write_file(path, body)?,
+            other => return Err(unexpected(&other)),
         }
     }
-    match client.request(&Request::Status { id: args.id }) {
-        Ok(Response::Status(s)) => {
-            println!(
-                "queued: {} interactive + {} bulk (capacity {}), running: {}, done: {}{}",
-                s.queued_interactive,
-                s.queued_bulk,
-                s.capacity,
-                s.running,
-                s.done,
-                if s.draining { ", draining" } else { "" }
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(Response::Job(j)) => {
+    match client
+        .request(&Request::Status { id: args.id })
+        .map_err(input_error)?
+    {
+        Response::Status(s) => println!(
+            "queued: {} interactive + {} bulk (capacity {}), running: {}, done: {}{}",
+            s.queued_interactive,
+            s.queued_bulk,
+            s.capacity,
+            s.running,
+            s.done,
+            if s.draining { ", draining" } else { "" }
+        ),
+        Response::Job(j) => {
             println!("{}", render_job_status(&j));
-            if let Some(pm) = &j.post_mortem {
-                for line in pm.lines() {
-                    println!("  {line}");
-                }
+            for line in j.post_mortem.iter().flat_map(|pm| pm.lines()) {
+                println!("  {line}");
             }
-            ExitCode::SUCCESS
         }
-        Ok(Response::Error { message }) => {
+        Response::Error { message } => {
             eprintln!("error: {message}");
-            ExitCode::from(1)
+            return Ok(ExitCode::from(1));
         }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        other => return Err(unexpected(&other)),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `octopocs watch` subcommand: stream one job's events as JSON
 /// lines until its verdict. Exit 0 = done line received, 2 = the stream
 /// ended in an error line, 3 = usage or connection error.
-fn watch_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "watch") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
+fn watch_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "watch")?;
     let Some(id) = args.id else {
-        eprintln!("watch needs --id\n{}", usage());
-        return ExitCode::from(3);
+        return Err(usage_error("watch needs --id"));
     };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    if let Err(e) = client.send(&Request::Watch { id }) {
-        eprintln!("error: {e}");
-        return ExitCode::from(3);
-    }
-    loop {
+    let mut client = connect(args.socket, args.tcp)?;
+    client.send(&Request::Watch { id }).map_err(input_error)?;
+    let failure = loop {
         match client.recv() {
             Ok(Some(resp @ Response::Event(_))) => println!("{}", resp.render()),
             Ok(Some(resp @ Response::Done { .. })) => {
                 println!("{}", resp.render());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
-            Ok(Some(Response::Error { message })) => {
-                eprintln!("error: {message}");
-                return ExitCode::from(2);
-            }
-            Ok(Some(other)) => {
-                eprintln!("error: unexpected response {}", other.render());
-                return ExitCode::from(2);
-            }
-            Ok(None) => {
-                eprintln!("error: daemon closed the connection");
-                return ExitCode::from(2);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+            Ok(Some(Response::Error { message })) => break message,
+            Ok(Some(other)) => break format!("unexpected response {}", other.render()),
+            Ok(None) => break "daemon closed the connection".to_string(),
+            Err(e) => break e,
         }
-    }
+    };
+    eprintln!("error: {failure}");
+    Ok(ExitCode::from(2))
 }
 
 /// The `octopocs results` subcommand. `--wait` blocks until the queue
 /// is empty; `--verdicts-json` prints the same stable document as
 /// `octopocs batch --verdicts-json`. Exit 0 = answered, 3 = usage or
 /// connection error.
-fn results_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "results") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+fn results_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "results")?;
+    let mut client = connect(args.socket, args.tcp)?;
     if args.wait {
         loop {
-            match client.request(&Request::Status { id: None }) {
-                Ok(Response::Status(s)) => {
-                    if s.queued_interactive + s.queued_bulk + s.running == 0 {
-                        break;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+            match client
+                .request(&Request::Status { id: None })
+                .map_err(input_error)?
+            {
+                Response::Status(s) if s.queued_interactive + s.queued_bulk + s.running == 0 => {
+                    break
                 }
-                Ok(other) => {
-                    eprintln!("error: unexpected response {}", other.render());
-                    return ExitCode::from(3);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(3);
-                }
+                Response::Status(_) => std::thread::sleep(Duration::from_millis(100)),
+                other => return Err(unexpected(&other)),
             }
         }
     }
-    match client.request(&Request::Results) {
-        Ok(Response::Results { jobs }) => {
-            if args.verdicts_json {
-                // Byte-identical to `octopocs batch --verdicts-json`
-                // (and the CI golden): rows in submission order.
-                let mut out = String::from("{\"jobs\":[\n");
-                for (i, row) in jobs.iter().enumerate() {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",{}}}{}\n",
-                        octo_serve::json::json_escape(&row.name),
-                        row.verdict.render_fields(),
-                        if i + 1 == jobs.len() { "" } else { "," }
-                    ));
+    let jobs = match client.request(&Request::Results).map_err(input_error)? {
+        Response::Results { jobs } => jobs,
+        other => return Err(unexpected(&other)),
+    };
+    if args.verdicts_json {
+        // Byte-identical to `octopocs batch --verdicts-json` (and the CI
+        // golden): rows in submission order.
+        let rows = jobs
+            .iter()
+            .map(|row| (row.name.as_str(), row.verdict.clone()));
+        print!("{}", octo_serve::render_verdicts_json(rows));
+    } else {
+        for row in &jobs {
+            println!(
+                "{:>4}  {:<28} {}{}",
+                row.id,
+                row.verdict.verdict,
+                row.name,
+                if row.verdict.quarantined {
+                    "  [quarantined]"
+                } else {
+                    ""
                 }
-                out.push_str("]}\n");
-                print!("{out}");
-            } else {
-                for row in &jobs {
-                    println!(
-                        "{:>4}  {:<28} {}{}",
-                        row.id,
-                        row.verdict.verdict,
-                        row.name,
-                        if row.verdict.quarantined {
-                            "  [quarantined]"
-                        } else {
-                            ""
-                        }
-                    );
-                }
-                println!("{} finished job(s)", jobs.len());
-            }
-            ExitCode::SUCCESS
+            );
         }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        println!("{} finished job(s)", jobs.len());
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `octopocs drain` subcommand: ask the daemon to finish queued
 /// work and exit (`--shutdown` cancels in-flight jobs instead). Exit
 /// 0 = acknowledged, 3 = usage or connection error.
-fn drain_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "drain") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+fn drain_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "drain")?;
+    let mut client = connect(args.socket, args.tcp)?;
     let request = if args.shutdown {
         Request::Shutdown
     } else {
         Request::Drain
     };
-    match client.request(&request) {
-        Ok(Response::Draining { pending }) => {
-            println!("draining; {pending} job(s) still pending");
-            ExitCode::SUCCESS
+    match client.request(&request).map_err(input_error)? {
+        Response::Draining { pending } => println!("draining; {pending} job(s) still pending"),
+        Response::ShuttingDown => {
+            println!("shutting down; incomplete jobs will replay from the journal")
         }
-        Ok(Response::ShuttingDown) => {
-            println!("shutting down; incomplete jobs will replay from the journal");
-            ExitCode::SUCCESS
-        }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        other => return Err(unexpected(&other)),
     }
+    Ok(ExitCode::SUCCESS)
 }
-
 /// Windowed rates computed client-side from `/metrics/rates`.
 struct TopReport {
     windows: usize,
@@ -1594,68 +1322,38 @@ fn top_report(body: &str, want: usize) -> Result<TopReport, String> {
 /// daemon's octo-scope HTTP plane (`octopocsd --http`). Exit 0 = rates
 /// printed, 1 = the plane answered but has no windows yet, 3 = usage or
 /// connection error.
-fn top_main(argv: &[String]) -> ExitCode {
+fn top_main(argv: &[String]) -> Exit {
     let mut http: Option<String> = None;
     let mut windows: usize = 10;
     let mut json = false;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
+    walk(argv, |flag, args| {
+        match flag {
+            "--http" => http = Some(args.value(flag)?),
+            "--windows" => windows = args.parse_nonzero(flag)?,
+            "--json" => json = true,
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown top flag `{other}`")),
         }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--http" => http = Some(value("--http")?),
-                "--windows" => {
-                    windows = value("--windows")?
-                        .parse()
-                        .map_err(|e| format!("bad --windows: {e}"))?;
-                    if windows == 0 {
-                        return Err("--windows must be at least 1".to_string());
-                    }
-                }
-                "--json" => json = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown top flag `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
-        }
-    }
+        Ok(())
+    })
+    .map_err(usage_error)?;
     let Some(addr) = http else {
-        return parse_error("top needs --http ADDR (the daemon's --http address)".to_string());
+        return Err(usage_error(
+            "top needs --http ADDR (the daemon's --http address)",
+        ));
     };
-    let (status, body) =
-        match octo_serve::http_get(&addr, "/metrics/rates", std::time::Duration::from_secs(5)) {
-            Ok(reply) => reply,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
-        };
+    let (status, body) = octo_serve::http_get(&addr, "/metrics/rates", Duration::from_secs(5))
+        .map_err(input_error)?;
     if status != 200 {
-        eprintln!("error: /metrics/rates answered {status}: {}", body.trim());
-        return ExitCode::from(3);
+        return Err(input_error(format!(
+            "/metrics/rates answered {status}: {}",
+            body.trim()
+        )));
     }
-    let report = match top_report(&body, windows) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(1);
-        }
-    };
+    let report = top_report(&body, windows).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(1)
+    })?;
     let hit_rate = if report.cache_lookups > 0 {
         report.cache_hits as f64 / report.cache_lookups as f64
     } else {
@@ -1696,153 +1394,5 @@ fn top_main(argv: &[String]) -> ExitCode {
             report.queued_interactive, report.queued_bulk, report.uptime_seconds
         );
     }
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        return lint_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("batch") {
-        return batch_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("clone") {
-        return clone_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("scan") {
-        return scan_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("cache") {
-        return cache_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("submit") {
-        return submit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("status") {
-        return status_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("watch") {
-        return watch_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("results") {
-        return results_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("drain") {
-        return drain_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("top") {
-        return top_main(&argv[1..]);
-    }
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(3);
-        }
-    };
-    let (s, t, poc_bytes) = match (
-        load_program(&args.s_path),
-        load_program(&args.t_path),
-        std::fs::read(&args.poc_path),
-    ) {
-        (Ok(s), Ok(t), Ok(p)) => (s, t, p),
-        (s, t, p) => {
-            for msg in [
-                s.err(),
-                t.err(),
-                p.err().map(|e| format!("{}: {e}", args.poc_path)),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                eprintln!("error: {msg}");
-            }
-            return ExitCode::from(3);
-        }
-    };
-
-    let mut config = PipelineConfig::default();
-    if let Some(theta) = args.theta {
-        config = config.with_theta(theta);
-    }
-    if args.accelerate_loops {
-        config = config.accelerate_loops();
-    }
-    if args.static_cfg {
-        config = config.static_cfg();
-    }
-    if args.context_free {
-        config = config.context_free();
-    }
-    if args.prescreen {
-        config = config.with_static_prescreen();
-    }
-
-    let poc = PocFile::new(poc_bytes);
-    let input = SoftwarePairInput {
-        s: &s,
-        t: &t,
-        poc: &poc,
-        shared: &args.shared,
-    };
-    let report = verify(&input, &config);
-
-    if args.json {
-        // Hand-rolled JSON keeps the core crate dependency-free.
-        println!(
-            "{{\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\"ep\":\"{}\",\
-             \"ep_entries\":{},\"prescreen\":{},\"wall_seconds\":{:.6}}}",
-            report.verdict.type_label(),
-            report.verdict.poc_generated(),
-            report.verdict.verified(),
-            report.ep_name.as_deref().unwrap_or(""),
-            report.ep_entries,
-            report.prescreen,
-            report.wall_seconds,
-        );
-    } else {
-        println!("verdict    : {}", report.verdict);
-        if let Some(ep) = &report.ep_name {
-            println!("ep         : {ep} ({} entries in S)", report.ep_entries);
-        }
-        if report.prescreen {
-            println!("prescreen  : verdict decided statically in P0");
-        }
-        println!("time       : {:.3}s", report.wall_seconds);
-    }
-
-    match &report.verdict {
-        Verdict::Triggered { poc_prime, .. } => {
-            let poc_prime = if args.minimize {
-                let shared_ids = t.resolve_names(args.shared.iter().map(String::as_str));
-                let (min, stats) =
-                    octopocs::minimize_poc(&t, poc_prime, &shared_ids, octo_vm::Limits::default());
-                if !args.json {
-                    println!(
-                        "minimized  : {} -> {} bytes ({} zeroed, {} execs)",
-                        stats.len_before, stats.len_after, stats.bytes_zeroed, stats.execs
-                    );
-                }
-                min
-            } else {
-                poc_prime.clone()
-            };
-            let poc_prime = &poc_prime;
-            if let Some(out) = &args.out {
-                if let Err(e) = std::fs::write(out, poc_prime.bytes()) {
-                    eprintln!("error writing {out}: {e}");
-                    return ExitCode::from(3);
-                }
-                if !args.json {
-                    println!("poc' written to {out} ({} bytes)", poc_prime.len());
-                }
-            } else if !args.json {
-                println!("poc' hexdump:\n{}", poc_prime.hexdump());
-            }
-            ExitCode::SUCCESS
-        }
-        Verdict::NotTriggerable { .. } => ExitCode::from(1),
-        Verdict::Failure { .. } => ExitCode::from(2),
-    }
+    Ok(ExitCode::SUCCESS)
 }

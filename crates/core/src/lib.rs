@@ -93,10 +93,10 @@
 
 pub mod batch;
 pub mod blob;
+pub mod cli;
 pub mod config;
 pub mod minimize;
 pub mod pipeline;
-pub mod portfolio;
 pub mod preprocess;
 pub mod scan;
 pub mod service;
@@ -104,6 +104,7 @@ pub mod verdict;
 
 pub use batch::{
     prefix_cache_key, run_batch, BatchEntry, BatchJob, BatchOptions, BatchReport, BatchRuntime,
+    Urgency,
 };
 pub use config::PipelineConfig;
 pub use minimize::{minimize_poc, MinimizeStats};
@@ -114,9 +115,6 @@ pub use octo_trace::{FlightRecorder, PostMortem};
 pub use pipeline::{
     prepare, verify, verify_prepared, verify_prepared_observed, PrepareFailure, PreparedSource,
     SoftwarePairInput, VerificationReport,
-};
-pub use portfolio::{
-    render_portfolio, verify_portfolio, verify_portfolio_with_faults, Job, PortfolioEntry, Urgency,
 };
 pub use preprocess::{identify_ep, PreprocessError};
 pub use scan::{

@@ -25,11 +25,10 @@ use octo_ir::Program;
 use octo_lint::ReachKind;
 use octo_poc::PocFile;
 use octo_sched::EventSink;
+use octo_serve::json::json_escape;
 use octo_trace::TraceKind;
 
-use crate::batch::{
-    json_escape, run_batch, BatchJob, BatchOptions, BatchReport, SCORE_CENTI_BUCKETS,
-};
+use crate::batch::{run_batch, BatchJob, BatchOptions, BatchReport, SCORE_CENTI_BUCKETS};
 use crate::config::PipelineConfig;
 
 /// One vulnerable source in a scan: the software, its crashing PoC,

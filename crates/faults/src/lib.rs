@@ -335,7 +335,8 @@ impl Parser<'_> {
         Err("unterminated string".to_string())
     }
 
-    fn number(&mut self) -> Result<f64, String> {
+    /// The text of the number at the cursor (JSON number characters).
+    fn number_text(&mut self) -> &str {
         self.skip_ws();
         let start = self.pos;
         while self
@@ -345,45 +346,55 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("expected number at byte {start}"))
+        std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("")
     }
 
+    /// An exact non-negative integer: no fraction, no exponent, no
+    /// rounding through `f64`.
     fn integer(&mut self, what: &str) -> Result<u64, String> {
-        let n = self.number()?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return Err(format!("{what} must be a non-negative integer, got {n}"));
+        let text = self.number_text();
+        text.parse::<u64>()
+            .map_err(|_| format!("{what} must be a non-negative integer, got \"{text}\""))
+    }
+
+    /// Walks one object, `{"key": value, ...}`, handing each key to
+    /// `field` to parse its value. Members must be comma-separated, with
+    /// no comma after the last one.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
         }
-        Ok(n as u64)
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            field(self, &key)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
     }
 
     fn plan(&mut self) -> Result<FaultPlan, String> {
-        self.expect(b'{')?;
         let mut seed = None;
         let mut rules = None;
-        loop {
-            match self.peek() {
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b',') if seed.is_some() || rules.is_some() => self.pos += 1,
-                _ => {}
-            }
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "seed" => seed = Some(self.integer("seed")?),
-                "rules" => rules = Some(self.rule_array()?),
+        self.object(|p, key| {
+            match key {
+                "seed" => seed = Some(p.integer("seed")?),
+                "rules" => rules = Some(p.rule_array()?),
                 other => return Err(format!("unknown fault-plan key \"{other}\"")),
             }
-        }
+            Ok(())
+        })?;
         Ok(FaultPlan {
             seed: seed.ok_or("missing \"seed\"")?,
             rules: rules.ok_or("missing \"rules\"")?,
@@ -393,74 +404,58 @@ impl Parser<'_> {
     fn rule_array(&mut self) -> Result<Vec<FaultRule>, String> {
         self.expect(b'[')?;
         let mut rules = Vec::new();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(rules);
+        }
         loop {
+            rules.push(self.rule()?);
             match self.peek() {
+                Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
                     return Ok(rules);
                 }
-                Some(b',') if !rules.is_empty() => self.pos += 1,
-                _ => {}
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(rules);
-            }
-            rules.push(self.rule()?);
         }
     }
 
     fn rule(&mut self) -> Result<FaultRule, String> {
-        self.expect(b'{')?;
         let mut site = None;
         let mut job = None;
         let mut trigger = None;
-        loop {
-            match self.peek() {
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b',') if site.is_some() || job.is_some() || trigger.is_some() => self.pos += 1,
-                _ => {}
+        self.object(|p, key| {
+            if matches!(key, "nth" | "probability") && trigger.is_some() {
+                return Err("rule has both \"nth\" and \"probability\"".to_string());
             }
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
+            match key {
                 "site" => {
-                    let label = self.string()?;
+                    let label = p.string()?;
                     site = Some(
                         FaultSite::from_label(&label)
                             .ok_or_else(|| format!("unknown fault site \"{label}\""))?,
                     );
                 }
                 "job" => {
-                    let j = self.integer("job")?;
+                    let j = p.integer("job")?;
                     job = Some(u32::try_from(j).map_err(|_| "job out of range".to_string())?);
                 }
-                "nth" => {
-                    if trigger.is_some() {
-                        return Err("rule has both \"nth\" and \"probability\"".to_string());
-                    }
-                    trigger = Some(Trigger::Nth(self.integer("nth")?));
-                }
+                "nth" => trigger = Some(Trigger::Nth(p.integer("nth")?)),
                 "probability" => {
-                    if trigger.is_some() {
-                        return Err("rule has both \"nth\" and \"probability\"".to_string());
+                    let text = p.number_text();
+                    let prob: f64 = text
+                        .parse()
+                        .map_err(|_| format!("probability must be a number, got \"{text}\""))?;
+                    if !(0.0..=1.0).contains(&prob) {
+                        return Err(format!("probability must be in [0, 1], got {prob}"));
                     }
-                    let p = self.number()?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("probability must be in [0, 1], got {p}"));
-                    }
-                    trigger = Some(Trigger::Probability(p));
+                    trigger = Some(Trigger::Probability(prob));
                 }
                 other => return Err(format!("unknown rule key \"{other}\"")),
             }
-        }
+            Ok(())
+        })?;
         Ok(FaultRule {
             site: site.ok_or("rule missing \"site\"")?,
             job,
@@ -711,6 +706,32 @@ mod tests {
             FaultPlan::parse_json("{\"seed\":1,\"rules\":[]} x").is_err(),
             "trailing data"
         );
+        for (text, why) in [
+            ("{\"seed\":1 \"rules\":[]}", "missing comma between members"),
+            (
+                "{\"seed\":1,\"rules\":[],}",
+                "trailing comma after the last member",
+            ),
+            (
+                "{\"seed\":1,\"rules\":[{\"site\":\"p4-replay\",\"nth\":1},]}",
+                "trailing comma in the rule array",
+            ),
+            (
+                "{\"seed\":1,\"rules\":[{\"site\":\"p4-replay\" \"nth\":1}]}",
+                "missing comma inside a rule",
+            ),
+            ("{\"seed\":1.5,\"rules\":[]}", "fractional seed"),
+            ("{\"seed\":-1,\"rules\":[]}", "negative seed"),
+        ] {
+            assert!(FaultPlan::parse_json(text).is_err(), "{why}: {text}");
+        }
+        // An integer-valued probability (as in tests/golden/fault_plan.json)
+        // is still a probability.
+        let golden = FaultPlan::parse_json(
+            "{\"seed\":42,\"rules\":[{\"site\":\"solver-solve\",\"job\":7,\"probability\":1}]}",
+        )
+        .expect("integer probability");
+        assert_eq!(golden.rules()[0].trigger, Trigger::Probability(1.0));
     }
 
     #[test]

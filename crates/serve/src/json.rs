@@ -62,6 +62,15 @@ impl JsonValue {
         }
     }
 
+    /// The value as a number, integer or not, if it is one.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Int(i) => Some(*i as f64),
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The array elements, if this is an array.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {

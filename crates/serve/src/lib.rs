@@ -37,8 +37,8 @@ pub use daemon::{Daemon, ExecJob, ExecOutcome, JobExecutor, SubmitError, QUEUE_W
 pub use http::{bind_http, http_get, serve_http, HttpResponse, Scope};
 pub use journal::{Journal, Replay};
 pub use proto::{
-    JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request, Response, ResultRow,
-    VerdictSummary, WireEvent, WireEventKind, MAX_LINE_BYTES,
+    render_verdicts_json, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request, Response,
+    ResultRow, VerdictSummary, WireEvent, WireEventKind, MAX_LINE_BYTES,
 };
 pub use server::{handle_connection, serve, ServerConfig};
 pub use timeline::{AttemptSpan, JobTimeline, TimelineStep, TimelineStore};

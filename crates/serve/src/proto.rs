@@ -159,6 +159,27 @@ impl VerdictSummary {
     }
 }
 
+/// Renders the stable verdicts document — one `{"name":…,<summary>}`
+/// row per job, in the given order, no timings. `octopocs batch
+/// --verdicts-json` and `octopocs results --verdicts-json` both print
+/// it, and the CI goldens (`tests/golden/batch_verdicts.json`) pin it.
+pub fn render_verdicts_json<'a>(
+    rows: impl IntoIterator<Item = (&'a str, VerdictSummary)>,
+) -> String {
+    let rows: Vec<String> = rows
+        .into_iter()
+        .map(|(name, v)| {
+            format!(
+                "{{\"name\":\"{}\",{}}}",
+                json_escape(name),
+                v.render_fields()
+            )
+        })
+        .collect();
+    let end = if rows.is_empty() { "" } else { "\n" };
+    format!("{{\"jobs\":[\n{}{end}]}}\n", rows.join(",\n"))
+}
+
 /// A progress event as it crosses the wire. Mirrors
 /// [`octo_sched::Event`] but with integer microseconds everywhere
 /// (lossless round-trips) and the daemon-global job id.

@@ -2,47 +2,52 @@
 //! flagged fifteen propagated vulnerable code clones — which patches are
 //! urgent?
 //!
-//! Runs the whole Table II corpus through the portfolio verifier (in
-//! parallel) and prints the prioritised patch list: demonstrated
-//! memory-corruption triggers first, then DoS triggers, then the
-//! verification failure (unknown risk), then the verified-safe clones.
+//! Runs the whole Table II corpus through the batch runner (in parallel)
+//! and prints the prioritised patch list: demonstrated memory-corruption
+//! triggers first, then DoS triggers, then the verification failure
+//! (unknown risk), then the verified-safe clones.
 //!
 //! ```text
 //! cargo run --release --example patch_prioritization
 //! ```
 
 use octo_corpus::all_pairs;
-use octopocs::{render_portfolio, verify_portfolio, Job, PipelineConfig, SoftwarePairInput};
+use octo_sched::NullSink;
+use octopocs::{run_batch, BatchJob, BatchOptions, PipelineConfig, Urgency};
 
 fn main() {
-    let pairs = all_pairs();
-    let names: Vec<String> = pairs
-        .iter()
-        .map(|p| format!("{} in {} {}", p.vuln_id, p.t_name, p.t_version))
-        .collect();
-    let jobs: Vec<Job<'_>> = pairs
-        .iter()
-        .zip(names.iter())
-        .map(|(p, name)| Job {
-            name,
-            input: SoftwarePairInput {
-                s: &p.s,
-                t: &p.t,
-                poc: &p.poc,
-                shared: &p.shared,
-            },
+    let jobs: Vec<BatchJob> = all_pairs()
+        .into_iter()
+        .map(|p| BatchJob {
+            name: format!("{} in {} {}", p.vuln_id, p.t_name, p.t_version),
+            s: p.s,
+            t: p.t,
+            poc: p.poc,
+            shared: p.shared,
         })
         .collect();
+    let options = BatchOptions {
+        workers: 4,
+        ..BatchOptions::default()
+    };
 
-    let t0 = std::time::Instant::now();
-    let entries = verify_portfolio(&jobs, &PipelineConfig::default(), 4);
+    let report = run_batch(&jobs, &PipelineConfig::default(), &options, &NullSink);
+    let entries = report.by_urgency();
     println!(
         "verified {} propagated clones in {:.2}s\n",
         entries.len(),
-        t0.elapsed().as_secs_f64()
+        report.wall_seconds
     );
     println!("patch priority list:");
-    print!("{}", render_portfolio(&entries));
+    for (i, e) in entries.iter().enumerate() {
+        println!(
+            "{:>2}. {:<40} {:<10} — {}",
+            i + 1,
+            e.name,
+            e.report.verdict.type_label(),
+            e.urgency().recommendation()
+        );
+    }
 
     let urgent = entries
         .iter()
@@ -50,7 +55,7 @@ fn main() {
         .count();
     let safe = entries
         .iter()
-        .filter(|e| matches!(e.urgency, octopocs::Urgency::VerifiedSafe))
+        .filter(|e| e.urgency() == Urgency::VerifiedSafe)
         .count();
     println!("\nsummary: {urgent} need patches now, {safe} verified safe for routine patching");
 }

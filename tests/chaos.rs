@@ -194,8 +194,11 @@ fn store_rename_fault_leaves_orphan_temp_and_golden_verdicts() {
     let dir = std::env::temp_dir().join(format!("octopocs-chaos-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Job 0's first disk publish dies between temp write and rename.
-    let plan = Arc::new(FaultPlan::new(9).nth(FaultSite::StoreRename, Some(0), 1));
+    // Job 2's first disk publish dies between temp write and rename.
+    // Job 2 (idx03) shares its prefix with no other corpus job, so it is
+    // always the job that publishes it; a job whose prefix another job
+    // shares may lose the single-flight race and never publish.
+    let plan = Arc::new(FaultPlan::new(9).nth(FaultSite::StoreRename, Some(2), 1));
     let options = BatchOptions {
         workers: 2,
         faults: Some(plan),

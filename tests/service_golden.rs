@@ -682,6 +682,30 @@ fn numeric_flags_are_validated() {
         ),
         (&["scan", "--corpus", "--top-k", "0"], "--top-k"),
         (&["scan", "--corpus", "--workers", "0"], "--workers"),
+        (&["batch", "--corpus", "--retry", "0"], "--retry"),
+        (
+            &["batch", "--corpus", "--watchdog-quiet-secs", "0"],
+            "--watchdog-quiet-secs",
+        ),
+        (
+            &["batch", "--corpus", "--deadline-secs", "nan"],
+            "--deadline-secs",
+        ),
+        (&["batch", "--corpus", "--theta", "x"], "--theta"),
+        (
+            &["batch", "--corpus", "--json", "--verdicts-json"],
+            "--verdicts-json",
+        ),
+        // Engine flags `scan` and the single-pair mode do not take stay
+        // unknown flags there.
+        (&["scan", "--corpus", "--theta", "1"], "--theta"),
+        (&["scan", "--corpus", "--retry", "2"], "--retry"),
+        (&["--workers", "2"], "--workers"),
+        (
+            &["top", "--http", "127.0.0.1:1", "--windows", "0"],
+            "--windows",
+        ),
+        (&["status", "--id", "x"], "--id"),
     ];
     for (args, flag) in cases {
         let output = Command::new(bin_path("octopocs"))
@@ -705,15 +729,77 @@ fn numeric_flags_are_validated() {
         &["--capacity", "0"],
         &["--deadline-secs", "0"],
         &["--retry-backoff-ms", "0"],
+        &["--retry", "0"],
+        &["--watchdog-quiet-secs", "0"],
+        &["--theta", "x"],
     ] {
         let output = Command::new(bin_path("octopocsd"))
             .args(args)
             .output()
             .expect("spawn octopocsd");
+        let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(
             output.status.code(),
             Some(3),
-            "octopocsd {args:?} must be a usage error"
+            "octopocsd {args:?} must be a usage error; stderr: {stderr}"
+        );
+        assert!(
+            stderr.contains(args[0]),
+            "octopocsd {args:?} diagnostic should name {}: {stderr}",
+            args[0]
         );
     }
+}
+
+/// `submit` reads `--shared` the way the single-pair mode does: blanks
+/// around the commas are not part of a function name, so the daemon's
+/// verdict for a pair equals the direct run's.
+#[test]
+fn submit_trims_the_shared_list_like_the_single_pair_mode() {
+    let dir = workdir("shared");
+    let program = "func main() {\nentry:\n  fd = open\n  b = getc fd\n  call shared(b)\n  \
+                   halt 0\n}\nfunc shared(v) {\nentry:\n  c = eq v, 0x41\n  br c, boom, fine\n\
+                   boom:\n  trap 1\nfine:\n  ret\n}\n";
+    let program_path = dir.join("p.mir");
+    let poc_path = dir.join("poc.bin");
+    std::fs::write(&program_path, program).expect("write program");
+    std::fs::write(&poc_path, b"A").expect("write poc");
+    let (program_path, poc_path) = (
+        program_path.to_str().expect("utf8 path"),
+        poc_path.to_str().expect("utf8 path"),
+    );
+    let pair = [
+        "--s",
+        program_path,
+        "--t",
+        program_path,
+        "--poc",
+        poc_path,
+        "--shared",
+        "x, shared",
+    ];
+
+    let direct = Command::new(bin_path("octopocs"))
+        .args(pair)
+        .arg("--json")
+        .output()
+        .expect("spawn octopocs");
+    let stdout = String::from_utf8_lossy(&direct.stdout);
+    assert!(stdout.contains("\"verdict\":\"Type-I\""), "{stdout}");
+
+    let (mut child, socket) = start_daemon(&dir, &["--workers", "1"]);
+    let submit: Vec<&str> = std::iter::once("submit").chain(pair).collect();
+    let (code, _, stderr) = client(&socket, &submit);
+    assert_eq!(code, 0, "submit failed: {stderr}");
+    let (code, verdicts, stderr) = client(&socket, &["results", "--wait", "--verdicts-json"]);
+    assert_eq!(code, 0, "results failed: {stderr}");
+    assert!(
+        verdicts.contains("\"verdict\":\"Type-I\""),
+        "the daemon must see ℓ = [x, shared]: {verdicts}"
+    );
+
+    let (code, _, stderr) = client(&socket, &["drain"]);
+    assert_eq!(code, 0, "drain failed: {stderr}");
+    assert_eq!(child.wait().expect("daemon exit").code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
