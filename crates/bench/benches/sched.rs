@@ -9,9 +9,8 @@
 //! redistributes the chunk-mates and approaches `max(heavy, rest/N)`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use octo_corpus::all_pairs;
 use octo_sched::run_jobs;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, run_batch, BatchOptions};
 use octopocs::PipelineConfig;
 
 /// Deterministic busywork (FNV spin) returning a value the optimiser
@@ -74,16 +73,7 @@ fn bench_skewed_mix(c: &mut Criterion) {
 }
 
 fn bench_corpus_batch(c: &mut Criterion) {
-    let jobs: Vec<BatchJob> = all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect();
+    let jobs = corpus_jobs();
     let config = PipelineConfig::default();
     let mut group = c.benchmark_group("batch_corpus15");
     group.sample_size(10);

@@ -15,24 +15,11 @@
 
 use octo_bench::{render_table, CacheWarmRow};
 use octo_sched::NullSink;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchOptions};
 use octopocs::PipelineConfig;
 
 const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// One corpus batch against `cache_dir`. Returns (wall seconds,
 /// disk hits, disk writes).

@@ -22,26 +22,13 @@ use octo_bench::{render_table, ScopeOverheadRow};
 use octo_obs::RateRecorder;
 use octo_sched::CancelToken;
 use octo_serve::{Daemon, Priority};
-use octopocs::batch::{BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, BatchJob, BatchOptions};
 use octopocs::{batch_job_to_spec, PipelineConfig, ServeExecutor};
 
 const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(100);
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(10);
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// Runs the corpus once through an in-process daemon and returns
 /// (wall seconds, scrapes served, sampler snapshots). `scope` turns the

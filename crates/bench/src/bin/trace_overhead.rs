@@ -17,24 +17,11 @@ use std::sync::Arc;
 
 use octo_bench::{render_table, TraceOverheadRow};
 use octo_sched::NullSink;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchOptions};
 use octopocs::{FlightRecorder, PipelineConfig};
 
 const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// Runs the corpus batch `ITERATIONS` times in one recorder mode and
 /// returns (best wall seconds, events recorded, chrome export bytes).

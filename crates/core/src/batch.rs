@@ -15,9 +15,9 @@
 //!   [`crate::verdict::FailureReason::Deadline`] verdict
 //!   instead of stalling the batch;
 //! * a **structured progress-event stream** (job started / phase
-//!   finished / cache hit / job done, with per-phase wall times),
-//!   consumable as human log lines or JSON lines via any
-//!   [`octo_sched::EventSink`].
+//!   finished / cache hit / retry / job done, with per-phase wall
+//!   times), delivered to any [`octo_sched::EventSink`]: human log lines
+//!   under `--events`, the daemon's `watch` stream and timelines.
 //!
 //! Results come back in submission order regardless of worker count, so
 //! batch output is deterministic and diffable (the CI golden file relies
@@ -30,11 +30,11 @@ use std::time::{Duration, Instant};
 use octo_faults::{FaultPlan, JobFaults, RetryPolicy};
 use octo_ir::printer::print_program;
 use octo_ir::Program;
-use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span, SpanObserver};
+use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use octo_poc::PocFile;
 use octo_sched::{
-    run_jobs, ArtifactCache, CacheStats, CancelToken, Event, EventClock, EventKind, EventSink,
-    KeyHasher, SchedStats, Watchdog, WatchdogConfig,
+    run_jobs, ArtifactCache, CacheStats, CancelToken, EventClock, EventKind, EventSink, KeyHasher,
+    SchedStats, Watchdog, WatchdogConfig,
 };
 use octo_serve::json::json_escape;
 use octo_serve::VerdictSummary;
@@ -44,8 +44,8 @@ use octo_trace::{FlightRecorder, TraceKind};
 use crate::blob;
 use crate::config::PipelineConfig;
 use crate::pipeline::{
-    prepare, verify_prepared_observed, PrepareFailure, PreparedSource, SoftwarePairInput,
-    VerificationReport,
+    prepare, verify_suffix, JobEvents, PhaseGuard, PrepareFailure, PreparedSource,
+    SoftwarePairInput, VerificationReport,
 };
 use crate::verdict::Verdict;
 
@@ -63,6 +63,27 @@ pub struct BatchJob {
     pub poc: PocFile,
     /// Names of the shared (cloned) functions.
     pub shared: Vec<String>,
+}
+
+impl From<octo_corpus::SoftwarePair> for BatchJob {
+    fn from(pair: octo_corpus::SoftwarePair) -> BatchJob {
+        BatchJob {
+            name: pair.display_name(),
+            s: pair.s,
+            t: pair.t,
+            poc: pair.poc,
+            shared: pair.shared,
+        }
+    }
+}
+
+/// The 15 Table II pairs as batch jobs, in corpus order (the
+/// `octopocs batch --corpus` job set the golden files pin).
+pub fn corpus_jobs() -> Vec<BatchJob> {
+    octo_corpus::all_pairs()
+        .into_iter()
+        .map(BatchJob::from)
+        .collect()
 }
 
 /// Knobs for one batch run.
@@ -433,9 +454,9 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
 /// Runs one job against the shared prefix cache (the core of
 /// [`BatchRuntime::run_job`]).
 ///
-/// `obs` receives the phase spans: `"prepare"` fires only when this call
-/// actually computed the prefix (a cache miss); `"symex"` and `"p4"`
-/// fire from inside the pipeline suffix.
+/// `events` receives the phase events: `"prepare"` fires only when this
+/// call actually computed the prefix (a cache miss); `"symex"` and
+/// `"p4"` fire from inside the pipeline suffix.
 ///
 /// `disk` is the durable write-through tier: on a memory miss the blob
 /// store is consulted first (a frame-valid, decodable blob skips
@@ -450,7 +471,7 @@ fn verify_with_cache(
     input: &SoftwarePairInput<'_>,
     config: &PipelineConfig,
     cancel: Option<&CancelToken>,
-    obs: &dyn SpanObserver,
+    events: &JobEvents<'_>,
 ) -> (VerificationReport, bool, u64) {
     let start = Instant::now();
     let key = prefix_cache_key(input.s, input.poc, input.shared, config);
@@ -472,9 +493,9 @@ fn verify_with_cache(
                 }
             }
         }
-        let span = Span::start("prepare").with_observer(obs);
+        let phase = PhaseGuard::start("prepare", Some(events));
         let artifact = prepare(input.s, input.poc, input.shared, config);
-        span.finish();
+        phase.finish();
         if let (Some(store), Ok(prep)) = (disk, &artifact) {
             // Only successful prefixes persist: failures are cheap to
             // recompute and their shape is not part of the blob schema.
@@ -486,7 +507,7 @@ fn verify_with_cache(
     let hit = mem_hit || disk_hit.get();
     let prepare_seconds = start.elapsed().as_secs_f64();
     let mut report = match prep.as_ref() {
-        Ok(p) => verify_prepared_observed(p, input, config, cancel, obs),
+        Ok(p) => verify_suffix(p, input, config, cancel, Some(events), Instant::now()),
         Err(fail) => fail.to_report(),
     };
     // The prefix as *this job* paid for it: a full prepare on a miss, a
@@ -497,35 +518,6 @@ fn verify_with_cache(
     // clock, matching the sequential `verify` semantics.
     report.wall_seconds = start.elapsed().as_secs_f64();
     (report, hit, key)
-}
-
-/// Bridges pipeline phase spans into the batch event stream (stamped
-/// with the job's submission index, the worker id, and a per-worker
-/// monotonic timestamp) and into the flight recorder as `B`/`E` pairs.
-struct SinkSpans<'a> {
-    sink: &'a dyn EventSink,
-    clock: &'a EventClock,
-    job: usize,
-    worker: usize,
-}
-
-impl SpanObserver for SinkSpans<'_> {
-    fn span_started(&self, name: &'static str) {
-        octo_trace::emit(TraceKind::SpanBegin { name });
-    }
-
-    fn span_finished(&self, name: &'static str, seconds: f64) {
-        octo_trace::emit(TraceKind::SpanEnd { name });
-        self.sink.emit(Event::new(
-            self.clock.stamp(self.worker),
-            self.worker,
-            EventKind::PhaseFinished {
-                job: self.job,
-                phase: name,
-                seconds,
-            },
-        ));
-    }
 }
 
 /// Wall-time histogram bounds, microseconds (100µs … 10s).
@@ -736,18 +728,6 @@ impl BatchMetrics {
     }
 }
 
-/// Adds `current - synced` to `counter` and advances the high-water mark,
-/// so a monotonically growing source statistic (cache hits, watchdog
-/// firings) can be re-synced into a counter any number of times without
-/// double-billing. Safe under concurrent callers: `fetch_max` hands the
-/// delta to exactly one of them.
-fn sync_counter(counter: &Counter, synced: &std::sync::atomic::AtomicU64, current: u64) {
-    let prev = synced.fetch_max(current, std::sync::atomic::Ordering::AcqRel);
-    if current > prev {
-        counter.add(current - prev);
-    }
-}
-
 /// The long-lived execution substrate a batch (or a service) runs jobs
 /// on: one artifact cache, one metrics registry, one event clock, one
 /// optional watchdog — everything per-*run* that [`run_batch`] used to
@@ -765,14 +745,6 @@ pub struct BatchRuntime {
     watchdog: Option<Watchdog>,
     options: BatchOptions,
     config: PipelineConfig,
-    synced_cache_hits: std::sync::atomic::AtomicU64,
-    synced_cache_misses: std::sync::atomic::AtomicU64,
-    synced_watchdog_fired: std::sync::atomic::AtomicU64,
-    synced_disk_hits: std::sync::atomic::AtomicU64,
-    synced_disk_misses: std::sync::atomic::AtomicU64,
-    synced_disk_writes: std::sync::atomic::AtomicU64,
-    synced_disk_corrupt: std::sync::atomic::AtomicU64,
-    synced_disk_quarantined: std::sync::atomic::AtomicU64,
     started_at: Instant,
 }
 
@@ -808,14 +780,6 @@ impl BatchRuntime {
             watchdog: options.watchdog.map(Watchdog::spawn),
             options: options.clone(),
             config: config.clone(),
-            synced_cache_hits: std::sync::atomic::AtomicU64::new(0),
-            synced_cache_misses: std::sync::atomic::AtomicU64::new(0),
-            synced_watchdog_fired: std::sync::atomic::AtomicU64::new(0),
-            synced_disk_hits: std::sync::atomic::AtomicU64::new(0),
-            synced_disk_misses: std::sync::atomic::AtomicU64::new(0),
-            synced_disk_writes: std::sync::atomic::AtomicU64::new(0),
-            synced_disk_corrupt: std::sync::atomic::AtomicU64::new(0),
-            synced_disk_quarantined: std::sync::atomic::AtomicU64::new(0),
             started_at: Instant::now(),
         }
     }
@@ -856,63 +820,28 @@ impl BatchRuntime {
     }
 
     /// Re-syncs the registry's cache and watchdog metrics from their
-    /// live sources. Idempotent and safe to call concurrently (deltas
-    /// are high-water-marked, never double-billed); a service calls this
-    /// on every metrics request, [`run_batch`] once at the end.
+    /// live sources. Idempotent and safe to call concurrently (counters
+    /// are raised to the source totals, never added to); a service calls
+    /// this on every metrics request, [`run_batch`] once at the end.
     pub fn refresh_metrics(&self) {
-        self.recorder
-            .uptime_seconds
-            .set(self.started_at.elapsed().as_secs());
+        let r = &self.recorder;
+        r.uptime_seconds.set(self.started_at.elapsed().as_secs());
         let stats = self.cache.stats();
-        sync_counter(
-            &self.recorder.cache_hits,
-            &self.synced_cache_hits,
-            stats.hits,
-        );
-        sync_counter(
-            &self.recorder.cache_misses,
-            &self.synced_cache_misses,
-            stats.misses,
-        );
-        self.recorder.cache_entries.set(stats.entries);
-        self.recorder.cache_bytes.set(stats.bytes);
+        r.cache_hits.raise_to(stats.hits);
+        r.cache_misses.raise_to(stats.misses);
+        r.cache_entries.set(stats.entries);
+        r.cache_bytes.set(stats.bytes);
         if let Some(store) = self.store.as_deref() {
             let disk = store.stats();
-            sync_counter(
-                &self.recorder.cache_disk_hits,
-                &self.synced_disk_hits,
-                disk.hits,
-            );
-            sync_counter(
-                &self.recorder.cache_disk_misses,
-                &self.synced_disk_misses,
-                disk.misses,
-            );
-            sync_counter(
-                &self.recorder.cache_disk_writes,
-                &self.synced_disk_writes,
-                disk.writes,
-            );
-            sync_counter(
-                &self.recorder.cache_disk_corrupt,
-                &self.synced_disk_corrupt,
-                disk.corrupt,
-            );
-            sync_counter(
-                &self.recorder.cache_disk_quarantined,
-                &self.synced_disk_quarantined,
-                disk.quarantined,
-            );
-            self.recorder
-                .cache_disk_degraded
-                .set(u64::from(disk.degraded));
+            r.cache_disk_hits.raise_to(disk.hits);
+            r.cache_disk_misses.raise_to(disk.misses);
+            r.cache_disk_writes.raise_to(disk.writes);
+            r.cache_disk_corrupt.raise_to(disk.corrupt);
+            r.cache_disk_quarantined.raise_to(disk.quarantined);
+            r.cache_disk_degraded.set(u64::from(disk.degraded));
         }
         if let Some(dog) = &self.watchdog {
-            sync_counter(
-                &self.recorder.watchdog_fired,
-                &self.synced_watchdog_fired,
-                dog.fired(),
-            );
+            r.watchdog_fired.raise_to(dog.fired());
         }
     }
 
@@ -974,25 +903,21 @@ impl BatchRuntime {
             .as_ref()
             .map(|plan| Arc::new(JobFaults::new(plan, index as u32)));
         let _faults = faults_ctx.as_ref().map(octo_faults::install);
-        sink.emit(Event::new(
-            self.clock.stamp(worker),
+        let events = JobEvents {
+            sink,
+            clock: &self.clock,
+            job: index,
             worker,
-            EventKind::JobStarted {
-                job: index,
-                name: job.name.clone(),
-            },
-        ));
+        };
+        events.emit(EventKind::JobStarted {
+            job: index,
+            name: job.name.clone(),
+        });
         let input = SoftwarePairInput {
             s: &job.s,
             t: &job.t,
             poc: &job.poc,
             shared: &job.shared,
-        };
-        let spans = SinkSpans {
-            sink,
-            clock: &self.clock,
-            job: index,
-            worker,
         };
         let max_attempts = options.retry.max_attempts.max(1);
         let mut attempt = 1u32;
@@ -1023,7 +948,7 @@ impl BatchRuntime {
                         &input,
                         &self.config,
                         token.as_ref(),
-                        &spans,
+                        &events,
                     )
                 }));
                 let (mut report, cache_hit, key) = match caught {
@@ -1058,16 +983,12 @@ impl BatchRuntime {
                     // watchers (and the HTTP timelines built from the
                     // daemon's fanout) see each failed attempt with the
                     // heartbeat count the attempt token accumulated.
-                    sink.emit(Event::new(
-                        self.clock.stamp(worker),
-                        worker,
-                        EventKind::RetryScheduled {
-                            job: index,
-                            attempt,
-                            backoff_micros: backoff.as_micros() as u64,
-                            beats: token.as_ref().map_or(0, CancelToken::beats),
-                        },
-                    ));
+                    events.emit(EventKind::RetryScheduled {
+                        job: index,
+                        attempt,
+                        backoff_micros: backoff.as_micros() as u64,
+                        beats: token.as_ref().map_or(0, CancelToken::beats),
+                    });
                     if !backoff.is_zero() {
                         std::thread::sleep(backoff);
                     }
@@ -1093,21 +1014,13 @@ impl BatchRuntime {
             recorder.faults_injected.add(ctx.fired());
         }
         if cache_hit {
-            sink.emit(Event::new(
-                self.clock.stamp(worker),
-                worker,
-                EventKind::CacheHit { job: index, key },
-            ));
+            events.emit(EventKind::CacheHit { job: index, key });
         }
-        sink.emit(Event::new(
-            self.clock.stamp(worker),
-            worker,
-            EventKind::JobFinished {
-                job: index,
-                outcome: report.verdict.type_label().to_string(),
-                seconds: job_start.elapsed().as_secs_f64(),
-            },
-        ));
+        events.emit(EventKind::JobFinished {
+            job: index,
+            outcome: report.verdict.type_label().to_string(),
+            micros: job_start.elapsed().as_micros() as u64,
+        });
         let entry = BatchEntry {
             name: job.name.clone(),
             cache_hit,
@@ -1392,25 +1305,16 @@ fine:
         assert_eq!(count(&|k| matches!(k, EventKind::JobStarted { .. })), 2);
         assert_eq!(count(&|k| matches!(k, EventKind::JobFinished { .. })), 2);
         assert_eq!(count(&|k| matches!(k, EventKind::CacheHit { .. })), 1);
-        assert!(
-            count(&|k| matches!(
-                k,
-                EventKind::PhaseFinished {
-                    phase: "prepare",
-                    ..
-                }
-            )) == 1
-        );
-        assert!(count(&|k| matches!(k, EventKind::PhaseFinished { phase: "symex", .. })) >= 1);
+        let phases = |name: &str| {
+            count(&|k| matches!(k, EventKind::PhaseFinished { phase, .. } if phase == name))
+        };
+        assert_eq!(phases("prepare"), 1);
+        assert!(phases("symex") >= 1);
         // Both gated jobs reach P4 (a poc' is generated for each).
-        assert_eq!(
-            count(&|k| matches!(k, EventKind::PhaseFinished { phase: "p4", .. })),
-            2
-        );
-        // Every event renders both ways.
+        assert_eq!(phases("p4"), 2);
+        // Every event renders a log line.
         for e in &events {
             assert!(!e.render_human().is_empty());
-            assert!(e.render_json().starts_with('{'));
         }
         // One worker, one lane: the EventClock stamps must strictly
         // increase in emission order.

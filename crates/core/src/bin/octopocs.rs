@@ -107,7 +107,7 @@ use octo_obs::MetricsRegistry;
 use octo_poc::PocFile;
 use octo_sched::{Event, EventSink, NullSink};
 use octo_serve::{Client, Endpoint, Priority as ServePriority, Request, Response};
-use octopocs::batch::{run_batch, BatchJob, BatchReport};
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchReport};
 use octopocs::cli::{walk, Argv, EngineFlags, ENGINE_FLAGS};
 use octopocs::{verify, ScanSource, ScanTarget, SoftwarePairInput, Verdict};
 
@@ -725,20 +725,6 @@ fn load_job_file(path: &str) -> Result<Vec<BatchJob>, String> {
         return Err(format!("{path}: no jobs"));
     }
     Ok(jobs)
-}
-
-/// The Table II corpus as a batch job set.
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
 }
 
 /// The `octopocs batch` subcommand: scheduled batch verification.

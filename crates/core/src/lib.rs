@@ -103,8 +103,8 @@ pub mod service;
 pub mod verdict;
 
 pub use batch::{
-    prefix_cache_key, run_batch, BatchEntry, BatchJob, BatchOptions, BatchReport, BatchRuntime,
-    Urgency,
+    corpus_jobs, prefix_cache_key, run_batch, BatchEntry, BatchJob, BatchOptions, BatchReport,
+    BatchRuntime, Urgency,
 };
 pub use config::PipelineConfig;
 pub use minimize::{minimize_poc, MinimizeStats};
@@ -113,8 +113,8 @@ pub use octo_sched::WatchdogConfig;
 pub use octo_store::{BlobStore, GcReport, StoreStats, VerifyReport};
 pub use octo_trace::{FlightRecorder, PostMortem};
 pub use pipeline::{
-    prepare, verify, verify_prepared, verify_prepared_observed, PrepareFailure, PreparedSource,
-    SoftwarePairInput, VerificationReport,
+    prepare, verify, verify_prepared, PrepareFailure, PreparedSource, SoftwarePairInput,
+    VerificationReport,
 };
 pub use preprocess::{identify_ep, PreprocessError};
 pub use scan::{

@@ -9,13 +9,13 @@
 //! content-addressed cache, so N targets cloned from one source pay for
 //! preprocessing and taint exactly once.
 
-use std::time::Instant;
+use std::borrow::Cow;
+use std::time::{Duration, Instant};
 
 use octo_cfg::{build_cfg, DistanceMap};
 use octo_ir::{FuncId, Program};
-use octo_obs::{NullObserver, Span, SpanObserver};
 use octo_poc::{CrashPrimitives, PocFile};
-use octo_sched::CancelToken;
+use octo_sched::{CancelToken, Event, EventClock, EventKind, EventSink};
 use octo_symex::{DirectedConfig, DirectedEngine, DirectedOutcome, DirectedStats};
 use octo_taint::{extract_with_limits, TaintConfig, TaintError, TaintStats};
 use octo_trace::{PostMortem, TraceKind};
@@ -284,6 +284,75 @@ pub fn prepare(
     })
 }
 
+/// Where one job's lifecycle events go: the batch event stream, stamped
+/// on the run's clock with the job's submission index and worker lane.
+pub(crate) struct JobEvents<'a> {
+    pub sink: &'a dyn EventSink,
+    pub clock: &'a EventClock,
+    pub job: usize,
+    pub worker: usize,
+}
+
+impl JobEvents<'_> {
+    /// Stamps `kind` on the worker's lane and hands it to the sink.
+    pub fn emit(&self, kind: EventKind) {
+        let ts = self.clock.stamp(self.worker);
+        self.sink.emit(Event::new(ts, self.worker, kind));
+    }
+}
+
+/// The RAII timer of one pipeline phase (P1 `prepare`, P2+P3 `symex`,
+/// P4 `p4`). Opening it emits `TraceKind::SpanBegin`; closing it — by
+/// [`PhaseGuard::finish`] or by drop, an unwind included — emits the
+/// matching `SpanEnd` and, when the job has an event stream, one
+/// `EventKind::PhaseFinished` with the elapsed microseconds.
+#[must_use = "a phase guard times the region it is alive for"]
+pub(crate) struct PhaseGuard<'a> {
+    name: &'static str,
+    start: Instant,
+    events: Option<&'a JobEvents<'a>>,
+    open: bool,
+}
+
+impl<'a> PhaseGuard<'a> {
+    pub fn start(name: &'static str, events: Option<&'a JobEvents<'a>>) -> PhaseGuard<'a> {
+        octo_trace::emit(TraceKind::SpanBegin { name });
+        PhaseGuard {
+            name,
+            start: Instant::now(),
+            events,
+            open: true,
+        }
+    }
+
+    /// Closes the phase and returns its wall time.
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        self.open = false;
+        let elapsed = self.start.elapsed();
+        octo_trace::emit(TraceKind::SpanEnd { name: self.name });
+        if let Some(events) = self.events {
+            events.emit(EventKind::PhaseFinished {
+                job: events.job,
+                phase: Cow::Borrowed(self.name),
+                micros: elapsed.as_micros() as u64,
+            });
+        }
+        elapsed
+    }
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.close();
+        }
+    }
+}
+
 /// Verifies whether the vulnerability propagated from `S` to `T` can still
 /// be triggered (the whole OctoPoCs pipeline).
 ///
@@ -294,7 +363,7 @@ pub fn verify(input: &SoftwarePairInput<'_>, config: &PipelineConfig) -> Verific
     match prepare(input.s, input.poc, input.shared, config) {
         Ok(prep) => {
             let prepare_seconds = start.elapsed().as_secs_f64();
-            let mut report = verify_suffix(&prep, input, config, None, &NullObserver, start);
+            let mut report = verify_suffix(&prep, input, config, None, None, start);
             report.prepare_seconds = prepare_seconds;
             report
         }
@@ -320,30 +389,18 @@ pub fn verify_prepared(
     config: &PipelineConfig,
     cancel: Option<&CancelToken>,
 ) -> VerificationReport {
-    verify_prepared_observed(prep, input, config, cancel, &NullObserver)
-}
-
-/// [`verify_prepared`] with a [`SpanObserver`] receiving the `"symex"`
-/// and `"p4"` phase spans as they finish (the batch runner bridges these
-/// into its [`octo_sched::Event`] stream and metrics registry).
-pub fn verify_prepared_observed(
-    prep: &PreparedSource,
-    input: &SoftwarePairInput<'_>,
-    config: &PipelineConfig,
-    cancel: Option<&CancelToken>,
-    obs: &dyn SpanObserver,
-) -> VerificationReport {
-    verify_suffix(prep, input, config, cancel, obs, Instant::now())
+    verify_suffix(prep, input, config, cancel, None, Instant::now())
 }
 
 /// The suffix with an explicit start instant, so [`verify`] can bill the
-/// prefix and suffix to one wall clock.
-fn verify_suffix(
+/// prefix and suffix to one wall clock. `events`, when set, receives the
+/// `"symex"` and `"p4"` phase events (the batch runner's stream).
+pub(crate) fn verify_suffix(
     prep: &PreparedSource,
     input: &SoftwarePairInput<'_>,
     config: &PipelineConfig,
     cancel: Option<&CancelToken>,
-    obs: &dyn SpanObserver,
+    events: Option<&JobEvents<'_>>,
     start: Instant,
 ) -> VerificationReport {
     let mut report = VerificationReport {
@@ -441,9 +498,9 @@ fn verify_suffix(
     if let Some(token) = cancel {
         engine = engine.with_cancel(token.clone());
     }
-    let symex_span = Span::start("symex").with_observer(obs);
+    let symex = PhaseGuard::start("symex", events);
     let (outcome, stats) = engine.run();
-    symex_span.finish();
+    symex.finish();
     report.symex_stats = Some(stats);
 
     report.verdict = match outcome {
@@ -500,9 +557,9 @@ fn verify_suffix(
                 .t
                 .resolve_names(input.shared.iter().map(String::as_str));
             let mut vm = Vm::new(input.t, poc_prime.bytes()).with_limits(config.vm_limits);
-            let p4_span = Span::start("p4").with_observer(obs);
+            let p4 = PhaseGuard::start("p4", events);
             let outcome = vm.run();
-            report.p4_seconds = p4_span.finish();
+            report.p4_seconds = p4.finish().as_secs_f64();
             report.p4_insts = vm.insts_executed();
             octo_trace::emit(TraceKind::P4Replay {
                 insts: report.p4_insts,
@@ -1185,16 +1242,7 @@ entry:
     }
 
     #[test]
-    fn observer_sees_symex_and_p4_spans() {
-        use std::sync::Mutex;
-
-        struct Recorder(Mutex<Vec<(&'static str, f64)>>);
-        impl SpanObserver for Recorder {
-            fn span_finished(&self, name: &'static str, seconds: f64) {
-                self.0.lock().unwrap().push((name, seconds));
-            }
-        }
-
+    fn phase_events_report_symex_then_p4() {
         let t_src = format!(
             "func main() {{\nentry:\n fd = open\n b = getc fd\n call shared(b)\n \
              halt 0\n}}\n{SHARED}"
@@ -1211,14 +1259,64 @@ entry:
         };
         let config = PipelineConfig::default();
         let prep = prepare(&s, &poc, &shared, &config).expect("prefix succeeds");
-        let obs = Recorder(Mutex::new(Vec::new()));
-        let report = verify_prepared_observed(&prep, &input, &config, None, &obs);
+        let log = octo_sched::EventLog::new();
+        let clock = EventClock::new(1);
+        let events = JobEvents {
+            sink: &log,
+            clock: &clock,
+            job: 5,
+            worker: 0,
+        };
+        let report = verify_suffix(&prep, &input, &config, None, Some(&events), Instant::now());
         assert!(report.verdict.poc_generated());
-        let spans = obs.0.into_inner().unwrap();
-        let names: Vec<&str> = spans.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["symex", "p4"], "spans fire in phase order");
-        assert!(spans.iter().all(|(_, s)| *s >= 0.0));
-        let (_, p4) = spans[1];
-        assert!((p4 - report.p4_seconds).abs() < 1e-9);
+        let phases: Vec<(String, u64)> = log
+            .snapshot()
+            .into_iter()
+            .map(|e| match e.kind {
+                EventKind::PhaseFinished {
+                    job: 5,
+                    phase,
+                    micros,
+                } => (phase.into_owned(), micros),
+                other => panic!("only phase events expected: {other:?}"),
+            })
+            .collect();
+        let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["symex", "p4"], "phases fire in pipeline order");
+        // One clock read feeds both: whole micros vs. f64 seconds.
+        assert!(phases[1].1.abs_diff((report.p4_seconds * 1e6) as u64) <= 1);
+    }
+
+    #[test]
+    fn phase_guard_closes_on_unwind() {
+        let log = octo_sched::EventLog::new();
+        let clock = EventClock::new(1);
+        let events = JobEvents {
+            sink: &log,
+            clock: &clock,
+            job: 4,
+            worker: 0,
+        };
+        let rec = std::sync::Arc::new(octo_trace::FlightRecorder::new(16));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _trace = octo_trace::install(&rec, 4, 0);
+            let _phase = PhaseGuard::start("symex", Some(&events));
+            panic!("engine blew up mid-phase");
+        }));
+        assert!(caught.is_err());
+        let seen = log.snapshot();
+        assert_eq!(seen.len(), 1, "one phase event: {seen:?}");
+        assert!(matches!(
+            &seen[0].kind,
+            EventKind::PhaseFinished { job: 4, phase, .. } if phase == "symex"
+        ));
+        let kinds: Vec<TraceKind> = rec.snapshot().into_iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                TraceKind::SpanBegin { name: "symex" },
+                TraceKind::SpanEnd { name: "symex" }
+            ]
+        );
     }
 }

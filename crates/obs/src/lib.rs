@@ -2,18 +2,15 @@
 //!
 //! The paper reports per-pair wall time, memory, and step counts
 //! (Tables IV–V); a production-scale verification service needs the
-//! same numbers continuously. This crate provides the two pieces every
-//! layer records into:
-//!
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s, and
-//!   fixed-bucket [`Histogram`]s. Registration hands out [`std::sync::Arc`]
-//!   handles; the record path is lock-free relaxed atomics, so worker
-//!   threads share one registry without contention. Registries (and
-//!   histograms) merge, so per-thread collection also works.
-//! * [`Span`] — an RAII phase timer that records elapsed microseconds
-//!   into a histogram and/or notifies a [`SpanObserver`]. The batch
-//!   layer bridges observers onto `octo_sched::EventSink`, keeping this
-//!   crate dependency-free.
+//! same numbers continuously. This crate provides the registry every
+//! layer records into: [`MetricsRegistry`] — named [`Counter`]s,
+//! [`Gauge`]s, and fixed-bucket [`Histogram`]s. Registration hands out
+//! [`std::sync::Arc`] handles; the record path is lock-free relaxed
+//! atomics, so worker threads share one registry without contention.
+//! Registries (and histograms) merge, so per-thread collection also
+//! works. Pipeline phases are timed by the core crate's phase guard,
+//! which emits `octo_sched::EventKind::PhaseFinished`; the batch layer
+//! records the phase histograms here from the finished report.
 //!
 //! Rendering is deterministic: metrics print sorted by name, as
 //! single-line JSON objects ([`MetricsRegistry::render_json`]) or in
@@ -32,8 +29,6 @@
 
 mod rate;
 mod registry;
-mod span;
 
 pub use rate::{RateRecorder, RateSample, RateWindow};
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use span::{NullObserver, Span, SpanObserver};

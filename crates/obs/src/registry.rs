@@ -34,6 +34,14 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the count to `v` if `v` is larger. Mirrors a monotonic
+    /// source statistic (cache hits, watchdog firings) into the counter:
+    /// re-syncing any number of times, from any thread, never
+    /// double-bills.
+    pub fn raise_to(&self, v: u64) {
+        self.value.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -576,6 +584,11 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(reg.counter("jobs_total").get(), 5, "same handle by name");
+        c.raise_to(3);
+        assert_eq!(c.get(), 5, "raise_to never lowers");
+        c.raise_to(8);
+        c.raise_to(8);
+        assert_eq!(c.get(), 8, "raise_to is idempotent");
 
         let g = reg.gauge("peak_bytes");
         g.record_max(10);

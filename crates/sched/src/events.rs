@@ -6,14 +6,17 @@
 //! emitting worker's lane and a per-worker monotonic timestamp from an
 //! [`EventClock`] — under work stealing, wall-clock reads from different
 //! threads can otherwise land out of order in the JSON-lines sink.
-//! Consumers choose the representation: [`Event::render_human`] for log
-//! lines, [`Event::render_json`] for JSON-lines machine consumption.
+//! Durations are integer microseconds, so an event survives a JSON
+//! round trip unchanged. [`Event::render_human`] renders a log line; the
+//! JSON form (the service's `watch` stream and `/jobs/<id>` timeline
+//! steps) lives with the wire protocol in `octo-serve`.
 //!
 //! Emission goes through the [`EventSink`] trait so producers do not care
 //! where events land. Any `Fn(Event) + Sync` closure is a sink;
 //! [`EventLog`] buffers events in memory (tests, post-hoc rendering) and
 //! [`NullSink`] drops them.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -21,7 +24,7 @@ use std::time::Instant;
 /// What happened (the variant payload of an [`Event`]).
 ///
 /// `job` is the submission index of the job the event belongs to.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A worker picked the job up.
     JobStarted {
@@ -34,10 +37,11 @@ pub enum EventKind {
     PhaseFinished {
         /// Submission index.
         job: usize,
-        /// Phase label (e.g. `"prepare"`, `"verify"`).
-        phase: &'static str,
-        /// Wall-clock seconds spent in the phase.
-        seconds: f64,
+        /// Phase label (`"prepare"`, `"symex"`, `"p4"`; borrowed when
+        /// the engine emits it, owned when parsed off the wire).
+        phase: Cow<'static, str>,
+        /// Wall-clock microseconds spent in the phase.
+        micros: u64,
     },
     /// The job's cacheable prefix was answered from the artifact cache.
     CacheHit {
@@ -52,8 +56,8 @@ pub enum EventKind {
         job: usize,
         /// Outcome label (e.g. `"Type-I"`).
         outcome: String,
-        /// Total wall-clock seconds for the job.
-        seconds: f64,
+        /// Total wall-clock microseconds for the job.
+        micros: u64,
     },
     /// An attempt failed transiently and a retry was scheduled. The
     /// event closes attempt `attempt` (1-based): `beats` is the number
@@ -73,7 +77,7 @@ pub enum EventKind {
 
 /// One progress event in a batch run: a kind, the worker lane that
 /// emitted it, and a timestamp that is strictly increasing per worker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Microseconds since the run's [`EventClock`] origin, adjusted so
     /// consecutive stamps from the same worker strictly increase.
@@ -82,23 +86,6 @@ pub struct Event {
     pub worker: usize,
     /// What happened.
     pub kind: EventKind,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Event {
@@ -127,17 +114,18 @@ impl Event {
     pub fn render_human(&self) -> String {
         match &self.kind {
             EventKind::JobStarted { job, name } => format!("[{job:>3}] start    {name}"),
-            EventKind::PhaseFinished {
-                job,
-                phase,
-                seconds,
-            } => format!("[{job:>3}] phase    {phase} ({seconds:.3}s)"),
+            EventKind::PhaseFinished { job, phase, micros } => {
+                format!("[{job:>3}] phase    {phase} ({:.3}s)", *micros as f64 / 1e6)
+            }
             EventKind::CacheHit { job, key } => format!("[{job:>3}] cache    hit {key:016x}"),
             EventKind::JobFinished {
                 job,
                 outcome,
-                seconds,
-            } => format!("[{job:>3}] done     {outcome} ({seconds:.3}s)"),
+                micros,
+            } => format!(
+                "[{job:>3}] done     {outcome} ({:.3}s)",
+                *micros as f64 / 1e6
+            ),
             EventKind::RetryScheduled {
                 job,
                 attempt,
@@ -146,48 +134,6 @@ impl Event {
             } => format!(
                 "[{job:>3}] retry    attempt {attempt} failed ({beats} beats), \
                  backoff {backoff_micros}us"
-            ),
-        }
-    }
-
-    /// One JSON-lines object (no trailing newline). The leading keys
-    /// (`event`, `ts_us`, `worker`) are shared with the octo-trace
-    /// JSON-lines stream so one consumer can merge both.
-    pub fn render_json(&self) -> String {
-        let head = format!("\"ts_us\":{},\"worker\":{}", self.ts_micros, self.worker);
-        match &self.kind {
-            EventKind::JobStarted { job, name } => format!(
-                "{{\"event\":\"job_started\",{head},\"job\":{job},\"name\":\"{}\"}}",
-                json_escape(name)
-            ),
-            EventKind::PhaseFinished {
-                job,
-                phase,
-                seconds,
-            } => format!(
-                "{{\"event\":\"phase_finished\",{head},\"job\":{job},\"phase\":\"{phase}\",\
-                 \"seconds\":{seconds:.6}}}"
-            ),
-            EventKind::CacheHit { job, key } => {
-                format!("{{\"event\":\"cache_hit\",{head},\"job\":{job},\"key\":\"{key:016x}\"}}")
-            }
-            EventKind::JobFinished {
-                job,
-                outcome,
-                seconds,
-            } => format!(
-                "{{\"event\":\"job_finished\",{head},\"job\":{job},\"outcome\":\"{}\",\
-                 \"seconds\":{seconds:.6}}}",
-                json_escape(outcome)
-            ),
-            EventKind::RetryScheduled {
-                job,
-                attempt,
-                backoff_micros,
-                beats,
-            } => format!(
-                "{{\"event\":\"retry_scheduled\",{head},\"job\":{job},\"attempt\":{attempt},\
-                 \"backoff_us\":{backoff_micros},\"beats\":{beats}}}"
             ),
         }
     }
@@ -391,7 +337,7 @@ mod tests {
         log.emit(at(EventKind::JobFinished {
             job: 0,
             outcome: "Type-I".into(),
-            seconds: 0.25,
+            micros: 250_000,
         }));
         assert_eq!(log.len(), 2);
         assert!(!log.is_empty());
@@ -400,23 +346,6 @@ mod tests {
             log.filtered(|e| matches!(e.kind, EventKind::JobFinished { .. }))
                 .len(),
             1
-        );
-    }
-
-    #[test]
-    fn json_rendering_escapes_names() {
-        let e = Event::new(
-            41,
-            2,
-            EventKind::JobStarted {
-                job: 3,
-                name: "a\"b\\c\nd".into(),
-            },
-        );
-        assert_eq!(
-            e.render_json(),
-            "{\"event\":\"job_started\",\"ts_us\":41,\"worker\":2,\"job\":3,\
-             \"name\":\"a\\\"b\\\\c\\nd\"}"
         );
     }
 
@@ -433,11 +362,6 @@ mod tests {
             },
         );
         assert_eq!(e.job(), 4);
-        assert_eq!(
-            e.render_json(),
-            "{\"event\":\"retry_scheduled\",\"ts_us\":9,\"worker\":1,\"job\":4,\
-             \"attempt\":2,\"backoff_us\":1500,\"beats\":11}"
-        );
         let human = e.render_human();
         assert!(human.contains("attempt 2"), "{human}");
         assert!(human.contains("1500us"), "{human}");
@@ -447,10 +371,10 @@ mod tests {
     fn human_rendering_mentions_phase_and_outcome() {
         let p = at(EventKind::PhaseFinished {
             job: 1,
-            phase: "prepare",
-            seconds: 0.5,
+            phase: "prepare".into(),
+            micros: 500_000,
         });
-        assert!(p.render_human().contains("prepare"));
+        assert!(p.render_human().contains("prepare (0.500s)"));
         let h = at(EventKind::CacheHit { job: 1, key: 0xAB });
         assert!(h.render_human().contains("00000000000000ab"));
     }
@@ -536,7 +460,7 @@ mod tests {
         fanout.emit(at(EventKind::JobFinished {
             job: 1,
             outcome: "Type-I".into(),
-            seconds: 0.1,
+            micros: 100_000,
         }));
         assert_eq!(a.len(), 1, "detached subscriber sees nothing new");
         assert_eq!(b.len(), 2);

@@ -30,8 +30,9 @@
 //! tests (see `docs/robustness.md`).
 //!
 //! A structured [`Event`] stream (job started / phase finished / cache
-//! hit / job done, with per-phase wall times) makes batch progress
-//! observable either as human log lines or as JSON lines; any
+//! hit / retry / job done, with integer-microsecond wall times) makes
+//! batch progress observable; it is the one lifecycle vocabulary from
+//! the engine to the service's wire and timelines. Any
 //! `Fn(Event) + Sync` closure is an [`EventSink`], and [`EventLog`]
 //! collects events for later inspection.
 #![warn(missing_docs)]

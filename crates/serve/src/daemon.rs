@@ -25,7 +25,6 @@ use octo_sched::{Event, EventSink, FanoutSink};
 use crate::journal::{Journal, Replay};
 use crate::proto::{
     JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Response, ResultRow, VerdictSummary,
-    WireEvent,
 };
 use crate::timeline::TimelineStore;
 
@@ -476,16 +475,16 @@ impl Daemon {
         let result = (|| loop {
             let pending: Vec<Event> =
                 std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
-            for event in &pending {
-                deliver(&Response::Event(WireEvent::from_event(event)))?;
+            for event in pending {
+                deliver(&Response::Event(event))?;
             }
             let status = self.job_status(id).expect("watched job exists");
             match status.phase {
                 JobPhase::Done => {
                     let drained: Vec<Event> =
                         std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
-                    for event in &drained {
-                        deliver(&Response::Event(WireEvent::from_event(event)))?;
+                    for event in drained {
+                        deliver(&Response::Event(event))?;
                     }
                     return deliver(&Response::Done {
                         id,

@@ -38,7 +38,7 @@ pub use http::{bind_http, http_get, serve_http, HttpResponse, Scope};
 pub use journal::{Journal, Replay};
 pub use proto::{
     render_verdicts_json, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request, Response,
-    ResultRow, VerdictSummary, WireEvent, WireEventKind, MAX_LINE_BYTES,
+    ResultRow, VerdictSummary, MAX_LINE_BYTES,
 };
 pub use server::{handle_connection, serve, ServerConfig};
 pub use timeline::{AttemptSpan, JobTimeline, TimelineStep, TimelineStore};

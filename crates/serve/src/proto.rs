@@ -9,6 +9,8 @@
 //! total: malformed input yields `Err(String)`, never a panic or a
 //! dropped connection. The full reference lives in `docs/service.md`.
 
+use octo_sched::{Event, EventKind};
+
 use crate::json::{json_escape, parse_json, JsonValue};
 
 /// Hard cap on one protocol line (request or response), bytes. A line
@@ -180,176 +182,94 @@ pub fn render_verdicts_json<'a>(
     format!("{{\"jobs\":[\n{}{end}]}}\n", rows.join(",\n"))
 }
 
-/// A progress event as it crosses the wire. Mirrors
-/// [`octo_sched::Event`] but with integer microseconds everywhere
-/// (lossless round-trips) and the daemon-global job id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireEvent {
-    /// Daemon job id the event belongs to.
-    pub job: u64,
-    /// Worker lane that emitted it.
-    pub worker: u64,
-    /// Per-worker monotonic stamp, microseconds.
-    pub ts_us: u64,
-    /// What happened.
-    pub kind: WireEventKind,
-}
-
-/// Payload of a [`WireEvent`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireEventKind {
-    /// A worker picked the job up.
-    Started {
-        /// Display name.
-        name: String,
-    },
-    /// One pipeline phase finished.
-    Phase {
-        /// Phase label (`"prepare"`, `"symex"`, `"p4"`).
-        phase: String,
-        /// Phase wall time, microseconds.
-        micros: u64,
-    },
-    /// The job's prefix came from the artifact cache.
-    CacheHit {
-        /// The content-address that hit.
-        key: u64,
-    },
-    /// The job finished.
-    Finished {
-        /// Outcome label (`"Type-I"`, …).
-        outcome: String,
-        /// Job wall time, microseconds.
-        micros: u64,
-    },
-    /// An attempt failed transiently; a retry is scheduled.
-    Retry {
-        /// The 1-based attempt that failed.
-        attempt: u64,
-        /// Backoff before the next attempt, microseconds.
-        backoff_us: u64,
-        /// Watchdog heartbeats observed during the failed attempt.
-        beats: u64,
-    },
-}
-
-impl WireEvent {
-    /// Converts a scheduler event (f64 seconds, usize ids) into its wire
-    /// form.
-    pub fn from_event(e: &octo_sched::Event) -> WireEvent {
-        use octo_sched::EventKind;
-        let kind = match &e.kind {
-            EventKind::JobStarted { name, .. } => WireEventKind::Started { name: name.clone() },
-            EventKind::PhaseFinished { phase, seconds, .. } => WireEventKind::Phase {
-                phase: (*phase).to_string(),
-                micros: (seconds * 1e6) as u64,
-            },
-            EventKind::CacheHit { key, .. } => WireEventKind::CacheHit { key: *key },
-            EventKind::JobFinished {
-                outcome, seconds, ..
-            } => WireEventKind::Finished {
-                outcome: outcome.clone(),
-                micros: (seconds * 1e6) as u64,
-            },
-            EventKind::RetryScheduled {
-                attempt,
-                backoff_micros,
-                beats,
-                ..
-            } => WireEventKind::Retry {
-                attempt: u64::from(*attempt),
-                backoff_us: *backoff_micros,
-                beats: *beats,
-            },
-        };
-        WireEvent {
-            job: e.job() as u64,
-            worker: e.worker as u64,
-            ts_us: e.ts_micros,
-            kind,
+/// An event's payload as it crosses the wire: its label (`started`,
+/// `phase`, `cache_hit`, `retry`, `finished`) and its kind-specific JSON
+/// fields, without the envelope. `event` responses and the `/jobs/<id>`
+/// timeline steps both render through here, so the two cannot drift.
+pub(crate) fn render_event_payload(kind: &EventKind) -> (&'static str, String) {
+    match kind {
+        EventKind::JobStarted { name, .. } => {
+            ("started", format!("\"name\":\"{}\"", json_escape(name)))
         }
-    }
-
-    fn render(&self) -> String {
-        let head = format!(
-            "\"job\":{},\"worker\":{},\"ts_us\":{}",
-            self.job, self.worker, self.ts_us
-        );
-        match &self.kind {
-            WireEventKind::Started { name } => format!(
-                "\"kind\":\"started\",{head},\"name\":\"{}\"",
-                json_escape(name)
-            ),
-            WireEventKind::Phase { phase, micros } => format!(
-                "\"kind\":\"phase\",{head},\"phase\":\"{}\",\"micros\":{micros}",
-                json_escape(phase)
-            ),
-            WireEventKind::CacheHit { key } => {
-                format!("\"kind\":\"cache_hit\",{head},\"key\":\"{key:016x}\"")
-            }
-            WireEventKind::Finished { outcome, micros } => format!(
-                "\"kind\":\"finished\",{head},\"outcome\":\"{}\",\"micros\":{micros}",
+        EventKind::PhaseFinished { phase, micros, .. } => (
+            "phase",
+            format!("\"phase\":\"{}\",\"micros\":{micros}", json_escape(phase)),
+        ),
+        EventKind::CacheHit { key, .. } => ("cache_hit", format!("\"key\":\"{key:016x}\"")),
+        EventKind::JobFinished {
+            outcome, micros, ..
+        } => (
+            "finished",
+            format!(
+                "\"outcome\":\"{}\",\"micros\":{micros}",
                 json_escape(outcome)
             ),
-            WireEventKind::Retry {
-                attempt,
-                backoff_us,
-                beats,
-            } => format!(
-                "\"kind\":\"retry\",{head},\"attempt\":{attempt},\"backoff_us\":{backoff_us},\
-                 \"beats\":{beats}"
-            ),
-        }
+        ),
+        EventKind::RetryScheduled {
+            attempt,
+            backoff_micros,
+            beats,
+            ..
+        } => (
+            "retry",
+            format!("\"attempt\":{attempt},\"backoff_us\":{backoff_micros},\"beats\":{beats}"),
+        ),
     }
+}
 
-    fn parse(v: &JsonValue) -> Result<WireEvent, String> {
-        let kind_label = str_field(v, "kind")?;
-        let base = ["resp", "kind", "job", "worker", "ts_us"];
-        let kind = match kind_label.as_str() {
-            "started" => {
-                check_keys_plus(v, &base, &["name"])?;
-                WireEventKind::Started {
-                    name: str_field(v, "name")?,
-                }
+/// Parses an `event` response back into the [`Event`] it was rendered
+/// from. Strict like every other message: unknown keys are errors, and
+/// so is an `attempt` that does not fit the engine's `u32`.
+fn parse_event(v: &JsonValue) -> Result<Event, String> {
+    let base = ["resp", "kind", "job", "worker", "ts_us"];
+    let job = usize_field(v, "job")?;
+    let kind = match str_field(v, "kind")?.as_str() {
+        "started" => {
+            check_keys_plus(v, &base, &["name"])?;
+            EventKind::JobStarted {
+                job,
+                name: str_field(v, "name")?,
             }
-            "phase" => {
-                check_keys_plus(v, &base, &["phase", "micros"])?;
-                WireEventKind::Phase {
-                    phase: str_field(v, "phase")?,
-                    micros: u64_field(v, "micros")?,
-                }
+        }
+        "phase" => {
+            check_keys_plus(v, &base, &["phase", "micros"])?;
+            EventKind::PhaseFinished {
+                job,
+                phase: str_field(v, "phase")?.into(),
+                micros: u64_field(v, "micros")?,
             }
-            "cache_hit" => {
-                check_keys_plus(v, &base, &["key"])?;
-                let hex = str_field(v, "key")?;
-                let key =
-                    u64::from_str_radix(&hex, 16).map_err(|_| format!("bad cache key `{hex}`"))?;
-                WireEventKind::CacheHit { key }
+        }
+        "cache_hit" => {
+            check_keys_plus(v, &base, &["key"])?;
+            let hex = str_field(v, "key")?;
+            let key =
+                u64::from_str_radix(&hex, 16).map_err(|_| format!("bad cache key `{hex}`"))?;
+            EventKind::CacheHit { job, key }
+        }
+        "finished" => {
+            check_keys_plus(v, &base, &["outcome", "micros"])?;
+            EventKind::JobFinished {
+                job,
+                outcome: str_field(v, "outcome")?,
+                micros: u64_field(v, "micros")?,
             }
-            "finished" => {
-                check_keys_plus(v, &base, &["outcome", "micros"])?;
-                WireEventKind::Finished {
-                    outcome: str_field(v, "outcome")?,
-                    micros: u64_field(v, "micros")?,
-                }
+        }
+        "retry" => {
+            check_keys_plus(v, &base, &["attempt", "backoff_us", "beats"])?;
+            EventKind::RetryScheduled {
+                job,
+                attempt: u32_field(v, "attempt")?,
+                backoff_micros: u64_field(v, "backoff_us")?,
+                beats: u64_field(v, "beats")?,
             }
-            "retry" => {
-                check_keys_plus(v, &base, &["attempt", "backoff_us", "beats"])?;
-                WireEventKind::Retry {
-                    attempt: u64_field(v, "attempt")?,
-                    backoff_us: u64_field(v, "backoff_us")?,
-                    beats: u64_field(v, "beats")?,
-                }
-            }
-            other => return Err(format!("unknown event kind `{other}`")),
-        };
-        Ok(WireEvent {
-            job: u64_field(v, "job")?,
-            worker: u64_field(v, "worker")?,
-            ts_us: u64_field(v, "ts_us")?,
-            kind,
-        })
-    }
+        }
+        other => return Err(format!("unknown event kind `{other}`")),
+    };
+    Ok(Event::new(
+        u64_field(v, "ts_us")?,
+        usize_field(v, "worker")?,
+        kind,
+    ))
 }
 
 /// Everything a client can ask the daemon.
@@ -509,7 +429,7 @@ pub enum Response {
     /// One job's status.
     Job(JobStatus),
     /// One live progress event (within a `watch` stream).
-    Event(WireEvent),
+    Event(Event),
     /// End of a `watch` stream: the job's verdict.
     Done {
         /// Job id.
@@ -576,7 +496,16 @@ impl Response {
                     post_mortem
                 )
             }
-            Response::Event(e) => format!("{{\"resp\":\"event\",{}}}", e.render()),
+            Response::Event(e) => {
+                let (label, fields) = render_event_payload(&e.kind);
+                format!(
+                    "{{\"resp\":\"event\",\"kind\":\"{label}\",\"job\":{},\"worker\":{},\
+                     \"ts_us\":{},{fields}}}",
+                    e.job(),
+                    e.worker,
+                    e.ts_micros
+                )
+            }
             Response::Done { id, verdict } => format!(
                 "{{\"resp\":\"done\",\"id\":{id},\"verdict\":{}}}",
                 verdict.render()
@@ -692,7 +621,7 @@ impl Response {
                     post_mortem,
                 }))
             }
-            "event" => Ok(Response::Event(WireEvent::parse(&v)?)),
+            "event" => Ok(Response::Event(parse_event(&v)?)),
             "done" => {
                 check_keys(&v, &["resp", "id", "verdict"])?;
                 Ok(Response::Done {
@@ -867,6 +796,11 @@ fn u32_field(v: &JsonValue, key: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("`{key}` out of range"))
 }
 
+fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
+    let n = u64_field(v, key)?;
+    usize::try_from(n).map_err(|_| format!("`{key}` out of range"))
+}
+
 fn opt_u64_field(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
@@ -954,38 +888,40 @@ mod tests {
                 verdict: None,
                 post_mortem: None,
             }),
-            Response::Event(WireEvent {
-                job: 1,
-                worker: 0,
-                ts_us: 1234,
-                kind: WireEventKind::Started {
+            Response::Event(Event::new(
+                1234,
+                0,
+                EventKind::JobStarted {
+                    job: 1,
                     name: "x".to_string(),
                 },
-            }),
-            Response::Event(WireEvent {
-                job: 1,
-                worker: 0,
-                ts_us: 1235,
-                kind: WireEventKind::Phase {
-                    phase: "symex".to_string(),
+            )),
+            Response::Event(Event::new(
+                1235,
+                0,
+                EventKind::PhaseFinished {
+                    job: 1,
+                    phase: "symex".into(),
                     micros: 55,
                 },
-            }),
-            Response::Event(WireEvent {
-                job: 1,
-                worker: 1,
-                ts_us: 1,
-                kind: WireEventKind::CacheHit { key: u64::MAX },
-            }),
-            Response::Event(WireEvent {
-                job: 1,
-                worker: 1,
-                ts_us: 2,
-                kind: WireEventKind::Finished {
+            )),
+            Response::Event(Event::new(
+                1,
+                1,
+                EventKind::CacheHit {
+                    job: 1,
+                    key: u64::MAX,
+                },
+            )),
+            Response::Event(Event::new(
+                2,
+                1,
+                EventKind::JobFinished {
+                    job: 1,
                     outcome: "Type-III".to_string(),
                     micros: 99,
                 },
-            }),
+            )),
             Response::Done {
                 id: 1,
                 verdict: summary(),
@@ -1025,6 +961,17 @@ mod tests {
             assert!(!line.contains('\n'), "{line}");
             assert_eq!(Response::parse(&line).unwrap(), r, "{line}");
         }
+        // The bytes of every event kind, pinned literally: a renderer and
+        // a parser that drifted together would still round-trip above.
+        for line in [
+            r#"{"resp":"event","kind":"started","job":1,"worker":0,"ts_us":1234,"name":"idx01 \"q\" a\\b"}"#,
+            r#"{"resp":"event","kind":"phase","job":1,"worker":0,"ts_us":1235,"phase":"prepare","micros":249}"#,
+            r#"{"resp":"event","kind":"cache_hit","job":1,"worker":1,"ts_us":1236,"key":"00000000000000ab"}"#,
+            r#"{"resp":"event","kind":"retry","job":1,"worker":1,"ts_us":1237,"attempt":2,"backoff_us":1500,"beats":11}"#,
+            r#"{"resp":"event","kind":"finished","job":1,"worker":1,"ts_us":1238,"outcome":"Type-II","micros":1000001}"#,
+        ] {
+            assert_eq!(Response::parse(line).unwrap().render(), line);
+        }
     }
 
     #[test]
@@ -1047,6 +994,19 @@ mod tests {
         ] {
             assert!(Request::parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn retry_attempt_beyond_u32_is_refused_not_truncated() {
+        let line = |attempt: u64| {
+            format!(
+                "{{\"resp\":\"event\",\"kind\":\"retry\",\"job\":1,\"worker\":0,\"ts_us\":5,\
+                 \"attempt\":{attempt},\"backoff_us\":0,\"beats\":0}}"
+            )
+        };
+        assert!(Response::parse(&line(u64::from(u32::MAX))).is_ok());
+        let err = Response::parse(&line(u64::from(u32::MAX) + 1)).unwrap_err();
+        assert!(err.contains("`attempt` out of range"), "{err}");
     }
 
     #[test]

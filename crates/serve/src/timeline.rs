@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use octo_sched::{Event, EventSink};
+use octo_sched::{Event, EventKind, EventSink};
 
 use crate::json::json_escape;
-use crate::proto::{JobPhase, Priority, WireEvent, WireEventKind};
+use crate::proto::{render_event_payload, JobPhase, Priority};
 
 /// Cap on stored scheduler steps per job (a pathological event storm
 /// must not grow the daemon's memory without bound).
@@ -39,9 +39,8 @@ pub struct TimelineStep {
     pub at_us: u64,
     /// Worker lane that emitted the underlying event.
     pub worker: u64,
-    /// The event payload (scheduler timestamps and durations ride along
-    /// inside unchanged).
-    pub kind: WireEventKind,
+    /// The event payload (durations ride along unchanged).
+    pub kind: EventKind,
 }
 
 /// The assembled per-job view served at `/jobs/<id>`.
@@ -103,14 +102,15 @@ impl JobTimeline {
             .steps
             .iter()
             .filter_map(|s| match &s.kind {
-                WireEventKind::Retry {
+                EventKind::RetryScheduled {
                     attempt,
-                    backoff_us,
+                    backoff_micros,
                     beats,
+                    ..
                 } => Some(AttemptSpan {
-                    attempt: *attempt,
+                    attempt: u64::from(*attempt),
                     ended_us: Some(s.at_us),
-                    backoff_us: Some(*backoff_us),
+                    backoff_us: Some(*backoff_micros),
                     beats: Some(*beats),
                 }),
                 _ => None,
@@ -166,44 +166,14 @@ impl JobTimeline {
             if i > 0 {
                 out.push(',');
             }
+            let (label, fields) = render_event_payload(&s.kind);
             out.push_str(&format!(
-                "\n{{\"at_us\":{},\"worker\":{},{}}}",
-                s.at_us,
-                s.worker,
-                render_step_kind(&s.kind)
+                "\n{{\"at_us\":{},\"worker\":{},\"step\":\"{label}\",{fields}}}",
+                s.at_us, s.worker
             ));
         }
         out.push_str("\n]}\n");
         out
-    }
-}
-
-/// Renders a step payload as JSON fields (shares labels with the wire
-/// protocol's `event` responses, minus the envelope).
-fn render_step_kind(kind: &WireEventKind) -> String {
-    match kind {
-        WireEventKind::Started { name } => {
-            format!("\"step\":\"started\",\"name\":\"{}\"", json_escape(name))
-        }
-        WireEventKind::Phase { phase, micros } => format!(
-            "\"step\":\"phase\",\"phase\":\"{}\",\"micros\":{micros}",
-            json_escape(phase)
-        ),
-        WireEventKind::CacheHit { key } => {
-            format!("\"step\":\"cache_hit\",\"key\":\"{key:016x}\"")
-        }
-        WireEventKind::Finished { outcome, micros } => format!(
-            "\"step\":\"finished\",\"outcome\":\"{}\",\"micros\":{micros}",
-            json_escape(outcome)
-        ),
-        WireEventKind::Retry {
-            attempt,
-            backoff_us,
-            beats,
-        } => format!(
-            "\"step\":\"retry\",\"attempt\":{attempt},\"backoff_us\":{backoff_us},\
-             \"beats\":{beats}"
-        ),
     }
 }
 
@@ -322,17 +292,16 @@ impl TimelineStore {
 
 impl EventSink for TimelineStore {
     fn emit(&self, event: Event) {
-        let wire = WireEvent::from_event(&event);
         let mut inner = self.inner.lock().expect("timelines poisoned");
         let at = self.stamp(&mut inner);
-        if let Some(job) = inner.jobs.get_mut(&wire.job) {
+        if let Some(job) = inner.jobs.get_mut(&(event.job() as u64)) {
             if job.steps.len() >= MAX_STEPS_PER_JOB {
                 job.dropped_steps += 1;
             } else {
                 job.steps.push(TimelineStep {
                     at_us: at,
-                    worker: wire.worker,
-                    kind: wire.kind,
+                    worker: event.worker as u64,
+                    kind: event.kind,
                 });
             }
         }
@@ -348,7 +317,6 @@ pub type SharedTimelines = Arc<TimelineStore>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octo_sched::EventKind;
 
     fn event(job: usize, kind: EventKind) -> Event {
         let _ = job;
@@ -371,8 +339,8 @@ mod tests {
             1,
             EventKind::PhaseFinished {
                 job: 1,
-                phase: "prepare",
-                seconds: 0.001,
+                phase: "prepare".into(),
+                micros: 1000,
             },
         ));
         store.record_finished(1, JobPhase::Done, "Type-I");
@@ -459,14 +427,55 @@ mod tests {
         store.record_picked_up(3);
         store.emit(event(
             3,
+            EventKind::JobStarted {
+                job: 3,
+                name: "r\"j".into(),
+            },
+        ));
+        store.emit(event(3, EventKind::CacheHit { job: 3, key: 0xAB }));
+        store.emit(event(
+            3,
             EventKind::PhaseFinished {
                 job: 3,
-                phase: "symex",
-                seconds: 0.5,
+                phase: "symex".into(),
+                micros: 500_000,
+            },
+        ));
+        store.emit(event(
+            3,
+            EventKind::RetryScheduled {
+                job: 3,
+                attempt: 1,
+                backoff_micros: 1500,
+                beats: 11,
+            },
+        ));
+        store.emit(event(
+            3,
+            EventKind::JobFinished {
+                job: 3,
+                outcome: "Type-II".into(),
+                micros: 1_250_000,
             },
         ));
         store.record_finished(3, JobPhase::Done, "Type-II");
         let json = store.timeline(3).unwrap().render_json();
+        // The step lines, pinned literally (store-clock stamps masked).
+        let steps: Vec<String> = json
+            .lines()
+            .filter_map(|l| l.strip_prefix("{\"at_us\":"))
+            .map(|l| format!("{{\"at_us\":_{}", l.trim_start_matches(char::is_numeric)))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                r#"{"at_us":_,"worker":0,"step":"started","name":"r\"j"},"#,
+                r#"{"at_us":_,"worker":0,"step":"cache_hit","key":"00000000000000ab"},"#,
+                r#"{"at_us":_,"worker":0,"step":"phase","phase":"symex","micros":500000},"#,
+                r#"{"at_us":_,"worker":0,"step":"retry","attempt":1,"backoff_us":1500,"beats":11},"#,
+                r#"{"at_us":_,"worker":0,"step":"finished","outcome":"Type-II","micros":1250000}"#,
+            ]
+        );
         assert!(json.contains("\"id\":3"), "{json}");
         assert!(json.contains("\"name\":\"r\\\"j\""), "escaped name: {json}");
         assert!(json.contains("\"queue_wait_us\":"), "{json}");
@@ -476,5 +485,34 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"attempts\":[{\"attempt\":1"), "{json}");
+    }
+
+    #[test]
+    fn a_249us_phase_reads_249_on_the_wire_and_in_the_timeline() {
+        // Regression: durations crossed the wire as f64 seconds and were
+        // truncated back to micros, so 249 µs read as 248.
+        let micros = std::time::Duration::from_micros(249).as_micros() as u64;
+        let e = Event::new(
+            7,
+            1,
+            EventKind::PhaseFinished {
+                job: 2,
+                phase: "p4".into(),
+                micros,
+            },
+        );
+        let wire = crate::proto::Response::Event(e.clone()).render();
+        assert!(
+            wire.ends_with(",\"phase\":\"p4\",\"micros\":249}"),
+            "{wire}"
+        );
+        let store = TimelineStore::new();
+        store.record_submitted(2, "j", Priority::Bulk);
+        store.emit(e);
+        let json = store.timeline(2).unwrap().render_json();
+        assert!(
+            json.contains(",\"worker\":1,\"step\":\"phase\",\"phase\":\"p4\",\"micros\":249}"),
+            "{json}"
+        );
     }
 }

@@ -11,10 +11,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
+use octo_sched::{Event, EventKind};
 use octo_serve::daemon::StubExecutor;
 use octo_serve::{
     handle_connection, Daemon, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request,
-    Response, ResultRow, VerdictSummary, WireEvent, WireEventKind,
+    Response, ResultRow, VerdictSummary,
 };
 
 /// The wire's integer domain: `JsonValue::Int` is `i64`-backed, so
@@ -110,28 +111,36 @@ fn arb_verdict() -> impl Strategy<Value = VerdictSummary> {
         )
 }
 
-fn arb_event() -> impl Strategy<Value = WireEvent> {
+fn arb_event() -> impl Strategy<Value = Event> {
+    let job = || wire_u64().prop_map(|j| j as usize);
     let kind = prop_oneof![
-        wire_text().prop_map(|name| WireEventKind::Started { name }),
-        (wire_text(), wire_u64())
-            .prop_map(|(phase, micros)| WireEventKind::Phase { phase, micros }),
-        any::<u64>().prop_map(|key| WireEventKind::CacheHit { key }),
-        (wire_text(), wire_u64())
-            .prop_map(|(outcome, micros)| WireEventKind::Finished { outcome, micros }),
-        (wire_u64(), wire_u64(), wire_u64()).prop_map(|(attempt, backoff_us, beats)| {
-            WireEventKind::Retry {
-                attempt,
-                backoff_us,
-                beats,
+        (job(), wire_text()).prop_map(|(job, name)| EventKind::JobStarted { job, name }),
+        (job(), wire_text(), wire_u64()).prop_map(|(job, phase, micros)| {
+            EventKind::PhaseFinished {
+                job,
+                phase: phase.into(),
+                micros,
             }
         }),
+        (job(), any::<u64>()).prop_map(|(job, key)| EventKind::CacheHit { job, key }),
+        (job(), wire_text(), wire_u64()).prop_map(|(job, outcome, micros)| {
+            EventKind::JobFinished {
+                job,
+                outcome,
+                micros,
+            }
+        }),
+        (job(), any::<u32>(), wire_u64(), wire_u64()).prop_map(
+            |(job, attempt, backoff_micros, beats)| EventKind::RetryScheduled {
+                job,
+                attempt,
+                backoff_micros,
+                beats,
+            }
+        ),
     ];
-    (wire_u64(), wire_u64(), wire_u64(), kind).prop_map(|(job, worker, ts_us, kind)| WireEvent {
-        job,
-        worker,
-        ts_us,
-        kind,
-    })
+    (wire_u64(), wire_u64(), kind)
+        .prop_map(|(ts_us, worker, kind)| Event::new(ts_us, worker as usize, kind))
 }
 
 fn arb_request() -> BoxedStrategy<Request> {

@@ -11,9 +11,10 @@
 //!
 //! * [`chrome::render_chrome`] — the Chrome Trace Event Format
 //!   (`chrome://tracing`, Perfetto), with one lane per worker and the
-//!   `octo_obs::Span` phases bridged as `B`/`E` duration events;
-//! * [`TraceEvent::render_json`] — JSON lines in the same shape as the
-//!   `octo_sched::Event` stream, so one consumer can merge both.
+//!   pipeline phases (the core phase guard's [`TraceKind::SpanBegin`] /
+//!   [`TraceKind::SpanEnd`] pairs) as `B`/`E` duration events;
+//! * [`TraceEvent::render_json`] — JSON lines keyed by the scheduler's
+//!   job and worker ids, so they join the `octo_sched::Event` stream.
 //!
 //! On a not-triggerable or deadline verdict the pipeline synthesizes a
 //! [`PostMortem`] — the last recorded events plus the dying state's
@@ -58,7 +59,7 @@ pub use ring::FlightRecorder;
 /// an instant (`i`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceKind {
-    /// An `octo_obs::Span` phase opened (`"prepare"`, `"symex"`, `"p4"`).
+    /// A pipeline phase opened (`"prepare"`, `"symex"`, `"p4"`).
     SpanBegin {
         /// Phase name.
         name: &'static str,
@@ -316,10 +317,10 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// One JSON-lines object (no trailing newline), in the same shape as
-    /// `octo_sched::Event::render_json` so the two streams merge: the
-    /// `event` key names the kind, `ts_us`/`worker`/`job` follow, then
-    /// the kind-specific payload.
+    /// One JSON-lines object (no trailing newline): the `event` key
+    /// names the kind, `ts_us`/`worker`/`job`/`seq` follow, then the
+    /// kind-specific payload. `job` and `worker` are the scheduler's
+    /// submission index and lane, the join key with `octo_sched::Event`.
     pub fn render_json(&self) -> String {
         let args = self.kind.args_json();
         let sep = if args.is_empty() { "" } else { "," };

@@ -11,23 +11,10 @@ use std::process::Command;
 use octo_corpus::all_pairs;
 use octo_ir::printer::print_program;
 use octo_sched::NullSink;
-use octopocs::batch::{prefix_cache_key, run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, prefix_cache_key, run_batch, BatchJob, BatchOptions};
 use octopocs::{verify, PipelineConfig, SoftwarePairInput};
 
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 #[test]
 fn batch_over_corpus_matches_the_golden_file() {

@@ -10,10 +10,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use octo_corpus::all_pairs;
 use octo_faults::{FaultPlan, FaultSite, RetryPolicy};
 use octo_sched::{NullSink, WatchdogConfig};
-use octopocs::batch::{run_batch, BatchJob, BatchOptions, BatchReport};
+use octopocs::batch::{corpus_jobs, run_batch, BatchOptions, BatchReport};
 use octopocs::verdict::{FailureReason, Verdict};
 use octopocs::PipelineConfig;
 
@@ -29,19 +28,6 @@ const CHAOS_GOLDEN: &str = include_str!("golden/chaos_verdicts.json");
 /// statistics stay identical to the fault-free run.
 const PANIC_JOB: usize = 2;
 const FAULTED_JOB: usize = 7;
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// Per-job lines of the stable verdict rendering (strips the wrapper).
 fn job_lines(rendered: &str) -> Vec<String> {

@@ -8,25 +8,11 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
-use octo_corpus::all_pairs;
 use octo_sched::NullSink;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions, BatchReport};
+use octopocs::batch::{corpus_jobs, run_batch, BatchOptions, BatchReport};
 use octopocs::PipelineConfig;
 
 const SCHEMA: &str = include_str!("golden/metrics_schema.txt");
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 fn run_corpus(workers: usize) -> BatchReport {
     run_batch(

@@ -1,9 +1,11 @@
-//! Span/trace correlation: every `octo_obs::Span` a batch run opens must
+//! Span/trace correlation: every pipeline phase a batch run opens must
 //! appear exactly once as a balanced `B`/`E` pair in the Chrome export,
 //! regardless of worker count. The batch event stream is the ground
 //! truth — each `PhaseFinished { job, phase }` event corresponds to one
-//! finished span, bridged into the flight recorder by the batch runner.
+//! closed phase guard, which also wrote the pair into the flight
+//! recorder.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -95,7 +97,11 @@ fn spans_appear_exactly_once(workers: usize) {
     // Ground truth: every finished span as the event stream saw it.
     let mut expected: HashMap<&'static str, usize> = HashMap::new();
     for e in log.snapshot() {
-        if let EventKind::PhaseFinished { phase, .. } = e.kind {
+        if let EventKind::PhaseFinished {
+            phase: Cow::Borrowed(phase),
+            ..
+        } = e.kind
+        {
             *expected.entry(phase).or_default() += 1;
         }
     }
