@@ -806,11 +806,6 @@ impl BatchRuntime {
         &self.config
     }
 
-    /// Current artifact-cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
     /// Whether the run-level drain token has fired.
     pub fn drained(&self) -> bool {
         self.options

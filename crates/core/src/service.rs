@@ -228,6 +228,47 @@ mod tests {
     }
 
     #[test]
+    fn oversized_allocation_gets_a_verdict_and_the_daemon_keeps_serving() {
+        // `shared` asks for about 100 TB. The allocation fails like a
+        // `malloc` returning null and the store through it faults, in
+        // P1, P2 and P4 alike, instead of aborting the daemon.
+        const GREEDY: &str = "func main() {\nentry:\n  fd = open\n  b = getc fd\n  \
+                              call shared(b)\n  halt 0\n}\nfunc shared(v) {\nentry:\n  \
+                              buf = alloc 99999999999999\n  store.1 buf, v\n  ret\n}\n";
+        let executor = Arc::new(ServeExecutor::new(
+            &PipelineConfig::default(),
+            &BatchOptions {
+                workers: 1,
+                ..BatchOptions::default()
+            },
+        ));
+        let daemon = Daemon::new(executor, None, 8);
+        let workers = daemon.start_workers(1);
+        let greedy = daemon
+            .submit(JobSpec {
+                s_text: GREEDY.to_string(),
+                t_text: GREEDY.to_string(),
+                ..spec("greedy")
+            })
+            .unwrap();
+        daemon.wait_idle();
+        // Still answering: status, then a second job to a verdict.
+        assert_eq!(daemon.status().done, 1);
+        let after = daemon.submit(spec("after")).unwrap();
+        daemon.wait_idle();
+        daemon.drain();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let verdict = |id| daemon.job_status(id).and_then(|j| j.verdict).unwrap();
+        // Triggered through the null store; the bunch lands after the
+        // byte `main` consumed, so poc' is not the original poc.
+        assert_eq!(verdict(greedy).verdict, "Type-II");
+        assert!(verdict(greedy).poc_generated);
+        assert_eq!(verdict(after).verdict, "Type-I");
+    }
+
+    #[test]
     fn cancel_all_drains_queued_jobs_as_interrupted() {
         let executor = Arc::new(ServeExecutor::new(
             &PipelineConfig::default(),

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use crate::inst::{Inst, Terminator};
 use crate::program::{BasicBlock, Function, Program};
-use crate::types::{BinOp, BlockId, CheckedOp, FuncId, Operand, Reg, RegionKind, UnOp, Width};
+use crate::types::{BinOp, BlockId, FuncId, Operand, Reg, RegionKind, UnOp, Width};
 
 /// Errors produced when finalising a builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,19 +218,6 @@ impl FunctionBuilder {
         dst
     }
 
-    /// Overflow-checked arithmetic; returns the destination register.
-    pub fn emit_checked(&mut self, op: CheckedOp, width: Width, lhs: Operand, rhs: Operand) -> Reg {
-        let dst = self.fresh();
-        self.emit(Inst::CheckedBin {
-            dst,
-            op,
-            width,
-            lhs,
-            rhs,
-        });
-        dst
-    }
-
     /// `dst = *(addr + offset)`; returns `dst`.
     pub fn emit_load(&mut self, addr: Operand, offset: u64, width: Width) -> Reg {
         let dst = self.fresh();
@@ -269,15 +256,6 @@ impl FunctionBuilder {
             args,
         });
         dst
-    }
-
-    /// Calls `callee`, discarding any return value.
-    pub fn emit_call_void(&mut self, callee: FuncId, args: Vec<Operand>) {
-        self.emit(Inst::Call {
-            dst: None,
-            callee,
-            args,
-        });
     }
 
     /// Opens the input file; returns the fd register.

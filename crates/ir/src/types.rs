@@ -145,23 +145,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Whether this operator is a comparison (result is 0 or 1).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::CmpEq
-                | BinOp::CmpNe
-                | BinOp::CmpLtU
-                | BinOp::CmpLeU
-                | BinOp::CmpGtU
-                | BinOp::CmpGeU
-                | BinOp::CmpLtS
-                | BinOp::CmpLeS
-                | BinOp::CmpGtS
-                | BinOp::CmpGeS
-        )
-    }
-
     /// Evaluates the operator on concrete 64-bit values.
     ///
     /// Division or remainder by zero returns `None` (the interpreters turn

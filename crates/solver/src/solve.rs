@@ -8,16 +8,15 @@ use crate::domain::ByteDomain;
 
 thread_local! {
     static SOLVES: Cell<u64> = const { Cell::new(0) };
-    static UNSAT_RESULTS: Cell<u64> = const { Cell::new(0) };
     static INTERVAL_REFUTATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of the thread-local solver activity counters.
 ///
 /// Every [`ConstraintSet::solve_with`] entry (including
-/// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves`; `Unsat`
-/// results bump `unsat_results`; refutations proven by interval
-/// reasoning alone bump `interval_refutations`; rewrite-rule firings in
+/// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves`;
+/// refutations proven by interval reasoning alone bump
+/// `interval_refutations`; rewrite-rule firings in
 /// the simplifier bump `simplify_rewrites`. Callers take two snapshots
 /// and diff them with [`SolverCounters::since`] to attribute work to a
 /// region — the counters are per-thread, so a verification job measures
@@ -26,8 +25,6 @@ thread_local! {
 pub struct SolverCounters {
     /// Solver entries (full solves and propagation-only pre-checks).
     pub solves: u64,
-    /// Solves that returned `Unsat`.
-    pub unsat_results: u64,
     /// Constraints refuted by interval reasoning during propagation.
     pub interval_refutations: u64,
     /// Simplifier rewrite rules fired.
@@ -39,7 +36,6 @@ impl SolverCounters {
     pub fn snapshot() -> SolverCounters {
         SolverCounters {
             solves: SOLVES.with(Cell::get),
-            unsat_results: UNSAT_RESULTS.with(Cell::get),
             interval_refutations: INTERVAL_REFUTATIONS.with(Cell::get),
             simplify_rewrites: crate::simplify::rewrites_total(),
         }
@@ -49,7 +45,6 @@ impl SolverCounters {
     pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
         SolverCounters {
             solves: self.solves.wrapping_sub(earlier.solves),
-            unsat_results: self.unsat_results.wrapping_sub(earlier.unsat_results),
             interval_refutations: self
                 .interval_refutations
                 .wrapping_sub(earlier.interval_refutations),
@@ -195,9 +190,6 @@ impl ConstraintSet {
         } else {
             Solver::new(self, limits).solve()
         };
-        if result == SolveResult::Unsat {
-            bump(&UNSAT_RESULTS);
-        }
         if let Some((start, refutations_before)) = traced {
             octo_trace::emit(octo_trace::TraceKind::SolverEnd {
                 result: match &result {
@@ -676,7 +668,6 @@ mod tests {
 
         let d = SolverCounters::snapshot().since(&before);
         assert!(d.solves >= 3, "solve + quick_feasible + unsat: {d:?}");
-        assert!(d.unsat_results >= 1, "{d:?}");
         assert!(d.interval_refutations >= 1, "{d:?}");
     }
 

@@ -25,10 +25,10 @@ use octo_cfg::DistanceMap;
 use octo_ir::{BlockId, FuncId, Program};
 use octo_poc::{CrashPrimitives, PocFile};
 use octo_sched::CancelToken;
-use octo_solver::{Cond, Constraint, Expr, ExprRef, SolveResult, SolverCounters};
+use octo_solver::{Cond, Constraint, Expr, SolveResult, SolverCounters};
 use octo_trace::{emit, TraceKind};
 
-use crate::exec::{DeadReason, StepEvent, SymExecutor};
+use crate::exec::{Arms, DeadReason, Fork, StepEvent, SymExecutor};
 use crate::state::SymState;
 use crate::value::SymVal;
 
@@ -404,16 +404,7 @@ impl<'p> DirectedEngine<'p> {
                         None
                     }
                 },
-                StepEvent::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => self.handle_branch(cur, &cond, then_bb, else_bb, &mut ctx, stats),
-                StepEvent::Switch {
-                    scrut,
-                    cases,
-                    default,
-                } => self.handle_switch(cur, &scrut, &cases, default, &mut ctx, stats),
+                StepEvent::Fork(fork) => self.fork(cur, &fork, &mut ctx, stats),
                 StepEvent::Exited => {
                     self.note_death(&cur.state, "exited", &ctx, stats);
                     None
@@ -573,42 +564,38 @@ impl<'p> DirectedEngine<'p> {
         self.map.get(func, block)
     }
 
-    /// Picks branch directions: feasible successors ordered by distance to
-    /// `ep`; the best continues, the rest go onto the fallback stack.
-    fn handle_branch(
+    /// Picks fork directions: feasible arms ordered by distance to `ep`;
+    /// the best continues, the rest go onto the fallback stack.
+    fn fork(
         &self,
         cur: PathState,
-        cond: &ExprRef,
-        then_bb: BlockId,
-        else_bb: BlockId,
+        fork: &Fork<'_>,
         ctx: &mut RunCtx,
         stats: &mut DirectedStats,
     ) -> Option<PathState> {
         let func = cur.state.top().func;
         if let Mode::ModelFollow { .. } = cur.mode {
-            return self.model_follow_branch(cur, cond, then_bb, else_bb, ctx, stats);
+            return self.follow_model(cur, fork, ctx, stats);
         }
-        let d_then = self.distance(func, then_bb);
-        let d_else = self.distance(func, else_bb);
-        if d_then.is_none() && d_else.is_none() {
+        let mut order: Vec<(usize, Option<u32>)> = (0..fork.arms.count())
+            .map(|arm| (arm, self.distance(func, fork.arms.target(arm))))
+            .collect();
+        if order.iter().all(|(_, d)| d.is_none()) {
             // Off the guided region (e.g. both successors rejoin via a
             // return) — decide by the current model, like inside ℓ.
-            return self.model_follow_branch(cur, cond, then_bb, else_bb, ctx, stats);
+            return self.follow_model(cur, fork, ctx, stats);
         }
         // Order candidates by distance (unreachable last).
-        let mut order = [(true, d_then), (false, d_else)];
         order.sort_by_key(|(_, d)| d.unwrap_or(u32::MAX));
 
         let mut kept: Option<PathState> = None;
         let mut siblings = 0u32;
-        for (take_then, _) in order {
+        for (arm, _) in order {
             let mut cand = PathState {
                 state: cur.state.clone(),
                 mode: cur.mode,
             };
-            let visits =
-                self.executor
-                    .take_branch(&mut cand.state, cond, take_then, then_bb, else_bb);
+            let visits = self.executor.take(&mut cand.state, fork, arm);
             if visits > self.config.theta {
                 stats.loop_retries += 1;
                 ctx.loop_budget_hit = true;
@@ -639,98 +626,38 @@ impl<'p> DirectedEngine<'p> {
         kept
     }
 
-    fn handle_switch(
-        &self,
-        cur: PathState,
-        scrut: &ExprRef,
-        cases: &[(u64, BlockId)],
-        default: BlockId,
-        ctx: &mut RunCtx,
-        stats: &mut DirectedStats,
-    ) -> Option<PathState> {
-        let func = cur.state.top().func;
-        if let Mode::ModelFollow { .. } = cur.mode {
-            return self.model_follow_switch(cur, scrut, cases, default, ctx, stats);
-        }
-        // Candidates: each case plus default, ordered by distance.
-        let mut cands: Vec<(Option<u64>, Option<u32>)> = cases
-            .iter()
-            .map(|(v, b)| (Some(*v), self.distance(func, *b)))
-            .collect();
-        cands.push((None, self.distance(func, default)));
-        if cands.iter().all(|(_, d)| d.is_none()) {
-            return self.model_follow_switch(cur, scrut, cases, default, ctx, stats);
-        }
-        cands.sort_by_key(|(_, d)| d.unwrap_or(u32::MAX));
-
-        let mut kept: Option<PathState> = None;
-        let mut siblings = 0u32;
-        for (choice, _) in cands {
-            let mut cand = PathState {
-                state: cur.state.clone(),
-                mode: cur.mode,
-            };
-            let visits = self
-                .executor
-                .take_switch(&mut cand.state, scrut, cases, default, choice);
-            if visits > self.config.theta {
-                stats.loop_retries += 1;
-                ctx.loop_budget_hit = true;
-                emit(TraceKind::LoopRetry { visits });
-                continue;
-            }
-            if !cand.state.constraints.quick_feasible() {
-                continue;
-            }
-            if kept.is_none() {
-                kept = Some(cand);
-            } else if self.push_fallback(cand, ctx, stats) {
-                siblings += 1;
-            }
-        }
-        match &kept {
-            Some(k) => {
-                if siblings > 0 {
-                    emit(TraceKind::StateFork { siblings });
-                }
-                self.note_mem(k, ctx, stats);
-            }
-            None => self.note_death(&cur.state, "branch-dead", ctx, stats),
-        }
-        kept
-    }
-
-    fn model_follow_branch(
+    /// Takes the arm the current model selects (inside `ℓ`, where the
+    /// primitive bytes already determine the path).
+    fn follow_model(
         &self,
         mut cur: PathState,
-        cond: &ExprRef,
-        then_bb: BlockId,
-        else_bb: BlockId,
+        fork: &Fork<'_>,
         ctx: &RunCtx,
         stats: &mut DirectedStats,
     ) -> Option<PathState> {
         let Some(v) = cur
             .state
             .model()
-            .and_then(|model| cond.eval(&|off| Some(model.byte(off))))
+            .and_then(|model| fork.scrut.eval(&|off| Some(model.byte(off))))
         else {
             self.note_death(&cur.state, "model-unavailable", ctx, stats);
             return None;
         };
-        if self.config.loop_acceleration && self.branch_is_forced(&mut cur.state, cond, v != 0) {
+        let arm = fork.arms.select(v);
+        if self.config.loop_acceleration
+            && matches!(fork.arms, Arms::Two { .. })
+            && self.branch_is_forced(&cur.state, fork, arm)
+        {
             // Forced branch: the direction is already implied by the
             // collected constraints — transfer control without growing the
             // path condition or the loop budget.
             stats.forced_branches += 1;
-            let target = if v != 0 { then_bb } else { else_bb };
             let frame = cur.state.top_mut();
-            frame.block = target;
+            frame.block = fork.arms.target(arm);
             frame.idx = 0;
             return Some(cur);
         }
-        let visits = self
-            .executor
-            .take_branch(&mut cur.state, cond, v != 0, then_bb, else_bb);
+        let visits = self.executor.take(&mut cur.state, fork, arm);
         if visits > self.config.theta {
             stats.loop_retries += 1;
             emit(TraceKind::LoopRetry { visits });
@@ -740,43 +667,12 @@ impl<'p> DirectedEngine<'p> {
         Some(cur)
     }
 
-    /// Whether the opposite direction of a branch is refuted by the
-    /// current constraints (so taking the model's direction adds no
-    /// information).
-    fn branch_is_forced(&self, state: &mut SymState, cond: &ExprRef, take_then: bool) -> bool {
+    /// Whether the opposite arm of a two-way branch is refuted by the
+    /// current constraints (so taking `arm` adds no information).
+    fn branch_is_forced(&self, state: &SymState, fork: &Fork<'_>, arm: usize) -> bool {
         let mut probe = state.constraints.clone();
-        probe.push(Constraint::from_bool(cond, !take_then));
+        probe.push(Constraint::from_bool(&fork.scrut, arm != 0));
         !probe.quick_feasible()
-    }
-
-    fn model_follow_switch(
-        &self,
-        mut cur: PathState,
-        scrut: &ExprRef,
-        cases: &[(u64, BlockId)],
-        default: BlockId,
-        ctx: &RunCtx,
-        stats: &mut DirectedStats,
-    ) -> Option<PathState> {
-        let Some(v) = cur
-            .state
-            .model()
-            .and_then(|model| scrut.eval(&|off| Some(model.byte(off))))
-        else {
-            self.note_death(&cur.state, "model-unavailable", ctx, stats);
-            return None;
-        };
-        let choice = cases.iter().find(|(c, _)| *c == v).map(|(c, _)| *c);
-        let visits = self
-            .executor
-            .take_switch(&mut cur.state, scrut, cases, default, choice);
-        if visits > self.config.theta {
-            stats.loop_retries += 1;
-            emit(TraceKind::LoopRetry { visits });
-            self.note_death(&cur.state, "loop-retry", ctx, stats);
-            return None;
-        }
-        Some(cur)
     }
 
     /// P3.1/P3.2: on entering `ep`, replay the recorded arguments and pin

@@ -1,10 +1,10 @@
 //! The symbolic instruction stepper.
 //!
 //! [`SymExecutor::step`] advances one state by one instruction. Control
-//! decisions on symbolic data are *not* made here: a symbolic branch or
-//! switch is surfaced as a [`StepEvent`] and the exploration strategy
-//! (naive or directed) decides, then re-enters via [`SymExecutor::take_branch`]
-//! or [`SymExecutor::take_switch`].
+//! decisions on symbolic data are *not* made here: a `br` or `switch` on a
+//! symbolic value is surfaced as one [`StepEvent::Fork`] and the
+//! exploration strategy (naive or directed) decides, then re-enters via
+//! [`SymExecutor::take`] for each arm it follows.
 
 use octo_ir::{
     decode_block_addr, decode_func_addr, encode_block_addr, encode_func_addr, BinOp, BlockId,
@@ -13,7 +13,6 @@ use octo_ir::{
 use octo_solver::{Cond, Constraint, Expr, ExprRef};
 use octo_vm::CrashKind;
 
-use crate::memory::SymMemFault;
 use crate::state::{SymFrame, SymState};
 use crate::value::{assemble, disassemble, SymByte, SymVal};
 
@@ -29,35 +28,80 @@ pub enum DeadReason {
     ConcretizeFailed,
 }
 
+/// The arms of a `br` or `switch`, numbered in terminator order: a `br`
+/// has arm 0 (then) and arm 1 (else); a `switch` has one arm per case,
+/// then the default.
+#[derive(Debug, Clone, Copy)]
+pub enum Arms<'p> {
+    /// A two-way `br`.
+    Two {
+        /// Target when the condition is non-zero.
+        then_bb: BlockId,
+        /// Target when the condition is zero.
+        else_bb: BlockId,
+    },
+    /// A multi-way `switch`.
+    Switch {
+        /// `(value, target)` cases, borrowed from the program.
+        cases: &'p [(u64, BlockId)],
+        /// Default target.
+        default: BlockId,
+    },
+}
+
+impl Arms<'_> {
+    /// Number of arms.
+    pub fn count(&self) -> usize {
+        match self {
+            Arms::Two { .. } => 2,
+            Arms::Switch { cases, .. } => cases.len() + 1,
+        }
+    }
+
+    /// The arm a concrete scrutinee value selects (a `switch` takes its
+    /// first matching case, like the concrete VM).
+    pub fn select(&self, value: u64) -> usize {
+        match self {
+            Arms::Two { .. } => usize::from(value == 0),
+            Arms::Switch { cases, .. } => cases
+                .iter()
+                .position(|(c, _)| *c == value)
+                .unwrap_or(cases.len()),
+        }
+    }
+
+    /// The block arm `arm` transfers control to.
+    pub fn target(&self, arm: usize) -> BlockId {
+        match *self {
+            Arms::Two { then_bb, else_bb } => [then_bb, else_bb][arm],
+            Arms::Switch { cases, default } => cases
+                .get(arm)
+                .map_or(default, |&(v, _)| cases[self.select(v)].1),
+        }
+    }
+}
+
+/// A control transfer on a symbolic value: the scrutinee plus its arms.
+#[derive(Debug, Clone)]
+pub struct Fork<'p> {
+    /// The branch condition or switch scrutinee.
+    pub scrut: ExprRef,
+    /// Where each arm goes.
+    pub arms: Arms<'p>,
+}
+
 /// Result of advancing a state by one instruction.
 #[derive(Debug, Clone)]
-pub enum StepEvent {
+pub enum StepEvent<'p> {
     /// The state advanced; keep stepping.
     Continue,
     /// The program exited cleanly on this path.
     Exited,
     /// This path crashes (with the current path condition).
     Crashed(CrashKind),
-    /// A two-way branch on a symbolic condition. The strategy must call
-    /// [`SymExecutor::take_branch`] (possibly on a fork).
-    Branch {
-        /// The branch condition term.
-        cond: ExprRef,
-        /// Target when the condition is non-zero.
-        then_bb: BlockId,
-        /// Target when the condition is zero.
-        else_bb: BlockId,
-    },
-    /// A multi-way switch on a symbolic scrutinee. The strategy must call
-    /// [`SymExecutor::take_switch`].
-    Switch {
-        /// The scrutinee term.
-        scrut: ExprRef,
-        /// `(value, target)` cases.
-        cases: Vec<(u64, BlockId)>,
-        /// Default target.
-        default: BlockId,
-    },
+    /// A `br` or `switch` on a symbolic value. The strategy must call
+    /// [`SymExecutor::take`] for each arm it follows (possibly on forks).
+    Fork(Fork<'p>),
     /// Execution entered `ep` (the configured entry point of `ℓ`).
     /// `file_pos` is the file position indicator at entry — where the
     /// corresponding bunch is placed (paper P3.1).
@@ -133,16 +177,6 @@ impl<'p> SymExecutor<'p> {
         Ok(val)
     }
 
-    fn fault_to_crash(fault: SymMemFault) -> CrashKind {
-        match fault {
-            SymMemFault::Null { addr } => CrashKind::NullDeref { addr },
-            SymMemFault::OutOfBounds { addr, nearest } => CrashKind::OutOfBounds {
-                addr,
-                region: nearest,
-            },
-        }
-    }
-
     /// Moves the innermost frame to `block`; returns its visit count (for
     /// the strategy's θ loop policy).
     pub fn goto(&self, state: &mut SymState, block: BlockId) -> u32 {
@@ -153,53 +187,28 @@ impl<'p> SymExecutor<'p> {
         n
     }
 
-    /// Commits a direction at a symbolic branch: records the path
-    /// constraint and transfers control. Returns the visit count of the
-    /// target block.
-    pub fn take_branch(
-        &self,
-        state: &mut SymState,
-        cond: &ExprRef,
-        take_then: bool,
-        then_bb: BlockId,
-        else_bb: BlockId,
-    ) -> u32 {
-        state.add_constraint(Constraint::from_bool(cond, take_then));
-        self.goto(state, if take_then { then_bb } else { else_bb })
-    }
-
-    /// Commits a switch decision. `choice = Some(v)` takes the case with
-    /// value `v`; `None` takes the default (constraining the scrutinee to
-    /// differ from every case).
-    pub fn take_switch(
-        &self,
-        state: &mut SymState,
-        scrut: &ExprRef,
-        cases: &[(u64, BlockId)],
-        default: BlockId,
-        choice: Option<u64>,
-    ) -> u32 {
-        match choice {
-            Some(v) => {
-                let target = cases
-                    .iter()
-                    .find(|(c, _)| *c == v)
-                    .map(|(_, b)| *b)
-                    .unwrap_or(default);
-                state.add_constraint(Constraint::new(scrut.clone(), Expr::val(v), Cond::Eq));
-                self.goto(state, target)
-            }
-            None => {
-                for (v, _) in cases {
-                    state.add_constraint(Constraint::new(scrut.clone(), Expr::val(*v), Cond::Ne));
+    /// Commits arm `arm` of a fork: records the path constraint that
+    /// selects it and transfers control. Returns the visit count of the
+    /// target block. The default arm of a `switch` constrains the
+    /// scrutinee to differ from every case.
+    pub fn take(&self, state: &mut SymState, fork: &Fork<'_>, arm: usize) -> u32 {
+        let scrut_is = |v: u64, cond| Constraint::new(fork.scrut.clone(), Expr::val(v), cond);
+        match fork.arms {
+            Arms::Two { .. } => state.add_constraint(Constraint::from_bool(&fork.scrut, arm == 0)),
+            Arms::Switch { cases, .. } => match cases.get(arm) {
+                Some(&(v, _)) => state.add_constraint(scrut_is(v, Cond::Eq)),
+                None => {
+                    for &(v, _) in cases {
+                        state.add_constraint(scrut_is(v, Cond::Ne));
+                    }
                 }
-                self.goto(state, default)
-            }
+            },
         }
+        self.goto(state, fork.arms.target(arm))
     }
 
     /// Advances `state` by one instruction or terminator.
-    pub fn step(&self, state: &mut SymState) -> StepEvent {
+    pub fn step(&self, state: &mut SymState) -> StepEvent<'p> {
         state.steps += 1;
         if state.steps > self.max_steps {
             return StepEvent::Dead(DeadReason::StepBudget);
@@ -208,22 +217,21 @@ impl<'p> SymExecutor<'p> {
             let f = state.top();
             (f.func, f.block, f.idx)
         };
-        let func = self.program.func(func_id);
+        // Borrow the code through the program reference (lifetime 'p), so
+        // instructions and switch cases outlive the `&mut state` uses
+        // below — no per-step clone needed.
+        let program = self.program;
+        let func = program.func(func_id);
         let block = func.block(block_id);
 
         if idx < block.insts.len() {
             state.top_mut().idx += 1;
-            // `block` borrows through `self.program` (lifetime 'p), so the
-            // instruction reference outlives the `&mut state` uses below —
-            // no per-step clone needed.
-            let program = self.program;
-            let inst = &program.func(func_id).block(block_id).insts[idx];
-            return self.exec_inst(state, inst);
+            return self.exec_inst(state, &block.insts[idx]);
         }
 
-        match block.term.clone() {
+        match &block.term {
             Terminator::Jmp(b) => {
-                self.goto(state, b);
+                self.goto(state, *b);
                 StepEvent::Continue
             }
             Terminator::Br {
@@ -231,44 +239,25 @@ impl<'p> SymExecutor<'p> {
                 then_bb,
                 else_bb,
             } => {
-                let c = self.eval(state, cond);
-                match c.as_concrete() {
-                    Some(v) => {
-                        self.goto(state, if v != 0 { then_bb } else { else_bb });
-                        StepEvent::Continue
-                    }
-                    None => StepEvent::Branch {
-                        cond: c.to_expr(),
-                        then_bb,
-                        else_bb,
-                    },
-                }
+                let arms = Arms::Two {
+                    then_bb: *then_bb,
+                    else_bb: *else_bb,
+                };
+                self.branch(state, *cond, arms)
             }
             Terminator::Switch {
                 scrut,
                 cases,
                 default,
             } => {
-                let s = self.eval(state, scrut);
-                match s.as_concrete() {
-                    Some(v) => {
-                        let target = cases
-                            .iter()
-                            .find(|(c, _)| *c == v)
-                            .map(|(_, b)| *b)
-                            .unwrap_or(default);
-                        self.goto(state, target);
-                        StepEvent::Continue
-                    }
-                    None => StepEvent::Switch {
-                        scrut: s.to_expr(),
-                        cases,
-                        default,
-                    },
-                }
+                let arms = Arms::Switch {
+                    cases,
+                    default: *default,
+                };
+                self.branch(state, *scrut, arms)
             }
             Terminator::JmpIndirect { target } => {
-                let t = self.eval(state, target);
+                let t = self.eval(state, *target);
                 let value = match self.concretize(state, &t) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
@@ -298,13 +287,29 @@ impl<'p> SymExecutor<'p> {
         }
     }
 
+    /// A `br` or `switch`: transfers control when the scrutinee is
+    /// concrete, surfaces a [`StepEvent::Fork`] when it is symbolic.
+    fn branch(&self, state: &mut SymState, scrut: Operand, arms: Arms<'p>) -> StepEvent<'p> {
+        let v = self.eval(state, scrut);
+        match v.as_concrete() {
+            Some(c) => {
+                self.goto(state, arms.target(arms.select(c)));
+                StepEvent::Continue
+            }
+            None => StepEvent::Fork(Fork {
+                scrut: v.to_expr(),
+                arms,
+            }),
+        }
+    }
+
     fn do_call(
         &self,
         state: &mut SymState,
         callee: FuncId,
         args: &[Operand],
         dst: Option<octo_ir::Reg>,
-    ) -> StepEvent {
+    ) -> StepEvent<'p> {
         if state.depth() >= self.max_depth {
             return StepEvent::Dead(DeadReason::DepthLimit);
         }
@@ -337,7 +342,7 @@ impl<'p> SymExecutor<'p> {
         StepEvent::Continue
     }
 
-    fn exec_inst(&self, state: &mut SymState, inst: &Inst) -> StepEvent {
+    fn exec_inst(&self, state: &mut SymState, inst: &Inst) -> StepEvent<'p> {
         macro_rules! set {
             ($dst:expr, $val:expr) => {{
                 let v = $val;
@@ -411,10 +416,10 @@ impl<'p> SymExecutor<'p> {
                 };
                 match state
                     .mem
-                    .read_range(base.wrapping_add(*offset), width.bytes())
+                    .read_cells(base.wrapping_add(*offset), width.bytes())
                 {
                     Ok(bytes) => set!(dst, assemble(&bytes)),
-                    Err(f) => return StepEvent::Crashed(Self::fault_to_crash(f)),
+                    Err(f) => return StepEvent::Crashed(f.into()),
                 }
             }
             Inst::Store {
@@ -430,8 +435,8 @@ impl<'p> SymExecutor<'p> {
                 };
                 let v = self.eval(state, *src);
                 let bytes = disassemble(&v, *width);
-                if let Err(f) = state.mem.write_range(base.wrapping_add(*offset), &bytes) {
-                    return StepEvent::Crashed(Self::fault_to_crash(f));
+                if let Err(f) = state.mem.write_cells(base.wrapping_add(*offset), &bytes) {
+                    return StepEvent::Crashed(f.into());
                 }
             }
             Inst::Alloc { dst, size, region } => {
@@ -487,8 +492,8 @@ impl<'p> SymExecutor<'p> {
                 let bytes: Vec<SymByte> = (0..count)
                     .map(|i| SymByte::S(Expr::byte((pos + i) as u32)))
                     .collect();
-                if let Err(f) = state.mem.write_range(buf_addr, &bytes) {
-                    return StepEvent::Crashed(Self::fault_to_crash(f));
+                if let Err(f) = state.mem.write_cells(buf_addr, &bytes) {
+                    return StepEvent::Crashed(f.into());
                 }
                 state.file_pos = pos + count;
                 set!(dst, SymVal::C(count));
@@ -532,13 +537,10 @@ impl<'p> SymExecutor<'p> {
                 if let Some(e) = self.check_fd(state, *fd) {
                     return e;
                 }
-                let base = state.mem.alloc(self.file_len, octo_ir::RegionKind::Heap);
                 let bytes: Vec<SymByte> = (0..self.file_len)
                     .map(|i| SymByte::S(Expr::byte(i as u32)))
                     .collect();
-                if let Err(f) = state.mem.write_range(base, &bytes) {
-                    return StepEvent::Crashed(Self::fault_to_crash(f));
-                }
+                let base = state.mem.alloc_with(&bytes, octo_ir::RegionKind::Heap);
                 set!(dst, SymVal::C(base));
             }
             Inst::Trap { code } => return StepEvent::Crashed(CrashKind::Trap { code: *code }),
@@ -547,7 +549,7 @@ impl<'p> SymExecutor<'p> {
         StepEvent::Continue
     }
 
-    fn check_fd(&self, state: &mut SymState, fd: Operand) -> Option<StepEvent> {
+    fn check_fd(&self, state: &mut SymState, fd: Operand) -> Option<StepEvent<'p>> {
         let v = self.eval(state, fd);
         match self.concretize(state, &v) {
             Ok(val) if state.fd_opened && val == octo_vm::vm::INPUT_FD => None,
@@ -563,7 +565,7 @@ mod tests {
     use octo_ir::parse::parse_program;
     use octo_solver::SolveResult;
 
-    fn run_until_event(src: &str, file_len: u64) -> (SymState, StepEvent) {
+    fn run_until_event(src: &str, file_len: u64) -> (SymState, StepEvent<'static>) {
         let p = parse_program(src).unwrap();
         let p = Box::leak(Box::new(p));
         let ex = SymExecutor::new(p, file_len);
@@ -574,6 +576,29 @@ mod tests {
                 e => return (st, e),
             }
         }
+    }
+
+    #[test]
+    fn arms_number_cases_then_default_and_repeat_the_first_match() {
+        let two = Arms::Two {
+            then_bb: BlockId(1),
+            else_bb: BlockId(2),
+        };
+        assert_eq!(two.count(), 2);
+        assert_eq!((two.select(7), two.select(0)), (0, 1));
+        assert_eq!((two.target(0), two.target(1)), (BlockId(1), BlockId(2)));
+        // A repeated case value goes where its first case goes, as in
+        // the concrete VM.
+        let cases = [(1, BlockId(3)), (2, BlockId(4)), (1, BlockId(5))];
+        let switch = Arms::Switch {
+            cases: &cases,
+            default: BlockId(6),
+        };
+        assert_eq!(switch.count(), 4);
+        assert_eq!((switch.select(1), switch.select(2)), (0, 1));
+        assert_eq!(switch.select(9), 3, "no case matches: the default");
+        let targets: Vec<BlockId> = (0..4).map(|arm| switch.target(arm)).collect();
+        assert_eq!(targets, [BlockId(3), BlockId(4), BlockId(3), BlockId(6)]);
     }
 
     #[test]
@@ -599,9 +624,10 @@ no:
 "#;
         let (st, e) = run_until_event(src, 4);
         match e {
-            StepEvent::Branch { cond, .. } => {
-                // cond is `eq in[0], 0x47`
-                assert!(cond.vars().contains(&0));
+            StepEvent::Fork(fork) => {
+                // the scrutinee is `eq in[0], 0x47`
+                assert!(fork.scrut.vars().contains(&0));
+                assert_eq!(fork.arms.count(), 2);
             }
             other => panic!("expected branch, got {other:?}"),
         }
@@ -609,7 +635,7 @@ no:
     }
 
     #[test]
-    fn take_branch_records_constraint() {
+    fn take_records_the_arm_constraint() {
         let src = r#"
 func main() {
 entry:
@@ -629,12 +655,8 @@ no:
         loop {
             match ex.step(&mut st) {
                 StepEvent::Continue => {}
-                StepEvent::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    ex.take_branch(&mut st, &cond, true, then_bb, else_bb);
+                StepEvent::Fork(fork) => {
+                    ex.take(&mut st, &fork, 0);
                     break;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -669,12 +691,8 @@ no:
         loop {
             match ex.step(&mut st) {
                 StepEvent::Continue => {}
-                StepEvent::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    ex.take_branch(&mut st, &cond, true, then_bb, else_bb);
+                StepEvent::Fork(fork) => {
+                    ex.take(&mut st, &fork, 0);
                     break;
                 }
                 other => panic!("unexpected {other:?}"),
@@ -791,13 +809,10 @@ other:
         loop {
             match ex.step(&mut st) {
                 StepEvent::Continue => {}
-                StepEvent::Switch {
-                    scrut,
-                    cases,
-                    default,
-                } => {
-                    // take the default: b != 1 && b != 2
-                    ex.take_switch(&mut st, &scrut, &cases, default, None);
+                StepEvent::Fork(fork) => {
+                    // take the default (the last arm): b != 1 && b != 2
+                    assert_eq!(fork.arms.count(), 3);
+                    ex.take(&mut st, &fork, 2);
                     let m = st.model().expect("sat");
                     assert!(m.byte(0) != 1 && m.byte(0) != 2);
                     break;

@@ -13,6 +13,14 @@
 //!   progress (memory addresses, read lengths, seek targets, indirect
 //!   branch targets) are concretised against the current path condition
 //!   and pinned with an equality constraint, the standard angr practice.
+//! * **octo-vm's machine model.** A state's memory is an
+//!   [`octo_vm::Memory`] of [`SymByte`] cells and its faults crash through
+//!   octo-vm's [`octo_vm::CrashKind`] conversion, so symbolic and concrete
+//!   runs of `T` allocate at the same addresses and crash the same way.
+//! * **One fork.** A `br` or `switch` on a symbolic value surfaces as one
+//!   [`StepEvent::Fork`] (the scrutinee plus its [`Arms`] in terminator
+//!   order); a strategy commits each arm it follows with
+//!   [`SymExecutor::take`].
 //! * **Two exploration strategies.**
 //!   [`naive::NaiveExplorer`] forks at every symbolic branch (breadth
 //!   first) and accounts for state memory; exceeding the memory budget
@@ -58,7 +66,6 @@
 
 pub mod directed;
 pub mod exec;
-pub mod memory;
 pub mod naive;
 pub mod state;
 pub mod value;
@@ -66,7 +73,7 @@ pub mod value;
 pub use directed::{
     DirectedConfig, DirectedEngine, DirectedOutcome, DirectedStats, CANCEL_POLL_STEPS,
 };
-pub use exec::{StepEvent, SymExecutor};
+pub use exec::{Arms, Fork, StepEvent, SymExecutor};
 pub use naive::{NaiveConfig, NaiveExplorer, NaiveOutcome, NaiveStats};
 pub use state::SymState;
 pub use value::{SymByte, SymVal};

@@ -141,40 +141,14 @@ impl<'p> NaiveExplorer<'p> {
                     StepEvent::Exited | StepEvent::Crashed(_) | StepEvent::Dead(_) => {
                         break; // path over; take next from queue
                     }
-                    StepEvent::Branch {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        // Fork: enqueue both feasible directions.
-                        let mut then_state = state.clone();
-                        self.executor
-                            .take_branch(&mut then_state, &cond, true, then_bb, else_bb);
-                        let mut else_state = state;
-                        self.executor
-                            .take_branch(&mut else_state, &cond, false, then_bb, else_bb);
-                        for s in [then_state, else_state] {
-                            if s.constraints.quick_feasible() {
-                                let m = s.approx_bytes();
-                                queued_mem += m;
-                                queue.push_back((s, m));
-                                stats.states_created += 1;
-                            }
-                        }
-                        break;
-                    }
-                    StepEvent::Switch {
-                        scrut,
-                        cases,
-                        default,
-                    } => {
-                        let mut choices: Vec<Option<u64>> =
-                            cases.iter().map(|(v, _)| Some(*v)).collect();
-                        choices.push(None);
-                        for choice in choices {
-                            let mut s = state.clone();
-                            self.executor
-                                .take_switch(&mut s, &scrut, &cases, default, choice);
+                    StepEvent::Fork(fork) => {
+                        // Fork: enqueue every feasible arm, in terminator
+                        // order (the last arm reuses the original state).
+                        let mut states: Vec<SymState> =
+                            (1..fork.arms.count()).map(|_| state.clone()).collect();
+                        states.push(state);
+                        for (arm, mut s) in states.into_iter().enumerate() {
+                            self.executor.take(&mut s, &fork, arm);
                             if s.constraints.quick_feasible() {
                                 let m = s.approx_bytes();
                                 queued_mem += m;

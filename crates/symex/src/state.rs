@@ -4,9 +4,9 @@ use std::collections::HashMap;
 
 use octo_ir::{BlockId, FuncId, Program, Reg};
 use octo_solver::{ConstraintSet, Model, SolveResult};
+use octo_vm::Memory;
 
-use crate::memory::SymMemory;
-use crate::value::SymVal;
+use crate::value::{SymByte, SymVal};
 
 /// One call frame of a symbolic state.
 #[derive(Debug, Clone)]
@@ -31,8 +31,8 @@ pub struct SymFrame {
 pub struct SymState {
     /// Call stack (last = innermost).
     pub frames: Vec<SymFrame>,
-    /// Symbolic memory.
-    pub mem: SymMemory,
+    /// Symbolic memory: octo-vm's region model over symbolic bytes.
+    pub mem: Memory<SymByte>,
     /// Concrete file position indicator.
     pub file_pos: u64,
     /// Whether `open` has run.
@@ -61,7 +61,7 @@ impl SymState {
                 ret_dst: None,
                 visits: HashMap::new(),
             }],
-            mem: SymMemory::new(),
+            mem: Memory::new(),
             file_pos: 0,
             fd_opened: false,
             constraints: ConstraintSet::new(),
@@ -138,7 +138,7 @@ impl SymState {
             .iter()
             .map(|f| f.regs.iter().map(SymVal::size).sum::<usize>())
             .sum();
-        let mem_nodes = self.mem.size_nodes();
+        let mem_nodes: usize = self.mem.cells().map(SymByte::size).sum();
         let cons_nodes = self.constraints.size();
         STATE_BASE + NODE_COST * (reg_nodes + mem_nodes + cons_nodes) as u64
     }
@@ -192,6 +192,28 @@ mod tests {
         s.add_constraint(Constraint::byte_eq(0, 1));
         s.add_constraint(Constraint::byte_eq(0, 2));
         assert!(s.model().is_none());
+    }
+
+    #[test]
+    fn approx_bytes_counts_symbolic_memory_cells() {
+        let p = program();
+        let mut s = SymState::initial(&p);
+        let a = s.mem.alloc(2, octo_ir::RegionKind::Heap);
+        let before = s.approx_bytes();
+        let wide = octo_solver::Expr::bin(
+            octo_ir::BinOp::Add,
+            octo_solver::Expr::byte(0),
+            octo_solver::Expr::byte(1),
+        );
+        s.mem.write_cell(a, SymByte::S(wide)).unwrap();
+        assert!(s.approx_bytes() > before);
+        assert!(matches!(
+            s.mem.read_cell(a + 2),
+            Err(octo_vm::mem::MemFault::OutOfBounds {
+                nearest: Some(octo_ir::RegionKind::Heap),
+                ..
+            })
+        ));
     }
 
     #[test]

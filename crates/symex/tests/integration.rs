@@ -6,6 +6,7 @@ use octo_poc::{Bunch, CrashPrimitives};
 use octo_symex::{
     DirectedConfig, DirectedEngine, DirectedOutcome, NaiveConfig, NaiveExplorer, NaiveOutcome,
 };
+use octo_vm::{CrashKind, Vm};
 
 /// One recorded `ep` entry: `(poc bytes consumed, argument values)`.
 type EpEntry<'a> = (&'a [(u32, u8)], &'a [u64]);
@@ -358,4 +359,53 @@ fin:
     let p = octo_ir::parse::parse_program(src).unwrap();
     let out = octo_vm::Vm::new(&p, poc.bytes()).run();
     assert!(matches!(out, octo_vm::RunOutcome::Exit(0)), "{out:?}");
+}
+
+#[test]
+fn allocation_past_the_cap_fails_symbolically_as_in_the_vm() {
+    // Only the path with n == 0x7f reaches ep, and on it the requested
+    // size is 0x7f << 44 bytes. The symbolic allocation fails with
+    // address 0, as the concrete one does, instead of aborting.
+    let src = r#"
+func main() {
+entry:
+    fd = open
+    n = getc fd
+    big = eq n, 0x7f
+    br big, grow, out
+grow:
+    size = shl n, 44
+    buf = alloc size
+    call shared(buf)
+    halt 0
+out:
+    halt 1
+}
+func shared(p) {
+entry:
+    v = load.1 p
+    ret v
+}
+"#;
+    // S entered ep with a null pointer.
+    let q = primitives(&[(&[], &[0])]);
+    let config = DirectedConfig {
+        file_len: 4,
+        ..DirectedConfig::default()
+    };
+    let outcome = run_directed(src, "shared", &q, config);
+    let DirectedOutcome::PocGenerated { poc, .. } = outcome else {
+        panic!("expected poc, got {outcome:?}");
+    };
+    assert_eq!(poc.byte(0), 0x7f);
+    // The concrete replay takes the same path and faults on the same
+    // null pointer inside ep.
+    let p = parse_program(src).unwrap();
+    let crash = Vm::new(&p, poc.bytes())
+        .run()
+        .crash()
+        .cloned()
+        .expect("crash");
+    assert_eq!(crash.kind, CrashKind::NullDeref { addr: 0 });
+    assert_eq!(crash.func, p.func_by_name("shared").unwrap());
 }

@@ -4,6 +4,8 @@ use std::fmt;
 
 use octo_ir::{BlockId, FuncId, RegionKind, Width};
 
+use crate::mem::MemFault;
+
 /// Why the program crashed.
 ///
 /// The variants map onto the CWE classes of the paper's Table II so the
@@ -68,6 +70,19 @@ impl CrashKind {
             CrashKind::StackOverflow => "STACK-OVERFLOW",
             CrashKind::BadIndirect { .. } => "BAD-INDIRECT",
             CrashKind::BadFileDescriptor { .. } => "BAD-FD",
+        }
+    }
+}
+
+impl From<MemFault> for CrashKind {
+    /// The crash a faulting memory access causes.
+    fn from(fault: MemFault) -> CrashKind {
+        match fault {
+            MemFault::Null { addr } => CrashKind::NullDeref { addr },
+            MemFault::OutOfBounds { addr, nearest } => CrashKind::OutOfBounds {
+                addr,
+                region: nearest,
+            },
         }
     }
 }

@@ -7,7 +7,7 @@ use octo_ir::{
 
 use crate::crash::{Backtrace, CrashKind, CrashReport};
 use crate::hooks::{Hook, HookCtx, NoHook};
-use crate::mem::{MemFault, Memory};
+use crate::mem::Memory;
 
 /// The (only) file descriptor value returned by `open`.
 pub const INPUT_FD: u64 = 3;
@@ -193,16 +193,6 @@ impl<'p> Exec<'p> {
 
     fn set(&mut self, r: Reg, v: u64) {
         self.frames.last_mut().expect("live frame").regs[r.0 as usize] = v;
-    }
-
-    fn fault_to_crash(&self, fault: MemFault) -> CrashKind {
-        match fault {
-            MemFault::Null { addr } => CrashKind::NullDeref { addr },
-            MemFault::OutOfBounds { addr, nearest } => CrashKind::OutOfBounds {
-                addr,
-                region: nearest,
-            },
-        }
     }
 
     fn check_fd(&self, fd: u64) -> Result<(), CrashKind> {
@@ -401,10 +391,7 @@ impl<'p> Exec<'p> {
                 width,
             } => {
                 let a = self.eval(*addr).wrapping_add(*offset);
-                let v = self
-                    .mem
-                    .read(a, *width)
-                    .map_err(|f| self.fault_to_crash(f))?;
+                let v = self.mem.read(a, *width)?;
                 hook.on_mem_read(a, *width, v);
                 self.set(*dst, v);
             }
@@ -416,9 +403,7 @@ impl<'p> Exec<'p> {
             } => {
                 let a = self.eval(*addr).wrapping_add(*offset);
                 let v = self.eval(*src);
-                self.mem
-                    .write(a, v, *width)
-                    .map_err(|f| self.fault_to_crash(f))?;
+                self.mem.write(a, v, *width)?;
                 hook.on_mem_write(a, *width, v);
             }
             Inst::Alloc { dst, size, region } => {
@@ -454,9 +439,7 @@ impl<'p> Exec<'p> {
                 let count = want.min(avail);
                 if count > 0 {
                     let bytes = &self.input[pos as usize..(pos + count) as usize];
-                    self.mem
-                        .write_bytes(buf_addr, bytes)
-                        .map_err(|f| self.fault_to_crash(f))?;
+                    self.mem.write_cells(buf_addr, bytes)?;
                     hook.on_file_read(buf_addr, pos, count);
                 }
                 self.file_pos = pos + count;

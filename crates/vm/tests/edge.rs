@@ -1,7 +1,7 @@
 //! Edge-case behaviour of the interpreter's I/O and call model.
 
 use octo_ir::parse::parse_program;
-use octo_vm::{Limits, RunOutcome, Vm};
+use octo_vm::{CrashKind, Limits, RunOutcome, Vm};
 
 fn run(src: &str, input: &[u8]) -> RunOutcome {
     let p = parse_program(src).expect("parses");
@@ -189,4 +189,38 @@ entry:
 }
 "#;
     assert!(run(src, b"").is_crash());
+}
+
+#[test]
+fn input_sized_allocation_past_the_cap_fails_like_malloc() {
+    // One input byte scales the request to 0x7f << 44 bytes (about 2 PB).
+    // The allocation fails with address 0 instead of aborting the process.
+    let src = r#"
+func main() {
+entry:
+    fd = open
+    n = getc fd
+    size = shl n, 44
+    buf = alloc size
+    halt buf
+}
+"#;
+    assert_eq!(run(src, &[0x7f]), RunOutcome::Exit(0));
+    // A literal request passes the parser and the validator; using the
+    // failed allocation faults as a null dereference.
+    let src = r#"
+func main() {
+entry:
+    buf = alloc 99999999999999
+    store.1 buf, 1
+    halt 0
+}
+"#;
+    let p = parse_program(src).expect("parses");
+    octo_ir::validate::validate(&p).expect("validates");
+    let out = Vm::new(&p, b"").run();
+    assert_eq!(
+        out.crash().map(|c| c.kind),
+        Some(CrashKind::NullDeref { addr: 0 })
+    );
 }
