@@ -573,6 +573,7 @@ struct BatchMetrics {
     symex_peak_mem_bytes: Arc<Gauge>,
     symex_peak_fallback_depth: Arc<Gauge>,
     solver_calls: Arc<Counter>,
+    solver_micros: Arc<Histogram>,
     solver_interval_refutations: Arc<Counter>,
     solver_simplify_rewrites: Arc<Counter>,
     job_queue_latency: Arc<Histogram>,
@@ -650,6 +651,7 @@ impl BatchMetrics {
             symex_peak_mem_bytes: reg.gauge("symex_peak_mem_bytes"),
             symex_peak_fallback_depth: reg.gauge("symex_peak_fallback_depth"),
             solver_calls: reg.counter("solver_calls_total"),
+            solver_micros: reg.histogram("solver_micros", &MICROS_BUCKETS),
             solver_interval_refutations: reg.counter("solver_interval_refutations_total"),
             solver_simplify_rewrites: reg.counter("solver_simplify_rewrites_total"),
             job_queue_latency: reg.histogram("job_queue_latency_micros", &MICROS_BUCKETS),
@@ -709,6 +711,7 @@ impl BatchMetrics {
             self.symex_peak_fallback_depth
                 .record_max(s.peak_fallback_depth);
             self.solver_calls.add(s.solver_calls);
+            self.solver_micros.observe(s.solver_micros);
             self.solver_interval_refutations.add(s.interval_refutations);
             self.solver_simplify_rewrites.add(s.simplify_rewrites);
             self.phase_p2p3.observe(micros(s.wall_seconds));

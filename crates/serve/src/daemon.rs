@@ -126,11 +126,43 @@ pub enum SubmitError {
 }
 
 struct JobRecord {
-    spec: JobSpec,
+    name: String,
+    priority: Priority,
+    /// The whole submission (program texts, PoC, shared list), held only
+    /// while a restart may still have to run the job: queued, running or
+    /// interrupted. Dropped when the job is done, so a finished job costs
+    /// the same memory whatever the size of its programs.
+    spec: Option<JobSpec>,
     phase: JobPhase,
     verdict: Option<VerdictSummary>,
     post_mortem: Option<String>,
     queued_at: Instant,
+}
+
+impl JobRecord {
+    /// A record for `spec`: a queued job keeps it, a done one does not.
+    fn new(spec: JobSpec, phase: JobPhase, verdict: Option<VerdictSummary>) -> JobRecord {
+        JobRecord {
+            name: spec.name.clone(),
+            priority: spec.priority,
+            spec: (phase != JobPhase::Done).then_some(spec),
+            phase,
+            verdict,
+            post_mortem: None,
+            queued_at: Instant::now(),
+        }
+    }
+
+    fn status(&self, id: u64) -> JobStatus {
+        JobStatus {
+            id,
+            name: self.name.clone(),
+            priority: self.priority,
+            phase: self.phase,
+            verdict: self.verdict.clone(),
+            post_mortem: self.post_mortem.clone(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -226,16 +258,7 @@ impl Daemon {
                 self.metrics.replays.inc();
                 JobPhase::Queued
             };
-            state.jobs.insert(
-                id,
-                JobRecord {
-                    spec,
-                    phase,
-                    verdict,
-                    post_mortem: None,
-                    queued_at: Instant::now(),
-                },
-            );
+            state.jobs.insert(id, JobRecord::new(spec, phase, verdict));
             state.next_id = state.next_id.max(id + 1);
         }
         self.metrics.set_queue_depth(&state);
@@ -280,7 +303,7 @@ impl Daemon {
                         self.metrics.queue_wait.observe(wait);
                         break ExecJob {
                             id,
-                            spec: record.spec.clone(),
+                            spec: record.spec.clone().expect("a queued job keeps its spec"),
                         };
                     }
                     if state.draining {
@@ -304,6 +327,7 @@ impl Daemon {
                     .record_finished(job.id, JobPhase::Interrupted, "interrupted");
             } else {
                 record.phase = JobPhase::Done;
+                record.spec = None;
                 record.verdict = Some(outcome.verdict.clone());
                 record.post_mortem = outcome.post_mortem;
                 self.timelines
@@ -349,16 +373,9 @@ impl Daemon {
         }
         self.timelines
             .record_submitted(id, &spec.name, spec.priority);
-        state.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                phase: JobPhase::Queued,
-                verdict: None,
-                post_mortem: None,
-                queued_at: Instant::now(),
-            },
-        );
+        state
+            .jobs
+            .insert(id, JobRecord::new(spec, JobPhase::Queued, None));
         self.metrics.admissions.inc();
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -382,14 +399,7 @@ impl Daemon {
     /// One job's status, or `None` for unknown ids.
     pub fn job_status(&self, id: u64) -> Option<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state.jobs.get(&id).map(|j| JobStatus {
-            id,
-            name: j.spec.name.clone(),
-            priority: j.spec.priority,
-            phase: j.phase,
-            verdict: j.verdict.clone(),
-            post_mortem: j.post_mortem.clone(),
-        })
+        state.jobs.get(&id).map(|j| j.status(id))
     }
 
     /// Finished verdicts in id (= submission) order.
@@ -401,7 +411,7 @@ impl Daemon {
             .filter_map(|(id, j)| {
                 j.verdict.as_ref().map(|v| ResultRow {
                     id: *id,
-                    name: j.spec.name.clone(),
+                    name: j.name.clone(),
                     verdict: v.clone(),
                 })
             })
@@ -412,18 +422,7 @@ impl Daemon {
     /// queue + in-flight + completed listing behind `GET /jobs`.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state
-            .jobs
-            .iter()
-            .map(|(id, j)| JobStatus {
-                id: *id,
-                name: j.spec.name.clone(),
-                priority: j.spec.priority,
-                phase: j.phase,
-                verdict: j.verdict.clone(),
-                post_mortem: j.post_mortem.clone(),
-            })
-            .collect()
+        state.jobs.iter().map(|(id, j)| j.status(*id)).collect()
     }
 
     /// The executor's metrics rendering.
@@ -561,11 +560,11 @@ impl Daemon {
     pub fn compact_journal(&self) -> Option<Result<u64, String>> {
         let journal = self.journal.as_ref()?;
         let state = self.state.lock().expect("daemon state poisoned");
+        // Exactly the unfinished jobs still hold their spec.
         let incomplete: Vec<(u64, JobSpec)> = state
             .jobs
             .iter()
-            .filter(|(_, j)| j.phase != JobPhase::Done)
-            .map(|(id, j)| (*id, j.spec.clone()))
+            .filter_map(|(id, j)| Some((*id, j.spec.clone()?)))
             .collect();
         let kept = incomplete.len() as u64;
         drop(state);
@@ -812,6 +811,13 @@ mod tests {
             },
         );
         daemon.restore(replay);
+        {
+            // A restored done job keeps no program text; the job to
+            // resubmit keeps its whole spec.
+            let state = daemon.state.lock().unwrap();
+            assert!(state.jobs[&1].spec.is_none());
+            assert_eq!(state.jobs[&2].spec, Some(spec("redo", Priority::Bulk)));
+        }
         let reg = daemon.executor.registry();
         assert_eq!(reg.get_counter("serve_replays_total").unwrap().get(), 1);
         let workers = daemon.start_workers(1);
@@ -830,6 +836,110 @@ mod tests {
             next,
             Err(SubmitError::Rejected("daemon is draining".to_string()))
         );
+    }
+
+    #[test]
+    fn finished_jobs_drop_their_program_text_but_answer_as_before() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        daemon.submit(spec("kept", Priority::Interactive)).unwrap();
+        assert_eq!(
+            daemon.state.lock().unwrap().jobs[&1].spec,
+            Some(spec("kept", Priority::Interactive)),
+            "a queued job holds its whole submission"
+        );
+        let workers = daemon.start_workers(1);
+        daemon.wait_idle();
+        daemon.drain();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert!(
+            daemon.state.lock().unwrap().jobs[&1].spec.is_none(),
+            "a done job holds no program text, PoC or shared list"
+        );
+        let verdict = VerdictSummary {
+            verdict: "Type-I".to_string(),
+            poc_generated: true,
+            verified: true,
+            attempts: 1,
+            quarantined: false,
+        };
+        let status = JobStatus {
+            id: 1,
+            name: "kept".to_string(),
+            priority: Priority::Interactive,
+            phase: JobPhase::Done,
+            verdict: Some(verdict.clone()),
+            post_mortem: None,
+        };
+        assert_eq!(daemon.job_status(1), Some(status.clone()));
+        assert_eq!(daemon.jobs(), vec![status]);
+        assert_eq!(
+            daemon.results(),
+            vec![ResultRow {
+                id: 1,
+                name: "kept".to_string(),
+                verdict,
+            }]
+        );
+        let t = daemon.timelines().timeline(1).expect("timeline exists");
+        assert_eq!(
+            (t.name.as_str(), t.priority, t.phase, t.outcome.as_deref()),
+            (
+                "kept",
+                Priority::Interactive,
+                JobPhase::Done,
+                Some("Type-I")
+            )
+        );
+    }
+
+    #[test]
+    fn interrupted_jobs_survive_compaction_byte_identical() {
+        let path =
+            std::env::temp_dir().join(format!("octo-serve-daemon-compact-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (journal, _) = Journal::open(&path).unwrap();
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), Some(journal), 8);
+        // Job 1 finished before a restart: compaction drops it.
+        let mut replay = Replay::default();
+        replay.jobs.push((1, spec("done-before", Priority::Bulk)));
+        replay.verdicts.insert(
+            1,
+            VerdictSummary {
+                verdict: "Type-III".to_string(),
+                poc_generated: false,
+                verified: false,
+                attempts: 1,
+                quarantined: false,
+            },
+        );
+        daemon.restore(replay);
+        // Job 2 is running when the daemon shuts down, job 3 still queued.
+        let mut victim = spec("victim", Priority::Bulk);
+        victim.t_text = "func main() {\nentry:\n  x = 7\n  halt 1\n}\n".to_string();
+        victim.poc_hex = "00ff41".to_string();
+        victim.shared = vec!["main".to_string(), "parse_chunk".to_string()];
+        let waiting = spec("waiting", Priority::Interactive);
+        assert_eq!(daemon.submit(victim.clone()), Ok(2));
+        let workers = daemon.start_workers(1);
+        while executor.executed.lock().unwrap().is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(daemon.submit(waiting.clone()), Ok(3));
+        daemon.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(daemon.job_status(2).unwrap().phase, JobPhase::Interrupted);
+        assert_eq!(daemon.job_status(3).unwrap().phase, JobPhase::Queued);
+        assert_eq!(daemon.compact_journal(), Some(Ok(2)));
+        drop(daemon);
+        let (_journal, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.jobs, vec![(2, victim), (3, waiting)]);
+        assert!(replay.verdicts.is_empty());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

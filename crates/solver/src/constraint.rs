@@ -68,7 +68,7 @@ impl fmt::Display for Cond {
 }
 
 /// One relational constraint between two symbolic terms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
     /// Left term (simplified).
     pub lhs: ExprRef,

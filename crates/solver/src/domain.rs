@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// The set of values a single input byte may still take.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ByteDomain {
     bits: [u64; 4],
 }

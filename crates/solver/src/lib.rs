@@ -24,6 +24,19 @@
 //! models against their constraint sets and cross-check `Unsat` by
 //! exhaustive enumeration on small instances.
 //!
+//! Directed symbolic execution calls the solver at every fork and every
+//! placed bunch, each time from full domains on a path condition that
+//! only grew. A [`FilterMemo`] makes the repeats cheap: it memoizes the
+//! one-variable and pair filters of propagation, keyed on the
+//! constraint (compared structurally) and the current domain of every
+//! byte it reads, so a hit returns exactly what the filter would
+//! compute and budgets are charged as on a miss. One engine run owns
+//! one memo and hands it to every solver entry
+//! ([`ConstraintSet::solve_in`], [`ConstraintSet::quick_feasible_in`]);
+//! the plain entry points use a fresh memo per call. A memo is cleared
+//! at [`FILTER_MEMO_CAP`] entries, which bounds its memory and changes
+//! no answer.
+//!
 //! ```
 //! use octo_solver::{Expr, Cond, Constraint, ConstraintSet, SolveResult};
 //!
@@ -52,4 +65,4 @@ pub use constraint::{Cond, Constraint, ConstraintSet};
 pub use domain::ByteDomain;
 pub use expr::{Expr, ExprRef};
 pub use interval::{eval_interval, Interval};
-pub use solve::{Model, SolveLimits, SolveResult, SolverCounters};
+pub use solve::{FilterMemo, Model, SolveLimits, SolveResult, SolverCounters, FILTER_MEMO_CAP};

@@ -1,22 +1,25 @@
 //! The solving engine: domain propagation plus bounded backtracking search.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::domain::ByteDomain;
 
 thread_local! {
     static SOLVES: Cell<u64> = const { Cell::new(0) };
+    static SOLVE_NANOS: Cell<u64> = const { Cell::new(0) };
     static INTERVAL_REFUTATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of the thread-local solver activity counters.
 ///
 /// Every [`ConstraintSet::solve_with`] entry (including
-/// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves`;
-/// refutations proven by interval reasoning alone bump
-/// `interval_refutations`; rewrite-rule firings in
+/// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves` and adds
+/// the wall time it spends solving to `solve_nanos` (an entry a fault
+/// plan abandons spends none); refutations proven by interval
+/// reasoning alone bump `interval_refutations`; rewrite-rule firings in
 /// the simplifier bump `simplify_rewrites`. Callers take two snapshots
 /// and diff them with [`SolverCounters::since`] to attribute work to a
 /// region — the counters are per-thread, so a verification job measures
@@ -25,6 +28,8 @@ thread_local! {
 pub struct SolverCounters {
     /// Solver entries (full solves and propagation-only pre-checks).
     pub solves: u64,
+    /// Wall time spent inside solver entries, nanoseconds.
+    pub solve_nanos: u64,
     /// Constraints refuted by interval reasoning during propagation.
     pub interval_refutations: u64,
     /// Simplifier rewrite rules fired.
@@ -36,6 +41,7 @@ impl SolverCounters {
     pub fn snapshot() -> SolverCounters {
         SolverCounters {
             solves: SOLVES.with(Cell::get),
+            solve_nanos: SOLVE_NANOS.with(Cell::get),
             interval_refutations: INTERVAL_REFUTATIONS.with(Cell::get),
             simplify_rewrites: crate::simplify::rewrites_total(),
         }
@@ -45,6 +51,7 @@ impl SolverCounters {
     pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
         SolverCounters {
             solves: self.solves.wrapping_sub(earlier.solves),
+            solve_nanos: self.solve_nanos.wrapping_sub(earlier.solve_nanos),
             interval_refutations: self
                 .interval_refutations
                 .wrapping_sub(earlier.interval_refutations),
@@ -55,8 +62,99 @@ impl SolverCounters {
     }
 }
 
+fn add(cell: &'static std::thread::LocalKey<Cell<u64>>, n: u64) {
+    cell.with(|c| c.set(c.get().wrapping_add(n)));
+}
+
 fn bump(cell: &'static std::thread::LocalKey<Cell<u64>>) {
-    cell.with(|c| c.set(c.get().wrapping_add(1)));
+    add(cell, 1);
+}
+
+/// Domains of some of one constraint's bytes, in offset order.
+type Domains = Box<[ByteDomain]>;
+
+/// How many filter results a [`FilterMemo`] holds before it is cleared.
+///
+/// About nine times the largest run measured: across the engine golden
+/// and Tables II–IV one run held at most 1,825 entries.
+pub const FILTER_MEMO_CAP: usize = 16 * 1024;
+
+/// Domain-filter results memoized across the solver entries of one
+/// engine run.
+///
+/// Propagation narrows each byte's domain constraint by constraint: a
+/// constraint with one free byte filters it value by value, one with two
+/// free bytes runs the pair filter in both directions. Every solver
+/// entry starts again from full domains, and a path condition only grows
+/// along a path, so one run repeats the same filters many times. An entry
+/// is keyed on a filter's exact inputs — the constraint, compared
+/// structurally, and the current domain of every byte it reads (the
+/// domains being filtered and the fixed values of the others) — and holds
+/// the domains the filter produced, so a hit changes nothing but speed.
+/// The pair filter's work budget is charged on hits as on misses, so
+/// every answer and every [`SolverCounters`] delta is the same with a
+/// shared memo as with a fresh one.
+///
+/// One engine run owns one memo and drops it when it returns; nothing
+/// outlives the run. Entry points without a run
+/// ([`ConstraintSet::solve_with`], [`ConstraintSet::quick_feasible`])
+/// use a fresh memo per call. At [`FILTER_MEMO_CAP`] entries the memo is
+/// cleared.
+#[derive(Debug)]
+pub struct FilterMemo {
+    /// Per constraint: the domains of its bytes (in offset order) → the
+    /// narrowed domains of its free bytes (in offset order).
+    filters: HashMap<Constraint, HashMap<Domains, Domains>>,
+    len: usize,
+    cap: usize,
+}
+
+impl FilterMemo {
+    /// An empty memo (allocates nothing until the first entry).
+    pub fn new() -> FilterMemo {
+        FilterMemo {
+            filters: HashMap::new(),
+            len: 0,
+            cap: FILTER_MEMO_CAP,
+        }
+    }
+
+    /// An empty memo that clears itself at `cap` entries.
+    #[cfg(test)]
+    pub(crate) fn with_cap(cap: usize) -> FilterMemo {
+        FilterMemo {
+            cap,
+            ..FilterMemo::new()
+        }
+    }
+
+    /// Entries held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, c: &Constraint, domains: &[ByteDomain]) -> Option<&[ByteDomain]> {
+        self.filters.get(c)?.get(domains).map(|d| &**d)
+    }
+
+    fn insert(&mut self, c: &Constraint, domains: &[ByteDomain], narrowed: Domains) {
+        if self.len >= self.cap {
+            self.filters.clear();
+            self.len = 0;
+        }
+        self.filters
+            .entry(c.clone())
+            .or_default()
+            .insert(domains.into(), narrowed);
+        self.len += 1;
+    }
+}
+
+impl Default for FilterMemo {
+    fn default() -> FilterMemo {
+        FilterMemo::new()
+    }
 }
 
 /// Budgets bounding a solve. With the defaults, every constraint set the
@@ -163,6 +261,13 @@ impl ConstraintSet {
 
     /// Solves the set with explicit limits.
     pub fn solve_with(&self, limits: SolveLimits) -> SolveResult {
+        self.solve_in(limits, &mut FilterMemo::new())
+    }
+
+    /// Solves the set with explicit limits, reusing (and extending) the
+    /// filter results in `memo`. The answer is the one
+    /// [`ConstraintSet::solve_with`] gives.
+    pub fn solve_in(&self, limits: SolveLimits, memo: &mut FilterMemo) -> SolveResult {
         bump(&SOLVES);
         // Fault-injection site: abandon the solve at entry (after the
         // counter bump, so solver accounting stays truthful about the
@@ -170,17 +275,15 @@ impl ConstraintSet {
         if octo_faults::should_inject(octo_faults::FaultSite::SolverSolve) {
             return SolveResult::Injected;
         }
+        let start = Instant::now();
         // Flight-recorder bracket around the whole entry. The payload
-        // (an Instant read and a counter snapshot) is gated on a live
-        // recorder so the batch hot path stays untouched.
+        // (a counter snapshot) is gated on a live recorder so the batch
+        // hot path stays untouched.
         let traced = octo_trace::is_active().then(|| {
             octo_trace::emit(octo_trace::TraceKind::SolverBegin {
                 constraints: self.len() as u64,
             });
-            (
-                std::time::Instant::now(),
-                INTERVAL_REFUTATIONS.with(Cell::get),
-            )
+            INTERVAL_REFUTATIONS.with(Cell::get)
         });
         let result = if self.is_trivially_false() {
             // Normalisation proved the contradiction and dropped the
@@ -188,9 +291,11 @@ impl ConstraintSet {
             // must not mistake the empty list for satisfiability.
             SolveResult::Unsat
         } else {
-            Solver::new(self, limits).solve()
+            Solver::new(self, limits, memo).solve()
         };
-        if let Some((start, refutations_before)) = traced {
+        let elapsed = start.elapsed();
+        add(&SOLVE_NANOS, elapsed.as_nanos() as u64);
+        if let Some(refutations_before) = traced {
             octo_trace::emit(octo_trace::TraceKind::SolverEnd {
                 result: match &result {
                     SolveResult::Sat(_) => "sat",
@@ -198,7 +303,7 @@ impl ConstraintSet {
                     SolveResult::Unknown => "unknown",
                     SolveResult::Injected => "injected",
                 },
-                micros: start.elapsed().as_micros() as u64,
+                micros: elapsed.as_micros() as u64,
                 refutations: INTERVAL_REFUTATIONS.with(Cell::get) - refutations_before,
             });
         }
@@ -211,6 +316,12 @@ impl ConstraintSet {
     /// `false` means *definitely unsatisfiable*; `true` means "not
     /// refuted by propagation" (the full solve may still say `Unsat`).
     pub fn quick_feasible(&self) -> bool {
+        self.quick_feasible_in(&mut FilterMemo::new())
+    }
+
+    /// [`ConstraintSet::quick_feasible`], reusing (and extending) the
+    /// filter results in `memo`.
+    pub fn quick_feasible_in(&self, memo: &mut FilterMemo) -> bool {
         if self.is_trivially_false() {
             return false;
         }
@@ -218,7 +329,7 @@ impl ConstraintSet {
             max_nodes: 0,
             max_pair_work: 200_000,
         };
-        !matches!(self.solve_with(limits), SolveResult::Unsat)
+        !matches!(self.solve_in(limits, memo), SolveResult::Unsat)
     }
 }
 
@@ -233,10 +344,13 @@ struct Solver<'a> {
     limits: SolveLimits,
     nodes: u64,
     budget_hit: bool,
+    memo: &'a mut FilterMemo,
+    /// Reused buffer for memo keys: the domains of one constraint's variables.
+    key: Vec<ByteDomain>,
 }
 
 impl<'a> Solver<'a> {
-    fn new(set: &'a ConstraintSet, limits: SolveLimits) -> Solver<'a> {
+    fn new(set: &'a ConstraintSet, limits: SolveLimits, memo: &'a mut FilterMemo) -> Solver<'a> {
         let vars: Vec<u32> = set.vars().into_iter().collect();
         let index: BTreeMap<u32, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
         let cvars = set
@@ -252,6 +366,8 @@ impl<'a> Solver<'a> {
             limits,
             nodes: 0,
             budget_hit: false,
+            memo,
+            key: Vec::new(),
         }
     }
 
@@ -297,26 +413,17 @@ impl<'a> Solver<'a> {
                             return false;
                         }
                     }
-                    1 => {
-                        let vi = free[0];
-                        let off = self.vars[vi];
-                        let mut keep = ByteDomain::empty();
-                        for cand in self.domains[vi].iter() {
-                            let ok = c
-                                .eval(&|o| {
-                                    if o == off {
-                                        Some(cand)
-                                    } else {
-                                        self.singleton_of(o)
-                                    }
-                                })
-                                .unwrap_or(false);
-                            if ok {
-                                keep.insert(cand);
+                    n @ (1 | 2) => {
+                        if n == 2 {
+                            let work = u64::from(self.domains[free[0]].len())
+                                * u64::from(self.domains[free[1]].len());
+                            if pair_work + work > self.limits.max_pair_work {
+                                continue;
                             }
+                            pair_work += work;
                         }
-                        changed |= self.domains[vi].intersect(&keep);
-                        if self.domains[vi].is_empty() {
+                        changed |= self.narrow(ci, &free);
+                        if free.iter().any(|&vi| self.domains[vi].is_empty()) {
                             return false;
                         }
                     }
@@ -324,32 +431,67 @@ impl<'a> Solver<'a> {
                     // expensive, but interval reasoning can still
                     // refute impossible bounds (e.g. a byte sum that
                     // cannot reach the required constant).
-                    _ if free.len() >= 3 && self.interval_refuted(c) => {
-                        bump(&INTERVAL_REFUTATIONS);
-                        return false;
-                    }
-                    _ if free.len() >= 3 => {}
-                    2 => {
-                        let (a, b) = (free[0], free[1]);
-                        let work =
-                            u64::from(self.domains[a].len()) * u64::from(self.domains[b].len());
-                        if pair_work + work > self.limits.max_pair_work {
-                            continue;
-                        }
-                        pair_work += work;
-                        changed |= self.pair_filter(ci, a, b);
-                        changed |= self.pair_filter(ci, b, a);
-                        if self.domains[a].is_empty() || self.domains[b].is_empty() {
+                    _ => {
+                        if self.interval_refuted(c) {
+                            bump(&INTERVAL_REFUTATIONS);
                             return false;
                         }
                     }
-                    _ => {}
                 }
             }
             if !changed {
                 return true;
             }
         }
+    }
+
+    /// Narrows the free variables of constraint `ci` (one or two, in
+    /// offset order): the one-variable filter, or the pair filter in
+    /// both directions. Memoized on the constraint and the domains of all
+    /// its variables. Returns whether a domain changed.
+    fn narrow(&mut self, ci: usize, free: &[usize]) -> bool {
+        let c = &self.constraints[ci];
+        self.key.clear();
+        self.key
+            .extend(self.cvars[ci].iter().map(|&vi| self.domains[vi]));
+        if let Some(narrowed) = self.memo.get(c, &self.key) {
+            let mut changed = false;
+            for (&vi, d) in free.iter().zip(narrowed) {
+                changed |= self.domains[vi].intersect(d);
+            }
+            return changed;
+        }
+        let changed = match *free {
+            [vi] => self.unary_filter(ci, vi),
+            [a, b] => self.pair_filter(ci, a, b) | self.pair_filter(ci, b, a),
+            _ => unreachable!("narrow filters one or two free variables"),
+        };
+        let narrowed = free.iter().map(|&vi| self.domains[vi]).collect();
+        self.memo.insert(c, &self.key, narrowed);
+        changed
+    }
+
+    /// Removes values of `target` (the only free variable of constraint
+    /// `ci`) that violate it. Returns whether the domain changed.
+    fn unary_filter(&mut self, ci: usize, target: usize) -> bool {
+        let c = &self.constraints[ci];
+        let off = self.vars[target];
+        let mut keep = ByteDomain::empty();
+        for cand in self.domains[target].iter() {
+            let ok = c
+                .eval(&|o| {
+                    if o == off {
+                        Some(cand)
+                    } else {
+                        self.singleton_of(o)
+                    }
+                })
+                .unwrap_or(false);
+            if ok {
+                keep.insert(cand);
+            }
+        }
+        self.domains[target].intersect(&keep)
     }
 
     /// Removes values of `target` that have no support in `other` for
@@ -472,11 +614,74 @@ impl<'a> Solver<'a> {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraint::Cond;
     use crate::expr::Expr;
     use octo_ir::BinOp;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The memo equivalence of `tests/props.rs` with a capacity of 1:
+        /// the memo is cleared on almost every insert, so eviction lands
+        /// between the filters of one propagation.
+        #[test]
+        fn capacity_one_memo_matches_a_fresh_memo(run in super::common::arb_run()) {
+            let mut memo = FilterMemo::with_cap(1);
+            super::common::check_memo_matches_fresh(&run, &mut memo)?;
+            proptest::prop_assert!(memo.len() <= 1);
+        }
+    }
+
+    #[test]
+    fn memo_hits_replay_the_filters_and_the_cap_clears() {
+        // b0 * b1 == 35 (pair filter), b0 != 5 (one-variable filter).
+        let mut set = ConstraintSet::new();
+        let prod = Expr::bin(BinOp::Mul, Expr::byte(0), Expr::byte(1));
+        set.push(Constraint::new(prod, Expr::val(35), Cond::Eq));
+        set.push(Constraint::new(Expr::byte(0), Expr::val(5), Cond::Ne));
+        let fresh = set.solve();
+        let mut memo = FilterMemo::new();
+        assert_eq!(memo.len(), 0);
+        assert_eq!(set.solve_in(SolveLimits::default(), &mut memo), fresh);
+        let filled = memo.len();
+        assert!(filled >= 2, "both filters recorded: {filled}");
+        // A second entry re-runs no filter: every lookup hits.
+        assert_eq!(set.solve_in(SolveLimits::default(), &mut memo), fresh);
+        assert_eq!(memo.len(), filled);
+
+        let mut tiny = FilterMemo::with_cap(1);
+        assert_eq!(set.solve_in(SolveLimits::default(), &mut tiny), fresh);
+        assert_eq!(tiny.len(), 1, "cleared at the cap, then refilled");
+    }
+
+    #[test]
+    fn memo_hits_are_charged_to_the_pair_budget() {
+        // Three pair constraints over full domains spend 3 × 65,536 of
+        // the pre-check's 200,000 pair budget without narrowing; the
+        // fourth, which only the pair filter refutes (255 × 255 <
+        // 65,537), is skipped. Hits must spend the budget exactly as
+        // misses do, or a warm memo would refute what a cold one
+        // cannot.
+        let mut set = ConstraintSet::new();
+        for k in [1_000, 1_001, 1_002] {
+            let sum = Expr::bin(BinOp::Add, Expr::byte(0), Expr::byte(1));
+            set.push(Constraint::new(sum, Expr::val(k), Cond::Ne));
+        }
+        let prod = Expr::bin(BinOp::Mul, Expr::byte(0), Expr::byte(2));
+        set.push(Constraint::new(prod, Expr::val(65_537), Cond::Eq));
+        assert!(set.quick_feasible(), "the budget skips the refuting pair");
+        assert_eq!(set.solve(), SolveResult::Unsat, "a full budget reaches it");
+        let mut memo = FilterMemo::new();
+        assert!(set.quick_feasible_in(&mut memo));
+        assert_eq!(memo.len(), 3, "the three pair filters that ran");
+        assert!(set.quick_feasible_in(&mut memo), "warm memo, same answer");
+    }
 
     fn sat_model(set: &ConstraintSet) -> Model {
         match set.solve() {

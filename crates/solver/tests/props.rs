@@ -5,44 +5,17 @@
 //! are checked: models must satisfy their constraint sets, and Unsat
 //! answers are cross-checked by exhaustive enumeration on small instances.
 
+mod common;
+
+use common::{arb_cond, arb_expr, arb_run, check_memo_matches_fresh};
 use octo_ir::BinOp;
-use octo_solver::{Cond, Constraint, ConstraintSet, Expr, ExprRef, SolveResult};
+// `common` names some of these (`ExprRef`, `SolverCounters`, …) through
+// `crate::`, so it compiles inside the solver's unit tests as well.
+use octo_solver::{
+    Cond, Constraint, ConstraintSet, Expr, ExprRef, FilterMemo, SolveLimits, SolveResult,
+    SolverCounters,
+};
 use proptest::prelude::*;
-
-/// A small random expression over up to `vars` input bytes.
-fn arb_expr(vars: u32, depth: u32) -> BoxedStrategy<ExprRef> {
-    let leaf = prop_oneof![
-        (0..vars).prop_map(Expr::byte),
-        (0u64..300).prop_map(Expr::val),
-    ];
-    leaf.prop_recursive(depth, 16, 2, |inner| {
-        (
-            prop_oneof![
-                Just(BinOp::Add),
-                Just(BinOp::Sub),
-                Just(BinOp::Mul),
-                Just(BinOp::And),
-                Just(BinOp::Or),
-                Just(BinOp::Xor),
-            ],
-            inner.clone(),
-            inner,
-        )
-            .prop_map(|(op, a, b)| Expr::bin(op, a, b))
-    })
-    .boxed()
-}
-
-fn arb_cond() -> impl Strategy<Value = Cond> {
-    prop_oneof![
-        Just(Cond::Eq),
-        Just(Cond::Ne),
-        Just(Cond::Ult),
-        Just(Cond::Ule),
-        Just(Cond::Slt),
-        Just(Cond::Sle),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -122,11 +95,17 @@ proptest! {
             prop_assert!(set.quick_feasible(), "quick check refuted a sat set");
         }
     }
+
+    /// A filter memo shared across growing, forking path conditions,
+    /// as one engine run shares it, changes no answer and no counter.
+    #[test]
+    fn shared_memo_matches_a_fresh_memo_at_every_prefix(run in arb_run()) {
+        check_memo_matches_fresh(&run, &mut FilterMemo::new())?;
+    }
 }
 
 #[test]
 fn exhausted_budget_reports_unknown_not_a_wrong_verdict() {
-    use octo_solver::{SolveLimits, SolveResult};
     // A genuinely unsatisfiable 3-variable constraint that propagation
     // alone cannot refute: b0 + b1 + b2 == 766 (max is 765), written so
     // no pairwise filter sees the contradiction, with a node budget too

@@ -25,7 +25,7 @@ use octo_cfg::DistanceMap;
 use octo_ir::{BlockId, FuncId, Program};
 use octo_poc::{CrashPrimitives, PocFile};
 use octo_sched::CancelToken;
-use octo_solver::{Cond, Constraint, Expr, SolveResult, SolverCounters};
+use octo_solver::{Cond, Constraint, Expr, FilterMemo, SolveLimits, SolveResult, SolverCounters};
 use octo_trace::{emit, TraceKind};
 
 use crate::exec::{Arms, DeadReason, Fork, StepEvent, SymExecutor};
@@ -103,6 +103,8 @@ pub struct DirectedStats {
     /// Solver entries during the run (full solves plus `quick_feasible`
     /// pre-checks and model queries).
     pub solver_calls: u64,
+    /// Wall time spent inside those solver entries, microseconds.
+    pub solver_micros: u64,
     /// Constraint-set refutations proven by interval reasoning alone.
     pub interval_refutations: u64,
     /// Simplifier rewrite rules fired while building expressions.
@@ -213,12 +215,16 @@ struct PathState {
 
 /// Mutable per-run context shared by the step loop and the branch
 /// handlers: the fallback stack (with per-entry size so memory
-/// accounting is O(1)) and the flags that select the exit verdict.
+/// accounting is O(1)), the flags that select the exit verdict, and the
+/// solver's filter memo, which every solver entry of the run shares and
+/// which is dropped with the run.
 #[derive(Default)]
 struct RunCtx {
     /// Alternate-direction states kept for backtracking, each with its
     /// `approx_bytes` at push time.
     fallbacks: Vec<(PathState, u64)>,
+    /// Propagation filter results shared by the run's solver entries.
+    memo: FilterMemo,
     /// Sum of the stored fallback sizes.
     fallback_bytes: u64,
     loop_budget_hit: bool,
@@ -296,6 +302,7 @@ impl<'p> DirectedEngine<'p> {
         let outcome = self.run_inner(&mut stats);
         let solver = SolverCounters::snapshot().since(&solver_before);
         stats.solver_calls = solver.solves;
+        stats.solver_micros = solver.solve_nanos / 1_000;
         stats.interval_refutations = solver.interval_refutations;
         stats.simplify_rewrites = solver.simplify_rewrites;
         stats.wall_seconds = start.elapsed().as_secs_f64();
@@ -378,14 +385,14 @@ impl<'p> DirectedEngine<'p> {
                 }
             }
 
-            let event = self.executor.step(&mut cur.state);
+            let event = self.executor.step_in(&mut cur.state, &mut ctx.memo);
             let next: Option<PathState> = match event {
                 StepEvent::Continue => Some(cur),
                 StepEvent::EnteredEp {
                     entry,
                     args,
                     file_pos,
-                } => match self.stitch_bunch(&mut cur, entry, &args, file_pos) {
+                } => match self.stitch_bunch(&mut cur, entry, &args, file_pos, &mut ctx.memo) {
                     Stitch::Done => break cur.state,
                     Stitch::More => {
                         // Stitching appended bunch constraints — a
@@ -459,7 +466,11 @@ impl<'p> DirectedEngine<'p> {
         // P3.3: solve everything; the model becomes poc'.
         let entries = final_path.state.ep_entries;
         let guiding = final_path.state.constraints.clone();
-        match final_path.state.constraints.solve() {
+        match final_path
+            .state
+            .constraints
+            .solve_in(SolveLimits::default(), &mut ctx.memo)
+        {
             SolveResult::Sat(model) => {
                 let len = (self.config.file_len as usize).max(model.required_len());
                 DirectedOutcome::PocGenerated {
@@ -602,7 +613,7 @@ impl<'p> DirectedEngine<'p> {
                 emit(TraceKind::LoopRetry { visits });
                 continue;
             }
-            if !cand.state.constraints.quick_feasible() {
+            if !cand.state.constraints.quick_feasible_in(&mut ctx.memo) {
                 continue;
             }
             if kept.is_none() {
@@ -632,12 +643,12 @@ impl<'p> DirectedEngine<'p> {
         &self,
         mut cur: PathState,
         fork: &Fork<'_>,
-        ctx: &RunCtx,
+        ctx: &mut RunCtx,
         stats: &mut DirectedStats,
     ) -> Option<PathState> {
         let Some(v) = cur
             .state
-            .model()
+            .model_in(&mut ctx.memo)
             .and_then(|model| fork.scrut.eval(&|off| Some(model.byte(off))))
         else {
             self.note_death(&cur.state, "model-unavailable", ctx, stats);
@@ -646,7 +657,7 @@ impl<'p> DirectedEngine<'p> {
         let arm = fork.arms.select(v);
         if self.config.loop_acceleration
             && matches!(fork.arms, Arms::Two { .. })
-            && self.branch_is_forced(&cur.state, fork, arm)
+            && self.branch_is_forced(&cur.state, fork, arm, &mut ctx.memo)
         {
             // Forced branch: the direction is already implied by the
             // collected constraints — transfer control without growing the
@@ -669,10 +680,16 @@ impl<'p> DirectedEngine<'p> {
 
     /// Whether the opposite arm of a two-way branch is refuted by the
     /// current constraints (so taking `arm` adds no information).
-    fn branch_is_forced(&self, state: &SymState, fork: &Fork<'_>, arm: usize) -> bool {
+    fn branch_is_forced(
+        &self,
+        state: &SymState,
+        fork: &Fork<'_>,
+        arm: usize,
+        memo: &mut FilterMemo,
+    ) -> bool {
         let mut probe = state.constraints.clone();
         probe.push(Constraint::from_bool(&fork.scrut, arm != 0));
-        !probe.quick_feasible()
+        !probe.quick_feasible_in(memo)
     }
 
     /// P3.1/P3.2: on entering `ep`, replay the recorded arguments and pin
@@ -683,6 +700,7 @@ impl<'p> DirectedEngine<'p> {
         entry: u32,
         args: &[SymVal],
         file_pos: u64,
+        memo: &mut FilterMemo,
     ) -> Stitch {
         let k = (entry - 1) as usize;
         let Some(bunch) = self.q.bunch(k) else {
@@ -721,7 +739,7 @@ impl<'p> DirectedEngine<'p> {
             bytes: dense.len() as u64,
             file_pos,
         });
-        if !cur.state.constraints.quick_feasible() {
+        if !cur.state.constraints.quick_feasible_in(memo) {
             return Stitch::Infeasible;
         }
         if (k + 1) == self.q.entry_count() {

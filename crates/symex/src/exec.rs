@@ -10,7 +10,7 @@ use octo_ir::{
     decode_block_addr, decode_func_addr, encode_block_addr, encode_func_addr, BinOp, BlockId,
     FuncId, Inst, Operand, Program, Terminator,
 };
-use octo_solver::{Cond, Constraint, Expr, ExprRef};
+use octo_solver::{Cond, Constraint, Expr, ExprRef, FilterMemo};
 use octo_vm::CrashKind;
 
 use crate::state::{SymFrame, SymState};
@@ -164,11 +164,16 @@ impl<'p> SymExecutor<'p> {
 
     /// Forces `v` concrete, pinning it with an equality constraint
     /// (angr-style concretisation).
-    fn concretize(&self, state: &mut SymState, v: &SymVal) -> Result<u64, DeadReason> {
+    fn concretize(
+        &self,
+        state: &mut SymState,
+        memo: &mut FilterMemo,
+        v: &SymVal,
+    ) -> Result<u64, DeadReason> {
         if let Some(c) = v.as_concrete() {
             return Ok(c);
         }
-        let model = state.model().ok_or(DeadReason::ConcretizeFailed)?;
+        let model = state.model_in(memo).ok_or(DeadReason::ConcretizeFailed)?;
         let expr = v.to_expr();
         let val = expr
             .eval(&|off| Some(model.byte(off)))
@@ -209,6 +214,12 @@ impl<'p> SymExecutor<'p> {
 
     /// Advances `state` by one instruction or terminator.
     pub fn step(&self, state: &mut SymState) -> StepEvent<'p> {
+        self.step_in(state, &mut FilterMemo::new())
+    }
+
+    /// [`SymExecutor::step`] inside an engine run: concretisation solves
+    /// reuse the run's filter `memo`.
+    pub fn step_in(&self, state: &mut SymState, memo: &mut FilterMemo) -> StepEvent<'p> {
         state.steps += 1;
         if state.steps > self.max_steps {
             return StepEvent::Dead(DeadReason::StepBudget);
@@ -226,7 +237,7 @@ impl<'p> SymExecutor<'p> {
 
         if idx < block.insts.len() {
             state.top_mut().idx += 1;
-            return self.exec_inst(state, &block.insts[idx]);
+            return self.exec_inst(state, memo, &block.insts[idx]);
         }
 
         match &block.term {
@@ -258,7 +269,7 @@ impl<'p> SymExecutor<'p> {
             }
             Terminator::JmpIndirect { target } => {
                 let t = self.eval(state, *target);
-                let value = match self.concretize(state, &t) {
+                let value = match self.concretize(state, memo, &t) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -342,7 +353,7 @@ impl<'p> SymExecutor<'p> {
         StepEvent::Continue
     }
 
-    fn exec_inst(&self, state: &mut SymState, inst: &Inst) -> StepEvent<'p> {
+    fn exec_inst(&self, state: &mut SymState, memo: &mut FilterMemo, inst: &Inst) -> StepEvent<'p> {
         macro_rules! set {
             ($dst:expr, $val:expr) => {{
                 let v = $val;
@@ -358,7 +369,7 @@ impl<'p> SymExecutor<'p> {
                 if matches!(op, BinOp::DivU | BinOp::RemU) && b.as_concrete().is_none() {
                     // Concretise the divisor (division is not decomposable
                     // for the byte solver).
-                    match self.concretize(state, &b) {
+                    match self.concretize(state, memo, &b) {
                         Ok(v) => b = SymVal::C(v),
                         Err(r) => return StepEvent::Dead(r),
                     }
@@ -410,7 +421,7 @@ impl<'p> SymExecutor<'p> {
                 width,
             } => {
                 let a = self.eval(state, *addr);
-                let base = match self.concretize(state, &a) {
+                let base = match self.concretize(state, memo, &a) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -429,7 +440,7 @@ impl<'p> SymExecutor<'p> {
                 width,
             } => {
                 let a = self.eval(state, *addr);
-                let base = match self.concretize(state, &a) {
+                let base = match self.concretize(state, memo, &a) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -441,7 +452,7 @@ impl<'p> SymExecutor<'p> {
             }
             Inst::Alloc { dst, size, region } => {
                 let s = self.eval(state, *size);
-                let sz = match self.concretize(state, &s) {
+                let sz = match self.concretize(state, memo, &s) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -453,7 +464,7 @@ impl<'p> SymExecutor<'p> {
             }
             Inst::CallIndirect { dst, target, args } => {
                 let t = self.eval(state, *target);
-                let value = match self.concretize(state, &t) {
+                let value = match self.concretize(state, memo, &t) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -474,16 +485,16 @@ impl<'p> SymExecutor<'p> {
                 set!(dst, SymVal::C(octo_vm::vm::INPUT_FD));
             }
             Inst::FileRead { dst, fd, buf, len } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 let b = self.eval(state, *buf);
-                let buf_addr = match self.concretize(state, &b) {
+                let buf_addr = match self.concretize(state, memo, &b) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
                 let l = self.eval(state, *len);
-                let want = match self.concretize(state, &l) {
+                let want = match self.concretize(state, memo, &l) {
                     Ok(v) => v,
                     Err(r) => return StepEvent::Dead(r),
                 };
@@ -499,7 +510,7 @@ impl<'p> SymExecutor<'p> {
                 set!(dst, SymVal::C(count));
             }
             Inst::FileGetc { dst, fd } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 if state.file_pos < self.file_len {
@@ -511,30 +522,30 @@ impl<'p> SymExecutor<'p> {
                 }
             }
             Inst::FileSeek { fd, pos } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 let p = self.eval(state, *pos);
-                match self.concretize(state, &p) {
+                match self.concretize(state, memo, &p) {
                     Ok(v) => state.file_pos = v,
                     Err(r) => return StepEvent::Dead(r),
                 }
             }
             Inst::FileTell { dst, fd } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 let fp = state.file_pos;
                 set!(dst, SymVal::C(fp));
             }
             Inst::FileSize { dst, fd } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 set!(dst, SymVal::C(self.file_len));
             }
             Inst::MemMap { dst, fd } => {
-                if let Some(e) = self.check_fd(state, *fd) {
+                if let Some(e) = self.check_fd(state, memo, *fd) {
                     return e;
                 }
                 let bytes: Vec<SymByte> = (0..self.file_len)
@@ -549,9 +560,14 @@ impl<'p> SymExecutor<'p> {
         StepEvent::Continue
     }
 
-    fn check_fd(&self, state: &mut SymState, fd: Operand) -> Option<StepEvent<'p>> {
+    fn check_fd(
+        &self,
+        state: &mut SymState,
+        memo: &mut FilterMemo,
+        fd: Operand,
+    ) -> Option<StepEvent<'p>> {
         let v = self.eval(state, fd);
-        match self.concretize(state, &v) {
+        match self.concretize(state, memo, &v) {
             Ok(val) if state.fd_opened && val == octo_vm::vm::INPUT_FD => None,
             Ok(val) => Some(StepEvent::Crashed(CrashKind::BadFileDescriptor { fd: val })),
             Err(r) => Some(StepEvent::Dead(r)),

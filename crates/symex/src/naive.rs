@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use octo_ir::{FuncId, Program};
+use octo_solver::FilterMemo;
 
 use crate::exec::{StepEvent, SymExecutor};
 use crate::state::SymState;
@@ -103,6 +104,8 @@ impl<'p> NaiveExplorer<'p> {
     pub fn run(&self) -> (NaiveOutcome, NaiveStats) {
         let start = Instant::now();
         let mut stats = NaiveStats::default();
+        // Every solver entry of this run shares one filter memo.
+        let mut memo = FilterMemo::new();
         // The queue carries each state's memory estimate so the running
         // total is maintained incrementally (computing it from scratch
         // after every fork would be quadratic in the state count).
@@ -123,7 +126,7 @@ impl<'p> NaiveExplorer<'p> {
                     break 'outer NaiveOutcome::BudgetExhausted;
                 }
                 total_steps += 1;
-                match self.executor.step(&mut state) {
+                match self.executor.step_in(&mut state, &mut memo) {
                     StepEvent::Continue | StepEvent::EnteredEp { .. } => {}
                     StepEvent::Crashed(_) if state.frames.iter().any(|f| f.func == self.target) => {
                         // Crash at the vulnerable location.
@@ -149,7 +152,7 @@ impl<'p> NaiveExplorer<'p> {
                         states.push(state);
                         for (arm, mut s) in states.into_iter().enumerate() {
                             self.executor.take(&mut s, &fork, arm);
-                            if s.constraints.quick_feasible() {
+                            if s.constraints.quick_feasible_in(&mut memo) {
                                 let m = s.approx_bytes();
                                 queued_mem += m;
                                 queue.push_back((s, m));

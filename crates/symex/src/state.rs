@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use octo_ir::{BlockId, FuncId, Program, Reg};
-use octo_solver::{ConstraintSet, Model, SolveResult};
+use octo_solver::{ConstraintSet, FilterMemo, Model, SolveLimits, SolveResult};
 use octo_vm::Memory;
 
 use crate::value::{SymByte, SymVal};
@@ -103,13 +103,19 @@ impl SymState {
     /// Returns `None` when the set is unsatisfiable or the solver budget is
     /// exhausted.
     pub fn model(&mut self) -> Option<Model> {
+        self.model_in(&mut FilterMemo::new())
+    }
+
+    /// [`SymState::model`] inside an engine run: the solve reuses the
+    /// run's filter `memo`.
+    pub fn model_in(&mut self, memo: &mut FilterMemo) -> Option<Model> {
         let version = self.constraints.len();
         if let Some((v, m)) = &self.model_cache {
             if *v == version {
                 return Some(m.clone());
             }
         }
-        match self.constraints.solve() {
+        match self.constraints.solve_in(SolveLimits::default(), memo) {
             SolveResult::Sat(m) => {
                 self.model_cache = Some((version, m.clone()));
                 Some(m)

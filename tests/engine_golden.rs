@@ -41,6 +41,7 @@ fn symex_fields(stats: &DirectedStats) -> String {
         loop_retries,
         forced_branches,
         solver_calls,
+        solver_micros: _,
         interval_refutations,
         simplify_rewrites,
         death,

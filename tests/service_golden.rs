@@ -529,8 +529,17 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
     assert_eq!(status, 200);
     assert!(body.contains("\"windows\":["), "{body}");
 
-    // `octopocs top` consumes the same windows end to end. The corpus
-    // run above took well over a sampling interval, so windows exist.
+    // `octopocs top` consumes the same windows end to end. The sampler
+    // closes its first window about a second after boot, which a fast
+    // corpus run may beat, so wait (bounded) until one exists.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !get("/metrics/rates").1.contains("\"start_us\"") {
+        assert!(
+            Instant::now() < deadline,
+            "no rate window 10 s after the corpus run"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
     let top = Command::new(bin_path("octopocs"))
         .args(["top", "--http", &addr, "--json"])
         .output()
