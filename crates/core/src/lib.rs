@@ -10,7 +10,7 @@
 //!
 //! | phase | function | this implementation |
 //! |---|---|---|
-//! | Preprocessing | find `ep` from the crash backtrace of `S` | [`preprocess`] |
+//! | Preprocessing | find `ep` from the crash backtrace of `S` | [`preprocess`]; in [`prepare`], the P1 run's backtrace |
 //! | P1 | extract crash primitives `q` via context-aware taint analysis | [`octo_taint`] |
 //! | P2 | generate guiding inputs via directed symbolic execution | [`octo_symex::DirectedEngine`] |
 //! | P3 | combine `q` and the guiding constraints into `poc'` | [`octo_symex::DirectedEngine`] |

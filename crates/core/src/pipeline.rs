@@ -17,12 +17,11 @@ use octo_ir::{FuncId, Program};
 use octo_poc::{CrashPrimitives, PocFile};
 use octo_sched::{CancelToken, Event, EventClock, EventKind, EventSink};
 use octo_symex::{DirectedConfig, DirectedEngine, DirectedOutcome, DirectedStats};
-use octo_taint::{extract_with_limits, TaintConfig, TaintError, TaintStats};
+use octo_taint::{extract_at_crash_ep, TaintError, TaintStats};
 use octo_trace::{PostMortem, TraceKind};
 use octo_vm::{CrashReport, RunOutcome, Vm};
 
 use crate::config::PipelineConfig;
-use crate::preprocess::{identify_ep, PreprocessError};
 use crate::verdict::{FailureReason, NotTriggerableReason, TriggerKind, Verdict};
 
 /// One verification job: the paper's initial inputs `S`, `T`, `poc`, `ℓ`.
@@ -225,6 +224,13 @@ impl PrepareFailure {
 
 /// Runs preprocessing and P1 over `S` (the `T`-independent prefix).
 ///
+/// Both come from one taint run of `S` on `poc` that records every
+/// function of `ℓ`; `ep` is then read off that run's crash backtrace by
+/// [`identify_ep`]'s rule, with the same result as running
+/// [`identify_ep`] and then P1 on its `ep`.
+///
+/// [`identify_ep`]: crate::preprocess::identify_ep
+///
 /// # Errors
 /// Fails when `poc` does not crash `S`, or crashes it outside `ℓ` (see
 /// [`PrepareFailure`]); both map onto [`Verdict::Failure`] causes.
@@ -238,45 +244,27 @@ pub fn prepare(
     shared: &[String],
     config: &PipelineConfig,
 ) -> Result<PreparedSource, PrepareFailure> {
-    // --- Preprocessing: find ep on the crash stack of S. ---
-    let ep_info = match identify_ep(s, poc, shared, config.vm_limits) {
-        Ok(info) => info,
-        Err(PreprocessError::NoCrash { exit_code }) => {
-            return Err(PrepareFailure::new(FailureReason::PocDoesNotCrashS {
-                exit_code,
-            }))
-        }
-        Err(PreprocessError::NoSharedFrame | PreprocessError::SharedSetEmpty) => {
-            return Err(PrepareFailure::new(FailureReason::EpNotOnCrashStack))
-        }
-    };
-
-    // --- P1: context-aware taint analysis over S. ---
     let shared_ids = s.resolve_names(shared.iter().map(String::as_str));
-    let taint_config = TaintConfig {
-        ep: ep_info.ep,
-        shared: shared_ids,
-        granularity: config.taint_granularity,
-        context: config.taint_context,
-    };
-    let extraction = match extract_with_limits(s, poc, &taint_config, config.vm_limits) {
-        Ok(e) => e,
-        Err(err) => {
-            let reason = match err {
-                TaintError::NoCrash { exit_code } => FailureReason::PocDoesNotCrashS { exit_code },
-                TaintError::EpNeverEntered => FailureReason::EpNotOnCrashStack,
-            };
-            return Err(PrepareFailure {
-                reason,
-                ep_name: Some(ep_info.ep_name),
-                s_crash: Some(ep_info.s_crash),
-            });
-        }
-    };
+    let (ep, extraction) = extract_at_crash_ep(
+        s,
+        poc,
+        &shared_ids,
+        config.taint_granularity,
+        config.taint_context,
+        config.vm_limits,
+    )
+    .map_err(|err| {
+        PrepareFailure::new(match err {
+            TaintError::NoCrash { exit_code } => FailureReason::PocDoesNotCrashS { exit_code },
+            TaintError::NoSharedFrame | TaintError::EpNeverEntered => {
+                FailureReason::EpNotOnCrashStack
+            }
+        })
+    })?;
     Ok(PreparedSource {
-        ep: ep_info.ep,
-        ep_name: ep_info.ep_name,
-        s_crash: ep_info.s_crash,
+        ep,
+        ep_name: s.func(ep).name.clone(),
+        s_crash: extraction.crash,
         primitives: extraction.primitives,
         ep_entries: extraction.ep_entries,
         p1_insts: extraction.insts,

@@ -70,25 +70,6 @@ impl TaintConfig {
     }
 }
 
-#[derive(Default)]
-struct FrameTaint {
-    regs: HashMap<u16, TaintSet>,
-}
-
-impl FrameTaint {
-    fn get(&self, r: Reg) -> TaintSet {
-        self.regs.get(&r.0).cloned().unwrap_or_default()
-    }
-
-    fn set(&mut self, r: Reg, t: TaintSet) {
-        if t.is_empty() {
-            self.regs.remove(&r.0);
-        } else {
-            self.regs.insert(r.0, t);
-        }
-    }
-}
-
 /// Counters of one taint run (P1 observability).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaintStats {
@@ -100,37 +81,185 @@ pub struct TaintStats {
     pub taint_records: u64,
 }
 
+/// The part of P1 that depends on which function is `ep`: one recorder
+/// per tracked function, fed by the engine's single propagation state.
+struct Recorder {
+    func: FuncId,
+    context: ContextMode,
+    /// Whether the flight-recorder events go out as they happen, or are
+    /// replayed by [`Recorder::emit_events`] once `ep` is known.
+    live: bool,
+    /// Call depth of the active activation, when inside `ℓ`.
+    inside_depth: Option<usize>,
+    entries: u32,
+    acc: Option<Bunch>,
+    acc_args: Vec<u64>,
+    primitives: CrashPrimitives,
+    taint_records: u64,
+}
+
+impl Recorder {
+    fn new(func: FuncId, context: ContextMode, live: bool) -> Recorder {
+        Recorder {
+            func,
+            context,
+            live,
+            inside_depth: None,
+            entries: 0,
+            acc: None,
+            acc_args: Vec::new(),
+            primitives: CrashPrimitives::new(),
+            taint_records: 0,
+        }
+    }
+
+    /// Counts an entry and opens its bunch (one per entry, or one for
+    /// the whole run when context-free).
+    fn enter(&mut self, args: &[u64], depth: usize) {
+        self.entries += 1;
+        if self.live {
+            octo_trace::emit(octo_trace::TraceKind::EpEntered {
+                entry: self.entries,
+            });
+        }
+        self.inside_depth = Some(depth);
+        match self.context {
+            ContextMode::ContextAware => {
+                self.acc = Some(Bunch::new(self.entries));
+                self.acc_args = args.to_vec();
+            }
+            ContextMode::ContextFree => {
+                if self.acc.is_none() {
+                    self.acc = Some(Bunch::new(1));
+                    self.acc_args = args.to_vec();
+                }
+            }
+        }
+    }
+
+    fn leave(&mut self) {
+        self.inside_depth = None;
+        self.close_bunch(false);
+    }
+
+    /// Adds the offsets of `t` to the open bunch (P1.3).
+    fn record(&mut self, t: &TaintSet, poc: &PocFile) {
+        if let Some(b) = &mut self.acc {
+            self.taint_records += 1;
+            for off in t.iter() {
+                b.add(off, poc.byte(off));
+            }
+        }
+    }
+
+    fn close_bunch(&mut self, final_close: bool) {
+        if self.context == ContextMode::ContextFree && !final_close {
+            return;
+        }
+        if let Some(b) = self.acc.take() {
+            if self.live {
+                octo_trace::emit(octo_trace::TraceKind::BunchRecorded {
+                    entry: b.seq,
+                    bytes: b.len() as u64,
+                });
+            }
+            self.primitives.push(b, std::mem::take(&mut self.acc_args));
+        }
+    }
+
+    /// Replays the events a live recorder would have emitted over the
+    /// run, in the same order: each entry, and each bunch when it closed.
+    fn emit_events(&self) {
+        let bunch_recorded = |b: &Bunch| {
+            octo_trace::emit(octo_trace::TraceKind::BunchRecorded {
+                entry: b.seq,
+                bytes: b.len() as u64,
+            })
+        };
+        match self.context {
+            ContextMode::ContextAware => {
+                for b in self.primitives.bunches() {
+                    octo_trace::emit(octo_trace::TraceKind::EpEntered { entry: b.seq });
+                    bunch_recorded(b);
+                }
+            }
+            ContextMode::ContextFree => {
+                for entry in 1..=self.entries {
+                    octo_trace::emit(octo_trace::TraceKind::EpEntered { entry });
+                }
+                self.primitives.bunches().iter().for_each(bunch_recorded);
+            }
+        }
+    }
+}
+
+/// What one tracked function's recorder extracted over a finished run.
+pub(crate) struct Recorded {
+    pub primitives: CrashPrimitives,
+    pub entries: u32,
+    pub stats: TaintStats,
+}
+
 /// The taint-tracking hook. Attach to a [`octo_vm::Vm`] run over the
 /// original software `S` executing the original `poc`, then take the
 /// extracted primitives with [`TaintEngine::into_primitives`].
+///
+/// The engine keeps one propagation state: the per-byte memory map, one
+/// dense register shadow per call frame (indexed by register number,
+/// grown on first write), and the argument and return taint in flight
+/// between a call or return and its hook. What depends on `ep` lives in
+/// a recorder per tracked function, so one run can extract the
+/// primitives of every function of `ℓ` before the crash says which one
+/// is `ep` (see [`crate::extract_at_crash_ep`]).
 pub struct TaintEngine {
-    config: TaintConfig,
+    granularity: Granularity,
     poc: PocFile,
     mem: HashMap<u64, TaintSet>,
-    frames: Vec<FrameTaint>,
+    frames: Vec<Vec<TaintSet>>,
     /// Destination registers of in-flight calls (one per frame above main).
     call_dsts: Vec<Option<Reg>>,
-    /// Argument taints stashed between `on_inst(Call)` and `on_call`.
+    /// Argument taints stashed between `on_inst(Call)` and `on_call`; they
+    /// become the callee's register shadow.
     pending_args: Vec<TaintSet>,
     /// Dst register stashed between `on_inst(Call)` and `on_call`.
     pending_dst: Option<Reg>,
     /// Return-value taint stashed between `on_term(Ret)` and `on_ret`.
     pending_ret: TaintSet,
-    /// Call depth of the active `ep` activation, when inside `ℓ`.
-    inside_depth: Option<usize>,
-    ep_count: u32,
-    acc: Option<Bunch>,
-    acc_args: Vec<u64>,
-    primitives: CrashPrimitives,
+    /// One per tracked function; `TaintEngine::new` tracks `ep` alone.
+    recorders: Vec<Recorder>,
+    /// How many recorders are inside an activation of their function.
+    inside: usize,
     crash: Option<CrashReport>,
-    stats: TaintStats,
+    bytes_uploaded: u64,
+    peak_tainted_addrs: u64,
 }
 
 impl TaintEngine {
-    /// Creates an engine for one run of `S` on `poc`.
+    /// Creates an engine for one run of `S` on `poc`, extracting the
+    /// primitives of `config.ep`.
     pub fn new(config: TaintConfig, poc: PocFile) -> TaintEngine {
+        TaintEngine::tracking(&[config.ep], config.granularity, config.context, poc, true)
+    }
+
+    /// Creates an engine that records every function of `funcs` (listed
+    /// once each). With `live` the flight-recorder events go out as they
+    /// happen; otherwise [`TaintEngine::finish`] replays them for the one
+    /// function it is asked for.
+    pub(crate) fn tracking(
+        funcs: &[FuncId],
+        granularity: Granularity,
+        context: ContextMode,
+        poc: PocFile,
+        live: bool,
+    ) -> TaintEngine {
+        let mut recorders: Vec<Recorder> = Vec::with_capacity(funcs.len());
+        for &f in funcs {
+            if recorders.iter().all(|r| r.func != f) {
+                recorders.push(Recorder::new(f, context, live));
+            }
+        }
         TaintEngine {
-            config,
+            granularity,
             poc,
             mem: HashMap::new(),
             frames: Vec::new(),
@@ -138,19 +267,17 @@ impl TaintEngine {
             pending_args: Vec::new(),
             pending_dst: None,
             pending_ret: TaintSet::empty(),
-            inside_depth: None,
-            ep_count: 0,
-            acc: None,
-            acc_args: Vec::new(),
-            primitives: CrashPrimitives::new(),
+            recorders,
+            inside: 0,
             crash: None,
-            stats: TaintStats::default(),
+            bytes_uploaded: 0,
+            peak_tainted_addrs: 0,
         }
     }
 
     /// Number of times execution entered `ep`.
     pub fn ep_entries(&self) -> u32 {
-        self.ep_count
+        self.recorders[0].entries
     }
 
     /// The crash report observed, if any.
@@ -161,25 +288,65 @@ impl TaintEngine {
     /// Counters accumulated so far (read them before
     /// [`TaintEngine::into_primitives`] consumes the engine).
     pub fn stats(&self) -> TaintStats {
-        self.stats
+        self.stats_of(&self.recorders[0])
     }
 
     /// Finalises and returns the extracted crash primitives.
-    pub fn into_primitives(mut self) -> CrashPrimitives {
-        self.close_bunch(true);
-        self.primitives
+    pub fn into_primitives(self) -> CrashPrimitives {
+        let ep = self.recorders[0].func;
+        self.finish(ep).primitives
     }
 
-    fn op_taint(&self, op: Operand) -> TaintSet {
-        match op {
-            Operand::Reg(r) => self.frames.last().map(|f| f.get(r)).unwrap_or_default(),
-            Operand::Imm(_) => TaintSet::empty(),
+    /// Finalises the recorder of `func`, a tracked function, replaying
+    /// its events if they were not emitted live.
+    pub(crate) fn finish(mut self, func: FuncId) -> Recorded {
+        let i = self
+            .recorders
+            .iter()
+            .position(|r| r.func == func)
+            .expect("finish is asked for a tracked function");
+        let stats = self.stats_of(&self.recorders[i]);
+        let mut rec = self.recorders.swap_remove(i);
+        rec.close_bunch(true);
+        if !rec.live {
+            rec.emit_events();
+        }
+        Recorded {
+            primitives: rec.primitives,
+            entries: rec.entries,
+            stats,
         }
     }
 
+    fn stats_of(&self, rec: &Recorder) -> TaintStats {
+        TaintStats {
+            bytes_uploaded: self.bytes_uploaded,
+            peak_tainted_addrs: self.peak_tainted_addrs,
+            taint_records: rec.taint_records,
+        }
+    }
+
+    fn reg(&self, op: Operand) -> Option<&TaintSet> {
+        match op {
+            Operand::Reg(r) => self.frames.last()?.get(r.0 as usize),
+            Operand::Imm(_) => None,
+        }
+    }
+
+    fn op_taint(&self, op: Operand) -> TaintSet {
+        self.reg(op).cloned().unwrap_or_default()
+    }
+
     fn set_reg(&mut self, r: Reg, t: TaintSet) {
-        if let Some(f) = self.frames.last_mut() {
-            f.set(r, t);
+        let Some(regs) = self.frames.last_mut() else {
+            return;
+        };
+        let i = r.0 as usize;
+        if let Some(slot) = regs.get_mut(i) {
+            *slot = t;
+        } else if !t.is_empty() {
+            regs.resize(i + 1, TaintSet::empty());
+            regs[i] = t;
         }
     }
 
@@ -209,34 +376,33 @@ impl TaintEngine {
 
     /// Keeps the tainted-address watermark current after map growth.
     fn note_tainted_peak(&mut self) {
-        self.stats.peak_tainted_addrs = self.stats.peak_tainted_addrs.max(self.mem.len() as u64);
+        self.peak_tainted_addrs = self.peak_tainted_addrs.max(self.mem.len() as u64);
     }
 
-    fn inside(&self) -> bool {
-        self.inside_depth.is_some()
-    }
-
-    /// Adds the offsets of `t` to the current bunch (P1.3).
+    /// Adds the offsets of `t` to the bunch of every recorder inside `ℓ`
+    /// (P1.3).
     fn record(&mut self, t: &TaintSet) {
-        if t.is_empty() || !self.inside() {
+        if self.inside == 0 || t.is_empty() {
             return;
         }
-        if let Some(b) = &mut self.acc {
-            self.stats.taint_records += 1;
-            for off in t.iter() {
-                b.add(off, self.poc.byte(off));
+        for rec in &mut self.recorders {
+            if rec.inside_depth.is_some() {
+                rec.record(t, &self.poc);
             }
         }
     }
 
     /// Marks freshly uploaded file bytes: `mem[addr+i] = {file_off+i}`.
+    /// Addresses wrap past `u64::MAX` as the VM's own do.
     fn upload(&mut self, addr: u64, file_off: u64, len: u64) {
-        self.stats.bytes_uploaded += len;
-        match self.config.granularity {
+        self.bytes_uploaded += len;
+        match self.granularity {
             Granularity::Byte => {
                 for i in 0..len {
-                    self.mem
-                        .insert(addr + i, TaintSet::single((file_off + i) as u32));
+                    self.mem.insert(
+                        addr.wrapping_add(i),
+                        TaintSet::single((file_off + i) as u32),
+                    );
                 }
             }
             Granularity::Word => {
@@ -245,59 +411,19 @@ impl TaintEngine {
                 let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
                 for i in 0..len {
                     groups
-                        .entry((addr + i) & !7)
+                        .entry(addr.wrapping_add(i) & !7)
                         .or_default()
                         .push((file_off + i) as u32);
                 }
                 for (base, offs) in groups {
                     let set = TaintSet::from_iter(offs);
                     for j in 0..8 {
-                        self.mem.insert(base + j, set.clone());
+                        self.mem.insert(base.wrapping_add(j), set.clone());
                     }
                 }
             }
         }
         self.note_tainted_peak();
-    }
-
-    fn open_bunch(&mut self, args: &[u64]) {
-        match self.config.context {
-            ContextMode::ContextAware => {
-                self.acc = Some(Bunch::new(self.ep_count));
-                self.acc_args = args.to_vec();
-            }
-            ContextMode::ContextFree => {
-                if self.acc.is_none() {
-                    self.acc = Some(Bunch::new(1));
-                    self.acc_args = args.to_vec();
-                }
-            }
-        }
-    }
-
-    fn close_bunch(&mut self, final_close: bool) {
-        match self.config.context {
-            ContextMode::ContextAware => {
-                if let Some(b) = self.acc.take() {
-                    octo_trace::emit(octo_trace::TraceKind::BunchRecorded {
-                        entry: b.seq,
-                        bytes: b.len() as u64,
-                    });
-                    self.primitives.push(b, std::mem::take(&mut self.acc_args));
-                }
-            }
-            ContextMode::ContextFree => {
-                if final_close {
-                    if let Some(b) = self.acc.take() {
-                        octo_trace::emit(octo_trace::TraceKind::BunchRecorded {
-                            entry: b.seq,
-                            bytes: b.len() as u64,
-                        });
-                        self.primitives.push(b, std::mem::take(&mut self.acc_args));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -315,16 +441,16 @@ impl Hook for TaintEngine {
             | Inst::FileOpen { dst }
             | Inst::FileTell { dst, .. }
             | Inst::FileSize { dst, .. } => self.set_reg(*dst, TaintSet::empty()),
-            Inst::Move { dst, src } => {
+            Inst::Move { dst, src } | Inst::Un { dst, src, .. } => {
                 let t = self.op_taint(*src);
                 self.set_reg(*dst, t);
             }
             Inst::Bin { dst, lhs, rhs, .. } | Inst::CheckedBin { dst, lhs, rhs, .. } => {
-                let t = self.op_taint(*lhs).union(&self.op_taint(*rhs));
-                self.set_reg(*dst, t);
-            }
-            Inst::Un { dst, src, .. } => {
-                let t = self.op_taint(*src);
+                let t = match (self.reg(*lhs), self.reg(*rhs)) {
+                    (Some(l), Some(r)) => l.union(r),
+                    (Some(t), None) | (None, Some(t)) => t.clone(),
+                    (None, None) => TaintSet::empty(),
+                };
                 self.set_reg(*dst, t);
             }
             Inst::Load {
@@ -354,11 +480,7 @@ impl Hook for TaintEngine {
                 self.record(&touched);
                 self.set_mem_range(a, width.bytes(), &src_t);
             }
-            Inst::Call { dst, args, .. } => {
-                self.pending_args = args.iter().map(|a| self.op_taint(*a)).collect();
-                self.pending_dst = *dst;
-            }
-            Inst::CallIndirect { dst, args, .. } => {
+            Inst::Call { dst, args, .. } | Inst::CallIndirect { dst, args, .. } => {
                 self.pending_args = args.iter().map(|a| self.op_taint(*a)).collect();
                 self.pending_dst = *dst;
             }
@@ -370,8 +492,10 @@ impl Hook for TaintEngine {
                 if count > 0 {
                     self.upload(buf_addr, pos, count);
                     // Bytes read while inside ℓ are used in ℓ.
-                    let offs = TaintSet::from_iter(pos as u32..(pos + count) as u32);
-                    self.record(&offs);
+                    if self.inside > 0 {
+                        let offs = TaintSet::from_iter(pos as u32..(pos + count) as u32);
+                        self.record(&offs);
+                    }
                 }
                 self.set_reg(*dst, TaintSet::empty());
             }
@@ -380,7 +504,7 @@ impl Hook for TaintEngine {
                     // A getc consumes one input byte just like a read;
                     // it lands in a register instead of memory, so it is
                     // billed here rather than in `upload`.
-                    self.stats.bytes_uploaded += 1;
+                    self.bytes_uploaded += 1;
                     let t = TaintSet::single(ctx.file_pos as u32);
                     self.record(&t);
                     self.set_reg(*dst, t);
@@ -398,10 +522,11 @@ impl Hook for TaintEngine {
     }
 
     fn on_term(&mut self, _ctx: &HookCtx<'_>, term: &Terminator) {
-        if let Terminator::Ret(Some(v)) = term {
-            self.pending_ret = self.op_taint(*v);
-        } else if let Terminator::Ret(None) = term {
-            self.pending_ret = TaintSet::empty();
+        if let Terminator::Ret(v) = term {
+            self.pending_ret = match v {
+                Some(v) => self.op_taint(*v),
+                None => TaintSet::empty(),
+            };
         }
     }
 
@@ -410,28 +535,27 @@ impl Hook for TaintEngine {
     }
 
     fn on_call(&mut self, callee: FuncId, args: &[u64], depth: usize) {
-        let mut frame = FrameTaint::default();
-        for (i, t) in self.pending_args.drain(..).enumerate() {
-            frame.set(Reg(i as u16), t);
-        }
-        self.frames.push(frame);
+        // Argument i's taint lands in the callee's register i.
+        self.frames.push(std::mem::take(&mut self.pending_args));
         if depth > 1 {
             self.call_dsts.push(self.pending_dst.take());
         }
-        if callee == self.config.ep && !self.inside() {
-            self.ep_count += 1;
-            octo_trace::emit(octo_trace::TraceKind::EpEntered {
-                entry: self.ep_count,
-            });
-            self.inside_depth = Some(depth);
-            self.open_bunch(args);
+        for rec in &mut self.recorders {
+            if rec.func == callee && rec.inside_depth.is_none() {
+                rec.enter(args, depth);
+                self.inside += 1;
+            }
         }
     }
 
     fn on_ret(&mut self, _func: FuncId, value: Option<u64>, depth: usize) {
-        if self.inside_depth == Some(depth) {
-            self.inside_depth = None;
-            self.close_bunch(false);
+        if self.inside > 0 {
+            for rec in &mut self.recorders {
+                if rec.inside_depth == Some(depth) {
+                    rec.leave();
+                    self.inside -= 1;
+                }
+            }
         }
         self.frames.pop();
         let dst = if depth > 1 {
@@ -452,10 +576,12 @@ impl Hook for TaintEngine {
 
     fn on_crash(&mut self, report: &CrashReport) {
         self.crash = Some(report.clone());
-        if self.inside() {
-            self.inside_depth = None;
-            self.close_bunch(false);
+        for rec in &mut self.recorders {
+            if rec.inside_depth.is_some() {
+                rec.leave();
+            }
         }
+        self.inside = 0;
     }
 }
 
@@ -718,6 +844,63 @@ entry:
         assert!(out.is_crash());
         let q = engine.into_primitives();
         assert_eq!(q.total_bytes(), 0);
+    }
+
+    #[test]
+    fn read_into_the_top_of_the_address_space_wraps() {
+        // The upload wraps past u64::MAX as the VM's own address
+        // arithmetic does; the faulting read still counts as consumed
+        // inside ℓ.
+        let src = r#"
+func main() {
+entry:
+    fd = open
+    call shared(fd)
+    halt 0
+}
+func shared(fd) {
+entry:
+    n = read fd, 0xFFFFFFFFFFFFFFFF, 4
+    ret
+}
+"#;
+        let (engine, out) = run_taint(src, b"wxyz", "shared");
+        assert!(out.is_crash());
+        let stats = engine.stats();
+        assert_eq!(stats.bytes_uploaded, 4);
+        assert_eq!(stats.peak_tainted_addrs, 4, "u64::MAX, 0, 1, 2");
+        let q = engine.into_primitives();
+        let bunch: Vec<(u32, u8)> = q.bunch(0).unwrap().iter().collect();
+        assert_eq!(bunch, vec![(0, b'w'), (1, b'x'), (2, b'y'), (3, b'z')]);
+    }
+
+    #[test]
+    fn faulting_store_counts_toward_the_tainted_peak() {
+        // The hook taints the destination before the VM executes the
+        // store, so the byte the crashing store wrote is in the peak.
+        let src = r#"
+func main() {
+entry:
+    fd = open
+    b = getc fd
+    call shared(b)
+    halt 0
+}
+func shared(v) {
+entry:
+    store.1 0, v
+    ret
+}
+"#;
+        let (engine, out) = run_taint(src, b"Q", "shared");
+        assert_eq!(out.crash().map(|c| c.kind.class()), Some("NULL-DEREF"));
+        assert_eq!(engine.stats().peak_tainted_addrs, 1);
+        assert_eq!(engine.stats().taint_records, 1);
+        let q = engine.into_primitives();
+        assert_eq!(
+            q.bunch(0).unwrap().iter().collect::<Vec<_>>(),
+            vec![(0, b'Q')]
+        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 use std::fmt;
 
-use octo_ir::Program;
+use octo_ir::{FuncId, Program};
 use octo_poc::{CrashPrimitives, PocFile};
 use octo_vm::{CrashReport, Limits, RunOutcome, Vm};
 
-use crate::engine::{TaintConfig, TaintEngine, TaintStats};
+use crate::engine::{ContextMode, Granularity, TaintConfig, TaintEngine, TaintStats};
 
 /// Why extraction could not produce crash primitives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,6 +20,9 @@ pub enum TaintError {
     /// `S` crashed, but execution never entered `ep` — the provided `ep`
     /// does not match the crash (wrong shared-function set).
     EpNeverEntered,
+    /// No function of `ℓ` is on the crash stack of `S` (or `ℓ` names no
+    /// function of `S`), so there is no `ep` to extract for.
+    NoSharedFrame,
 }
 
 impl fmt::Display for TaintError {
@@ -29,6 +32,7 @@ impl fmt::Display for TaintError {
                 write!(f, "poc did not crash S (exit code {exit_code})")
             }
             TaintError::EpNeverEntered => f.write_str("S crashed but execution never entered ep"),
+            TaintError::NoSharedFrame => f.write_str("crash backtrace contains no shared function"),
         }
     }
 }
@@ -76,28 +80,80 @@ pub fn extract_with_limits(
     config: &TaintConfig,
     limits: Limits,
 ) -> Result<Extraction, TaintError> {
-    let mut engine = TaintEngine::new(config.clone(), poc.clone());
+    let engine = TaintEngine::new(config.clone(), poc.clone());
+    let (engine, crash, insts) = run(program, poc, engine, limits)?;
+    if engine.ep_entries() == 0 {
+        return Err(TaintError::EpNeverEntered);
+    }
+    Ok(extraction(engine, config.ep, crash, insts, poc))
+}
+
+/// Preprocessing and P1 in one run of `S`: `(ep, P1(S, ep, poc))`.
+///
+/// The run records the bunches of every function of `shared` (`ℓ`), as
+/// if each were `ep`. Once `S` has crashed, `ep` is the outermost frame
+/// of the crash backtrace that belongs to `ℓ` — the paper's preprocessing
+/// rule (§III), [`octo_vm::Backtrace::first_in`] — and its recorder
+/// becomes the extraction, exactly as [`extract_with_limits`] on that
+/// `ep` would return it. The flight recorder receives `ep`'s
+/// `EpEntered`/`BunchRecorded` events, in run order, once the run has
+/// ended; no other function of `ℓ` emits any.
+///
+/// # Errors
+/// [`TaintError::NoSharedFrame`] when `shared` is empty (without running
+/// `S`) or the crash stack holds none of its functions;
+/// [`TaintError::NoCrash`] when `S` exits.
+pub fn extract_at_crash_ep(
+    program: &Program,
+    poc: &PocFile,
+    shared: &[FuncId],
+    granularity: Granularity,
+    context: ContextMode,
+    limits: Limits,
+) -> Result<(FuncId, Extraction), TaintError> {
+    if shared.is_empty() {
+        return Err(TaintError::NoSharedFrame);
+    }
+    let engine = TaintEngine::tracking(shared, granularity, context, poc.clone(), false);
+    let (engine, crash, insts) = run(program, poc, engine, limits)?;
+    let ep = crash
+        .backtrace
+        .first_in(shared)
+        .ok_or(TaintError::NoSharedFrame)?;
+    Ok((ep, extraction(engine, ep, crash, insts, poc)))
+}
+
+/// Runs `S` on `poc` under `engine`; a clean exit is [`TaintError::NoCrash`].
+fn run(
+    program: &Program,
+    poc: &PocFile,
+    mut engine: TaintEngine,
+    limits: Limits,
+) -> Result<(TaintEngine, CrashReport, u64), TaintError> {
     let mut vm = Vm::new(program, poc.bytes()).with_limits(limits);
-    let outcome = vm.run_hooked(&mut engine);
-    let insts = vm.insts_executed();
-    match outcome {
+    match vm.run_hooked(&mut engine) {
         RunOutcome::Exit(exit_code) => Err(TaintError::NoCrash { exit_code }),
-        RunOutcome::Crash(crash) => {
-            let ep_entries = engine.ep_entries();
-            if ep_entries == 0 {
-                return Err(TaintError::EpNeverEntered);
-            }
-            let stats = engine.stats();
-            let primitives: CrashPrimitives = engine.into_primitives();
-            debug_assert!(primitives.consistent_with(poc));
-            Ok(Extraction {
-                primitives,
-                crash,
-                ep_entries,
-                insts,
-                stats,
-            })
-        }
+        RunOutcome::Crash(crash) => Ok((engine, crash, vm.insts_executed())),
+    }
+}
+
+/// The extraction of `ep`'s recorder, which the run entered at least once.
+fn extraction(
+    engine: TaintEngine,
+    ep: FuncId,
+    crash: CrashReport,
+    insts: u64,
+    poc: &PocFile,
+) -> Extraction {
+    let recorded = engine.finish(ep);
+    debug_assert!(recorded.entries > 0, "ep is entered before it crashes");
+    debug_assert!(recorded.primitives.consistent_with(poc));
+    Extraction {
+        primitives: recorded.primitives,
+        crash,
+        ep_entries: recorded.entries,
+        insts,
+        stats: recorded.stats,
     }
 }
 

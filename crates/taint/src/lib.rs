@@ -17,6 +17,21 @@
 //!    current entry. Bunches are emitted in entry order together with the
 //!    arguments `ep` received (phase P3 replays those arguments in `T`).
 //!
+//! **State.** The engine keeps one propagation state per run: a per-byte
+//! memory map (`HashMap<u64, TaintSet>` with std's keyed hasher, because
+//! `S` picks the addresses), one dense register shadow per call frame
+//! (a `Vec<TaintSet>` indexed by register number), and the argument and
+//! return taint in flight across calls. A [`TaintSet`] holds one offset
+//! inline, so the common single-byte flow (one per `getc`) allocates
+//! nothing; only sets of two or more offsets share an `Rc`.
+//!
+//! **Recorders.** What depends on `ep` (the entry count, the open bunch
+//! and its arguments, the finished bunches and `taint_records`) lives in
+//! one recorder per tracked function. [`extract_with_limits`] tracks a
+//! given `ep`. [`extract_at_crash_ep`] tracks every function of `ℓ` and,
+//! once `S` has crashed, picks `ep` off the crash backtrace (the paper's
+//! preprocessing rule), so preprocessing and P1 share one run of `S`.
+//!
 //! Two ablation switches reproduce the paper's design choices:
 //! [`Granularity::Word`] (vs the paper's byte-level tainting, §IV-A) and
 //! [`ContextMode::ContextFree`] (the Table III baseline, which collapses
@@ -63,5 +78,7 @@ pub mod extract;
 pub mod set;
 
 pub use engine::{ContextMode, Granularity, TaintConfig, TaintEngine, TaintStats};
-pub use extract::{extract_crash_primitives, extract_with_limits, Extraction, TaintError};
+pub use extract::{
+    extract_at_crash_ep, extract_crash_primitives, extract_with_limits, Extraction, TaintError,
+};
 pub use set::TaintSet;

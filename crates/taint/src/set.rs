@@ -4,12 +4,22 @@ use std::rc::Rc;
 
 /// An immutable, shareable set of PoC file offsets.
 ///
-/// Taint sets are copied along every data-flow edge, so they are reference
-/// counted and copy-on-write: propagating a set is an `Rc` clone, and the
-/// common single-source case allocates once.
+/// Taint sets are copied along every data-flow edge, so copying one must
+/// be cheap. The empty set and a one-offset set (one per `getc`, the
+/// common case) are held inline and never allocate; only sets of two or
+/// more offsets share a reference-counted slice. A one-offset set always
+/// takes the inline form, so the derived equality is structural: equal
+/// sets compare equal however they were built.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TaintSet {
-    offs: Option<Rc<Vec<u32>>>,
+pub struct TaintSet(Repr);
+
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(u32),
+    /// Two or more offsets, sorted and deduplicated.
+    Many(Rc<[u32]>),
 }
 
 impl TaintSet {
@@ -20,80 +30,90 @@ impl TaintSet {
 
     /// A single-offset set.
     pub fn single(off: u32) -> TaintSet {
-        TaintSet {
-            offs: Some(Rc::new(vec![off])),
-        }
+        TaintSet(Repr::One(off))
     }
 
     /// Builds from a sorted, deduplicated vector.
     fn from_sorted(v: Vec<u32>) -> TaintSet {
-        if v.is_empty() {
-            TaintSet::empty()
-        } else {
-            TaintSet {
-                offs: Some(Rc::new(v)),
-            }
+        match v.len() {
+            0 => TaintSet::empty(),
+            1 => TaintSet::single(v[0]),
+            _ => TaintSet(Repr::Many(v.into())),
+        }
+    }
+
+    /// The offsets as a sorted slice.
+    fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(off) => std::slice::from_ref(off),
+            Repr::Many(offs) => offs,
         }
     }
 
     /// Whether the set is empty (no taint).
     pub fn is_empty(&self) -> bool {
-        self.offs.is_none()
+        matches!(self.0, Repr::Empty)
     }
 
     /// Number of offsets.
     pub fn len(&self) -> usize {
-        self.offs.as_ref().map_or(0, |v| v.len())
+        self.as_slice().len()
     }
 
     /// The offsets in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.offs.iter().flat_map(|v| v.iter().copied())
+        self.as_slice().iter().copied()
     }
 
-    /// Set union. Cheap when either side is empty or both point to the
-    /// same underlying allocation.
+    /// Set union. Allocates nothing when either side is empty, when both
+    /// sides are the same set, or when one side is a single offset the
+    /// other already holds: the result then shares that side's storage.
     pub fn union(&self, other: &TaintSet) -> TaintSet {
-        match (&self.offs, &other.offs) {
-            (None, None) => TaintSet::empty(),
-            (Some(_), None) => self.clone(),
-            (None, Some(_)) => other.clone(),
-            (Some(a), Some(b)) => {
-                if Rc::ptr_eq(a, b) {
-                    return self.clone();
-                }
-                let mut out = Vec::with_capacity(a.len() + b.len());
-                let (mut i, mut j) = (0, 0);
-                while i < a.len() && j < b.len() {
-                    match a[i].cmp(&b[j]) {
-                        std::cmp::Ordering::Less => {
-                            out.push(a[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            out.push(b[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            out.push(a[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                out.extend_from_slice(&a[i..]);
-                out.extend_from_slice(&b[j..]);
-                TaintSet::from_sorted(out)
-            }
+        match (&self.0, &other.0) {
+            (_, Repr::Empty) => self.clone(),
+            (Repr::Empty, _) => other.clone(),
+            (_, Repr::One(off)) if self.contains(*off) => self.clone(),
+            (Repr::One(off), _) if other.contains(*off) => other.clone(),
+            (Repr::Many(a), Repr::Many(b)) if a == b => self.clone(),
+            _ => TaintSet::from_sorted(merge(self.as_slice(), other.as_slice())),
         }
     }
 
     /// Whether `off` is in the set.
     pub fn contains(&self, off: u32) -> bool {
-        self.offs
-            .as_ref()
-            .is_some_and(|v| v.binary_search(&off).is_ok())
+        match &self.0 {
+            Repr::Empty => false,
+            Repr::One(o) => *o == off,
+            Repr::Many(offs) => offs.binary_search(&off).is_ok(),
+        }
     }
+}
+
+/// The sorted, deduplicated union of two sorted, deduplicated slices.
+fn merge(a: &[u32], b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 impl FromIterator<u32> for TaintSet {
@@ -108,6 +128,14 @@ impl FromIterator<u32> for TaintSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `a` and `b` are the same shared allocation.
+    fn same_storage(a: &TaintSet, b: &TaintSet) -> bool {
+        match (&a.0, &b.0) {
+            (Repr::Many(x), Repr::Many(y)) => Rc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
 
     #[test]
     fn empty_properties() {
@@ -134,10 +162,27 @@ mod tests {
     }
 
     #[test]
-    fn union_same_rc_is_cheap_identity() {
-        let a = TaintSet::single(3);
-        let b = a.clone();
-        assert_eq!(a.union(&b), a);
+    fn one_offset_sets_are_inline() {
+        assert_eq!(TaintSet::from_iter([3, 3]), TaintSet::single(3));
+        assert_eq!(
+            TaintSet::single(3).union(&TaintSet::single(3)),
+            TaintSet::single(3)
+        );
+        assert!(matches!(TaintSet::from_iter([3]).0, Repr::One(3)));
+    }
+
+    #[test]
+    fn union_that_adds_nothing_returns_the_receivers_storage() {
+        let a = TaintSet::from_iter([2, 4, 8]);
+        let twin = TaintSet::from_iter([8, 4, 2]);
+        assert!(!same_storage(&a, &twin));
+        for other in [TaintSet::empty(), a.clone(), twin, TaintSet::single(4)] {
+            let u = a.union(&other);
+            assert!(same_storage(&u, &a), "{a:?} ∪ {other:?} allocated");
+        }
+        // The single offset or the empty set may sit on either side.
+        assert!(same_storage(&TaintSet::single(8).union(&a), &a));
+        assert!(same_storage(&TaintSet::empty().union(&a), &a));
     }
 
     #[test]

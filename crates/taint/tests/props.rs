@@ -1,9 +1,12 @@
 //! Property tests for the taint engine: over random record-parser
-//! programs, the extracted crash primitives obey the P1 contract.
+//! programs, the extracted crash primitives obey the P1 contract; over
+//! random offset lists, `TaintSet` behaves as a `BTreeSet<u32>`.
+
+use std::collections::BTreeSet;
 
 use octo_ir::parse::parse_program;
 use octo_poc::PocFile;
-use octo_taint::{extract_crash_primitives, TaintConfig};
+use octo_taint::{extract_crash_primitives, TaintConfig, TaintSet};
 use proptest::prelude::*;
 
 /// A parser with `n_records` size-prefixed records, each handed to the
@@ -144,6 +147,59 @@ proptest! {
         prop_assert_eq!(
             plain.primitives.all_offsets(),
             aware.primitives.flatten().all_offsets()
+        );
+    }
+}
+
+/// The same offsets as a set built three ways: collected, folded from
+/// single-offset unions in list order, and as the union of two halves.
+fn built_three_ways(offs: &[u32]) -> [TaintSet; 3] {
+    let collected: TaintSet = offs.iter().copied().collect();
+    let folded = offs
+        .iter()
+        .fold(TaintSet::empty(), |acc, &o| acc.union(&TaintSet::single(o)));
+    let (left, right) = offs.split_at(offs.len() / 2);
+    let halves = TaintSet::from_iter(left.iter().copied())
+        .union(&TaintSet::from_iter(right.iter().copied()));
+    [collected, folded, halves]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Union, `contains`, `iter`, `len` and `from_iter` agree with a
+    /// `BTreeSet<u32>` model, and equal sets compare equal however they
+    /// were built (the small offset range forces overlaps and repeats).
+    #[test]
+    fn taint_set_agrees_with_a_btreeset_model(
+        a in prop::collection::vec(0u32..24, 0..8),
+        b in prop::collection::vec(0u32..24, 0..8),
+        probe in 0u32..26,
+    ) {
+        let model_a: BTreeSet<u32> = a.iter().copied().collect();
+        let model_b: BTreeSet<u32> = b.iter().copied().collect();
+        let model_u: Vec<u32> = model_a.union(&model_b).copied().collect();
+        for sa in built_three_ways(&a) {
+            prop_assert_eq!(sa.len(), model_a.len());
+            prop_assert_eq!(sa.is_empty(), model_a.is_empty());
+            prop_assert_eq!(sa.iter().collect::<Vec<_>>(), model_a.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(sa.contains(probe), model_a.contains(&probe));
+            prop_assert_eq!(&sa.union(&sa), &sa);
+            for sb in built_three_ways(&b) {
+                let u = sa.union(&sb);
+                prop_assert_eq!(u.iter().collect::<Vec<_>>(), model_u.clone());
+                prop_assert_eq!(u.len(), model_u.len());
+                prop_assert_eq!(u.contains(probe), model_u.contains(&probe));
+                prop_assert_eq!(&u, &sb.union(&sa));
+                prop_assert_eq!(&u, &TaintSet::from_iter(model_u.iter().copied()));
+            }
+        }
+        let [collected, folded, halves] = built_three_ways(&a);
+        prop_assert_eq!(&collected, &folded);
+        prop_assert_eq!(&collected, &halves);
+        prop_assert_eq!(
+            TaintSet::from_iter(a.iter().copied()) == TaintSet::from_iter(b.iter().copied()),
+            model_a == model_b
         );
     }
 }

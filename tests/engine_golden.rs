@@ -8,13 +8,24 @@
 //! memory accounting moves some counter here even when every verdict
 //! holds. The golden is regenerated only for a deliberate change of
 //! engine semantics, never to make a refactor pass.
+//!
+//! `golden/p1_stats.txt` pins phase P1 the same way: for every pair under
+//! byte- and word-level tainting, context-aware and context-free, the
+//! `ep` that `prepare` picked, the crash of `S`, every bunch with its `ep`
+//! arguments, and every taint counter.
 
 use octo_corpus::{all_pairs, pair_by_idx};
 use octo_symex::directed::DeathNote;
 use octo_symex::{DirectedStats, NaiveExplorer, NaiveOutcome, NaiveStats};
-use octopocs::{verify, PipelineConfig, SoftwarePairInput, VerificationReport};
+use octo_taint::{ContextMode, Granularity};
+use octo_vm::CrashReport;
+use octopocs::{
+    prepare, verify, PipelineConfig, PrepareFailure, PreparedSource, SoftwarePairInput,
+    VerificationReport,
+};
 
 const GOLDEN: &str = include_str!("golden/engine_stats.txt");
+const P1_GOLDEN: &str = include_str!("golden/p1_stats.txt");
 
 fn configs() -> [(&'static str, PipelineConfig); 3] {
     [
@@ -131,6 +142,26 @@ fn engine_rows() -> Vec<String> {
     rows
 }
 
+/// Panics with the first differing row and the full actual table when
+/// `rows` differ from the golden file `name`.
+fn assert_matches_golden(name: &str, rows: &[String], golden: &str) {
+    let actual: String = rows.iter().map(|r| format!("{r}\n")).collect();
+    if actual != golden {
+        let first = actual
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "counters drifted from tests/golden/{name} at row {}:\n  \
+             golden: {}\n  actual: {}\n--- actual ---\n{actual}",
+            first + 1,
+            golden.lines().nth(first).unwrap_or("<missing>"),
+            actual.lines().nth(first).unwrap_or("<missing>"),
+        );
+    }
+}
+
 #[test]
 fn engine_counters_match_the_golden_file() {
     let rows = engine_rows();
@@ -139,19 +170,96 @@ fn engine_counters_match_the_golden_file() {
             .any(|r| !r.contains(" forced=0 ") && r.contains(" forced=")),
         "no row exercises loop acceleration"
     );
-    let actual: String = rows.iter().map(|r| format!("{r}\n")).collect();
-    if actual != GOLDEN {
-        let first = actual
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, g)| a != g)
-            .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-        panic!(
-            "engine counters drifted from tests/golden/engine_stats.txt at row {}:\n  \
-             golden: {}\n  actual: {}\n--- actual ---\n{actual}",
-            first + 1,
-            GOLDEN.lines().nth(first).unwrap_or("<missing>"),
-            actual.lines().nth(first).unwrap_or("<missing>"),
-        );
+    assert_matches_golden("engine_stats.txt", &rows, GOLDEN);
+}
+
+fn crash_fields(crash: &CrashReport) -> String {
+    let frames: Vec<&str> = crash
+        .backtrace
+        .frames()
+        .iter()
+        .map(|(_, name)| name.as_str())
+        .collect();
+    format!(
+        "crash={} bt={} s_insts={}",
+        crash.kind.class(),
+        frames.join(">"),
+        crash.insts_executed
+    )
+}
+
+fn prepared_fields(prep: &PreparedSource) -> String {
+    let q = &prep.primitives;
+    let bunches: Vec<String> = (0..q.entry_count())
+        .map(|k| {
+            let bunch = q.bunch(k).expect("bunch");
+            let bytes: Vec<String> = bunch.iter().map(|(o, v)| format!("{o}:{v:02x}")).collect();
+            let args: Vec<String> = q
+                .args(k)
+                .unwrap_or_default()
+                .iter()
+                .map(u64::to_string)
+                .collect();
+            format!("{}{{{}}}({})", bunch.seq, bytes.join(","), args.join(","))
+        })
+        .collect();
+    format!(
+        "ep={} {} ep_entries={} p1_insts={} bytes_uploaded={} peak_tainted_addrs={} \
+         taint_records={} bunches={}",
+        prep.ep_name,
+        crash_fields(&prep.s_crash),
+        prep.ep_entries,
+        prep.p1_insts,
+        prep.taint.bytes_uploaded,
+        prep.taint.peak_tainted_addrs,
+        prep.taint.taint_records,
+        bunches.join(";"),
+    )
+}
+
+fn failure_fields(failure: &PrepareFailure) -> String {
+    format!(
+        "failure={:?} ep={} {}",
+        failure.reason,
+        failure.ep_name.as_deref().unwrap_or("-"),
+        failure
+            .s_crash
+            .as_ref()
+            .map_or("crash=-".to_string(), crash_fields),
+    )
+}
+
+/// The P1 rows, in golden order: pair × granularity × context mode.
+fn p1_rows() -> Vec<String> {
+    let mut rows = Vec::new();
+    for pair in all_pairs() {
+        for (gran_name, granularity) in [("byte", Granularity::Byte), ("word", Granularity::Word)] {
+            for (ctx_name, context) in [
+                ("aware", ContextMode::ContextAware),
+                ("free", ContextMode::ContextFree),
+            ] {
+                let config = PipelineConfig {
+                    taint_granularity: granularity,
+                    taint_context: context,
+                    ..PipelineConfig::default()
+                };
+                let fields = match prepare(&pair.s, &pair.poc, &pair.shared, &config) {
+                    Ok(prep) => prepared_fields(&prep),
+                    Err(failure) => failure_fields(&failure),
+                };
+                rows.push(format!(
+                    "p1 idx={:02} gran={gran_name} ctx={ctx_name} {fields}",
+                    pair.idx
+                ));
+            }
+        }
     }
+    rows
+}
+
+#[test]
+fn p1_extraction_matches_the_golden_file() {
+    let rows = p1_rows();
+    assert_eq!(rows.len(), 15 * 4);
+    assert_matches_golden("p1_stats.txt", &rows, P1_GOLDEN);
 }
