@@ -44,10 +44,10 @@ use octo_trace::{FlightRecorder, TraceKind};
 use crate::blob;
 use crate::config::PipelineConfig;
 use crate::pipeline::{
-    prepare, verify_suffix, JobEvents, PhaseGuard, PrepareFailure, PreparedSource,
-    SoftwarePairInput, VerificationReport,
+    prepare, verify_suffix, JobEvents, PhaseGuard, PreparedSource, SoftwarePairInput,
+    VerificationReport,
 };
-use crate::verdict::Verdict;
+use crate::verdict::{FailureReason, Verdict};
 
 /// One owned batch job: it owns its programs so it can be loaded from
 /// files or the corpus and shipped across worker threads.
@@ -444,10 +444,10 @@ impl BatchReport {
 }
 
 /// Size estimate for one cached prefix artifact.
-pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailure>) -> u64 {
+pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, FailureReason>) -> u64 {
     match artifact {
         Ok(p) => p.approx_bytes(),
-        Err(_) => std::mem::size_of::<PrepareFailure>() as u64,
+        Err(_) => std::mem::size_of::<FailureReason>() as u64,
     }
 }
 
@@ -466,7 +466,7 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
 /// corruption; the job recomputes and the hit flag reflects whether
 /// *this job* ran `prepare`, so metric billing stays single-count.
 fn verify_with_cache(
-    cache: &ArtifactCache<Result<PreparedSource, PrepareFailure>>,
+    cache: &ArtifactCache<Result<PreparedSource, FailureReason>>,
     disk: Option<&BlobStore>,
     input: &SoftwarePairInput<'_>,
     config: &PipelineConfig,
@@ -508,7 +508,7 @@ fn verify_with_cache(
     let prepare_seconds = start.elapsed().as_secs_f64();
     let mut report = match prep.as_ref() {
         Ok(p) => verify_suffix(p, input, config, cancel, Some(events), Instant::now()),
-        Err(fail) => fail.to_report(),
+        Err(reason) => VerificationReport::failure(reason.clone()),
     };
     // The prefix as *this job* paid for it: a full prepare on a miss, a
     // cache lookup (plus possibly waiting out another worker's
@@ -603,12 +603,7 @@ impl BatchMetrics {
         // (octo-serve) against this same registry; eagerly registered for
         // the same reason — one pinned schema whether the registry backs
         // a one-shot batch or a long-running service.
-        reg.counter("serve_admissions_total");
-        reg.counter("serve_rejections_total");
-        reg.counter("serve_replays_total");
-        reg.gauge("serve_queue_depth_bulk");
-        reg.gauge("serve_queue_depth_interactive");
-        reg.histogram("serve_queue_wait_micros", &MICROS_BUCKETS);
+        octo_serve::ServeMetrics::register(reg);
         // Build identity for scrapers: a constant-1 info-style gauge
         // carrying the crate version as a label.
         reg.info(
@@ -740,7 +735,7 @@ impl BatchMetrics {
 /// metrics); [`run_batch`] is now a thin scheduler loop over it and the
 /// `octopocsd` service calls it one job at a time.
 pub struct BatchRuntime {
-    cache: ArtifactCache<Result<PreparedSource, PrepareFailure>>,
+    cache: ArtifactCache<Result<PreparedSource, FailureReason>>,
     store: Option<Arc<BlobStore>>,
     metrics: MetricsRegistry,
     recorder: BatchMetrics,
@@ -978,9 +973,9 @@ impl BatchRuntime {
                         backoff_micros: backoff.as_micros() as u64,
                     });
                     // Mirror the retry into the lifecycle event stream so
-                    // watchers (and the HTTP timelines built from the
-                    // daemon's fanout) see each failed attempt with the
-                    // heartbeat count the attempt token accumulated.
+                    // watchers and the daemon's per-job timelines see each
+                    // failed attempt with the heartbeat count the attempt
+                    // token accumulated.
                     events.emit(EventKind::RetryScheduled {
                         job: index,
                         attempt,
@@ -1003,7 +998,7 @@ impl BatchRuntime {
         if matches!(
             &report.verdict,
             Verdict::Failure {
-                reason: crate::verdict::FailureReason::Cancelled
+                reason: FailureReason::Cancelled
             }
         ) {
             report.wall_seconds = job_start.elapsed().as_secs_f64();

@@ -113,8 +113,7 @@ pub use octo_sched::WatchdogConfig;
 pub use octo_store::{BlobStore, GcReport, StoreStats, VerifyReport};
 pub use octo_trace::{FlightRecorder, PostMortem};
 pub use pipeline::{
-    prepare, verify, verify_prepared, PrepareFailure, PreparedSource, SoftwarePairInput,
-    VerificationReport,
+    prepare, verify, verify_prepared, PreparedSource, SoftwarePairInput, VerificationReport,
 };
 pub use preprocess::{identify_ep, PreprocessError};
 pub use scan::{

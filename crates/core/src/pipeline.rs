@@ -90,7 +90,9 @@ pub struct VerificationReport {
 }
 
 impl VerificationReport {
-    fn failure(reason: FailureReason) -> VerificationReport {
+    /// The report of a job that failed for `reason` before any verdict
+    /// work. The caller stamps `wall_seconds`.
+    pub(crate) fn failure(reason: FailureReason) -> VerificationReport {
         VerificationReport {
             verdict: Verdict::Failure { reason },
             ep_name: None,
@@ -191,37 +193,6 @@ impl PreparedSource {
     }
 }
 
-/// Why [`prepare`] failed, keeping whatever it had already learned so
-/// failure reports stay as informative as the unsplit pipeline's.
-#[derive(Debug, Clone)]
-pub struct PrepareFailure {
-    /// The failure cause (maps 1:1 onto the final verdict).
-    pub reason: FailureReason,
-    /// `ep`'s name, when preprocessing got that far.
-    pub ep_name: Option<String>,
-    /// Crash of `S` under `poc`, when preprocessing got that far.
-    pub s_crash: Option<CrashReport>,
-}
-
-impl PrepareFailure {
-    fn new(reason: FailureReason) -> PrepareFailure {
-        PrepareFailure {
-            reason,
-            ep_name: None,
-            s_crash: None,
-        }
-    }
-
-    /// Expands the failure into a full report. The caller stamps
-    /// `wall_seconds`.
-    pub fn to_report(&self) -> VerificationReport {
-        let mut report = VerificationReport::failure(self.reason.clone());
-        report.ep_name = self.ep_name.clone();
-        report.s_crash = self.s_crash.clone();
-        report
-    }
-}
-
 /// Runs preprocessing and P1 over `S` (the `T`-independent prefix).
 ///
 /// Both come from one taint run of `S` on `poc` that records every
@@ -232,18 +203,15 @@ impl PrepareFailure {
 /// [`identify_ep`]: crate::preprocess::identify_ep
 ///
 /// # Errors
-/// Fails when `poc` does not crash `S`, or crashes it outside `ℓ` (see
-/// [`PrepareFailure`]); both map onto [`Verdict::Failure`] causes.
-// The Err carries the diagnostic crash report by value; the failure path
-// runs at most once per batch source group (the result is cached), so a
-// large cold-path variant beats boxing on every inspection.
-#[allow(clippy::result_large_err)]
+/// Fails when `poc` does not crash `S`
+/// ([`FailureReason::PocDoesNotCrashS`]), or crashes it outside `ℓ`
+/// ([`FailureReason::EpNotOnCrashStack`]).
 pub fn prepare(
     s: &Program,
     poc: &PocFile,
     shared: &[String],
     config: &PipelineConfig,
-) -> Result<PreparedSource, PrepareFailure> {
+) -> Result<PreparedSource, FailureReason> {
     let shared_ids = s.resolve_names(shared.iter().map(String::as_str));
     let (ep, extraction) = extract_at_crash_ep(
         s,
@@ -253,13 +221,9 @@ pub fn prepare(
         config.taint_context,
         config.vm_limits,
     )
-    .map_err(|err| {
-        PrepareFailure::new(match err {
-            TaintError::NoCrash { exit_code } => FailureReason::PocDoesNotCrashS { exit_code },
-            TaintError::NoSharedFrame | TaintError::EpNeverEntered => {
-                FailureReason::EpNotOnCrashStack
-            }
-        })
+    .map_err(|err| match err {
+        TaintError::NoCrash { exit_code } => FailureReason::PocDoesNotCrashS { exit_code },
+        TaintError::NoSharedFrame | TaintError::EpNeverEntered => FailureReason::EpNotOnCrashStack,
     })?;
     Ok(PreparedSource {
         ep,
@@ -355,8 +319,8 @@ pub fn verify(input: &SoftwarePairInput<'_>, config: &PipelineConfig) -> Verific
             report.prepare_seconds = prepare_seconds;
             report
         }
-        Err(fail) => {
-            let mut report = fail.to_report();
+        Err(reason) => {
+            let mut report = VerificationReport::failure(reason);
             report.wall_seconds = start.elapsed().as_secs_f64();
             report.prepare_seconds = report.wall_seconds;
             report

@@ -15,31 +15,24 @@ use octo_poc::PocFile;
 use octo_taint::{extract_with_limits, ContextMode, Granularity, TaintConfig, TaintError};
 use octo_trace::{FlightRecorder, TraceKind};
 use octopocs::{
-    identify_ep, prepare, FailureReason, PipelineConfig, PrepareFailure, PreparedSource,
-    PreprocessError,
+    identify_ep, prepare, FailureReason, PipelineConfig, PreparedSource, PreprocessError,
 };
 
 /// `prepare` as two runs of `S`: preprocessing, then P1 on the `ep` it
 /// found.
-#[allow(clippy::result_large_err)]
 fn reference(
     s: &Program,
     poc: &PocFile,
     shared: &[String],
     config: &PipelineConfig,
-) -> Result<PreparedSource, PrepareFailure> {
-    let failure = |reason| PrepareFailure {
-        reason,
-        ep_name: None,
-        s_crash: None,
-    };
+) -> Result<PreparedSource, FailureReason> {
     let info = match identify_ep(s, poc, shared, config.vm_limits) {
         Ok(info) => info,
         Err(PreprocessError::NoCrash { exit_code }) => {
-            return Err(failure(FailureReason::PocDoesNotCrashS { exit_code }))
+            return Err(FailureReason::PocDoesNotCrashS { exit_code })
         }
         Err(PreprocessError::NoSharedFrame | PreprocessError::SharedSetEmpty) => {
-            return Err(failure(FailureReason::EpNotOnCrashStack))
+            return Err(FailureReason::EpNotOnCrashStack)
         }
     };
     let taint_config = TaintConfig {
@@ -58,16 +51,12 @@ fn reference(
             p1_insts: ex.insts,
             taint: ex.stats,
         }),
-        Err(err) => Err(PrepareFailure {
-            reason: match err {
-                TaintError::NoCrash { exit_code } => FailureReason::PocDoesNotCrashS { exit_code },
-                TaintError::EpNeverEntered | TaintError::NoSharedFrame => {
-                    FailureReason::EpNotOnCrashStack
-                }
-            },
-            ep_name: Some(info.ep_name),
-            s_crash: Some(info.s_crash),
-        }),
+        Err(TaintError::NoCrash { exit_code }) => {
+            Err(FailureReason::PocDoesNotCrashS { exit_code })
+        }
+        Err(TaintError::EpNeverEntered | TaintError::NoSharedFrame) => {
+            Err(FailureReason::EpNotOnCrashStack)
+        }
     }
 }
 
@@ -96,7 +85,6 @@ fn p1_events<T>(run: impl FnOnce() -> T) -> (T, Vec<TraceKind>) {
 
 /// Asserts that `prepare` and the reference agree on `(s, poc, shared)`,
 /// results and emitted events alike, and returns the `ep` they chose.
-#[allow(clippy::result_large_err)]
 fn assert_agrees(
     what: &str,
     s: &Program,
@@ -106,15 +94,7 @@ fn assert_agrees(
 ) -> Option<String> {
     let (actual, actual_events) = p1_events(|| prepare(s, poc, shared, config));
     let (expected, expected_events) = p1_events(|| reference(s, poc, shared, config));
-    match (&actual, &expected) {
-        (Ok(a), Ok(e)) => assert_eq!(a, e, "{what}"),
-        (Err(a), Err(e)) => {
-            assert_eq!(a.reason, e.reason, "{what}");
-            assert_eq!(a.ep_name, e.ep_name, "{what}");
-            assert_eq!(a.s_crash, e.s_crash, "{what}");
-        }
-        _ => panic!("{what}: prepare gave {actual:?}, the reference {expected:?}"),
-    }
+    assert_eq!(actual, expected, "{what}");
     assert_eq!(actual_events, expected_events, "{what}: P1 events");
     actual.ok().map(|prep| prep.ep_name)
 }
@@ -253,12 +233,7 @@ fn poc_that_does_not_crash_s_fails_without_ep_or_crash() {
     let poc = PocFile::from(&b"xyzz"[..]);
     let shared = names(&["outer", "inner"]);
     let failure = prepare(&s, &poc, &shared, &PipelineConfig::default()).unwrap_err();
-    assert_eq!(
-        failure.reason,
-        FailureReason::PocDoesNotCrashS { exit_code: 0 }
-    );
-    assert_eq!(failure.ep_name, None);
-    assert_eq!(failure.s_crash, None);
+    assert_eq!(failure, FailureReason::PocDoesNotCrashS { exit_code: 0 });
     assert_agrees("no crash", &s, &poc, &shared, &PipelineConfig::default());
 }
 
@@ -268,9 +243,7 @@ fn unresolved_shared_set_fails_without_ep_or_crash() {
     let poc = PocFile::from(&b"xyAB"[..]);
     let shared = names(&["not_in_s"]);
     let failure = prepare(&s, &poc, &shared, &PipelineConfig::default()).unwrap_err();
-    assert_eq!(failure.reason, FailureReason::EpNotOnCrashStack);
-    assert_eq!(failure.ep_name, None);
-    assert_eq!(failure.s_crash, None);
+    assert_eq!(failure, FailureReason::EpNotOnCrashStack);
     assert_agrees(
         "ℓ unresolved",
         &s,
@@ -303,9 +276,7 @@ entry:
     let poc = PocFile::from(&b"ab"[..]);
     let shared = names(&["check"]);
     let failure = prepare(&s, &poc, &shared, &PipelineConfig::default()).unwrap_err();
-    assert_eq!(failure.reason, FailureReason::EpNotOnCrashStack);
-    assert_eq!(failure.ep_name, None);
-    assert_eq!(failure.s_crash, None);
+    assert_eq!(failure, FailureReason::EpNotOnCrashStack);
     assert_agrees(
         "crash outside ℓ",
         &s,

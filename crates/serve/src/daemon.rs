@@ -13,6 +13,13 @@
 //! journaled as submitted but never as finished, so a restart on the
 //! same journal resubmits it under its original id and the run
 //! converges to the verdicts an uninterrupted run would have produced.
+//!
+//! One job table holds everything the daemon knows about a job: its
+//! submission while a run may still need it, its verdict, and its
+//! [`JobTimeline`]. Workers hand the daemon itself to the executor as
+//! the event sink, so each event lands in the job's timeline before it
+//! reaches the fan-out, and `watch` replays a job's recorded events
+//! from the table rather than from a subscription of its own.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,18 +27,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use octo_sched::{Event, EventSink, FanoutSink};
+use octo_sched::{Event, EventKind, EventSink, FanoutSink};
 
 use crate::journal::{Journal, Replay};
 use crate::proto::{
     JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Response, ResultRow, VerdictSummary,
 };
-use crate::timeline::TimelineStore;
+use crate::timeline::JobTimeline;
 
-/// Queue-wait histogram bounds, microseconds. Shared with the batch
-/// metrics registration in the core crate — the registry asserts that
-/// re-registrations agree on bounds, so there is exactly one definition.
-pub const QUEUE_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+/// Queue-wait histogram bounds, microseconds (100 µs … 10 s).
+const QUEUE_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// One admitted job as handed to the executor.
 #[derive(Debug, Clone)]
@@ -83,8 +88,8 @@ pub trait JobExecutor: Send + Sync {
     fn cancel_all(&self) {}
 }
 
-/// Handles to the pre-registered `serve_*` metrics.
-struct ServeMetrics {
+/// Handles to the daemon's `serve_*` queue metrics.
+pub struct ServeMetrics {
     admissions: Arc<Counter>,
     rejections: Arc<Counter>,
     replays: Arc<Counter>,
@@ -96,7 +101,12 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn register(reg: &MetricsRegistry) -> ServeMetrics {
+    /// Registers the `serve_*` queue metrics in `reg`: the one place
+    /// that names them and their bounds. The core crate's batch runtime
+    /// calls it too, so a one-shot batch's registry carries the same
+    /// pinned schema as the daemon's (the registry asserts that a
+    /// re-registration agrees on bounds).
+    pub fn register(reg: &MetricsRegistry) -> ServeMetrics {
         ServeMetrics {
             admissions: reg.counter("serve_admissions_total"),
             rejections: reg.counter("serve_rejections_total"),
@@ -125,40 +135,46 @@ pub enum SubmitError {
     Invalid(String),
 }
 
+/// Everything the daemon keeps about one job.
 struct JobRecord {
-    name: String,
-    priority: Priority,
+    /// Name, priority, phase, the daemon-clock stamps, the outcome and
+    /// the recorded events: what `/jobs/<id>` serves and `watch` replays.
+    timeline: JobTimeline,
     /// The whole submission (program texts, PoC, shared list), held only
     /// while a restart may still have to run the job: queued, running or
     /// interrupted. Dropped when the job is done, so a finished job costs
     /// the same memory whatever the size of its programs.
     spec: Option<JobSpec>,
-    phase: JobPhase,
     verdict: Option<VerdictSummary>,
     post_mortem: Option<String>,
-    queued_at: Instant,
 }
 
 impl JobRecord {
-    /// A record for `spec`: a queued job keeps it, a done one does not.
-    fn new(spec: JobSpec, phase: JobPhase, verdict: Option<VerdictSummary>) -> JobRecord {
+    /// A queued record for `spec`, admitted at `submitted_us`.
+    fn queued(id: u64, spec: JobSpec, submitted_us: u64) -> JobRecord {
         JobRecord {
-            name: spec.name.clone(),
-            priority: spec.priority,
-            spec: (phase != JobPhase::Done).then_some(spec),
-            phase,
-            verdict,
+            timeline: JobTimeline::queued(id, spec.name.clone(), spec.priority, submitted_us),
+            spec: Some(spec),
+            verdict: None,
             post_mortem: None,
-            queued_at: Instant::now(),
         }
     }
 
-    fn status(&self, id: u64) -> JobStatus {
+    /// Records the verdict at `at_us` and drops the submission.
+    fn done(&mut self, at_us: u64, verdict: VerdictSummary, post_mortem: Option<String>) {
+        self.timeline
+            .finish(at_us, JobPhase::Done, &verdict.verdict);
+        self.spec = None;
+        self.verdict = Some(verdict);
+        self.post_mortem = post_mortem;
+    }
+
+    fn status(&self) -> JobStatus {
         JobStatus {
-            id,
-            name: self.name.clone(),
-            priority: self.priority,
-            phase: self.phase,
+            id: self.timeline.id,
+            name: self.timeline.name.clone(),
+            priority: self.timeline.priority,
+            phase: self.timeline.phase,
             verdict: self.verdict.clone(),
             post_mortem: self.post_mortem.clone(),
         }
@@ -168,6 +184,8 @@ impl JobRecord {
 #[derive(Default)]
 struct State {
     jobs: BTreeMap<u64, JobRecord>,
+    /// The last daemon-clock stamp handed out.
+    last_stamp: u64,
     interactive: VecDeque<u64>,
     bulk: VecDeque<u64>,
     running: u64,
@@ -184,7 +202,7 @@ impl State {
     fn done(&self) -> u64 {
         self.jobs
             .values()
-            .filter(|j| j.phase == JobPhase::Done)
+            .filter(|j| j.timeline.phase == JobPhase::Done)
             .count() as u64
     }
 }
@@ -201,7 +219,8 @@ pub struct Daemon {
     idle: Condvar,
     fanout: Arc<FanoutSink>,
     metrics: ServeMetrics,
-    timelines: Arc<TimelineStore>,
+    /// Origin of the daemon clock every timeline stamp is taken on.
+    origin: Instant,
 }
 
 impl Daemon {
@@ -214,12 +233,6 @@ impl Daemon {
         capacity: usize,
     ) -> Arc<Daemon> {
         let metrics = ServeMetrics::register(executor.registry());
-        let fanout = Arc::new(FanoutSink::new());
-        let timelines = Arc::new(TimelineStore::new());
-        // The timeline store mirrors the scheduler's event stream for
-        // the life of the daemon (watch subscribers come and go beside
-        // it on the same fan-out).
-        fanout.subscribe(timelines.clone());
         Arc::new(Daemon {
             executor,
             journal,
@@ -230,10 +243,18 @@ impl Daemon {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            fanout,
+            fanout: Arc::new(FanoutSink::new()),
             metrics,
-            timelines,
+            origin: Instant::now(),
         })
+    }
+
+    /// Next daemon-clock stamp: microseconds since the daemon started,
+    /// clamped to strictly exceed every stamp handed out before.
+    fn stamp(&self, state: &mut State) -> u64 {
+        let now = self.origin.elapsed().as_micros() as u64;
+        state.last_stamp = now.max(state.last_stamp + 1);
+        state.last_stamp
     }
 
     /// Restores journal contents: finished jobs become `done` rows,
@@ -241,24 +262,21 @@ impl Daemon {
     pub fn restore(&self, replay: Replay) {
         let mut state = self.state.lock().expect("daemon state poisoned");
         for (id, spec) in replay.jobs {
-            let verdict = replay.verdicts.get(&id).cloned();
-            self.timelines
-                .record_submitted(id, &spec.name, spec.priority);
-            let phase = if let Some(done) = &verdict {
+            let at = self.stamp(&mut state);
+            let mut record = JobRecord::queued(id, spec, at);
+            if let Some(verdict) = replay.verdicts.get(&id) {
                 // A restored verdict has no live history; its timeline
                 // is just the restored outcome.
-                self.timelines
-                    .record_finished(id, JobPhase::Done, &done.verdict);
-                JobPhase::Done
+                let at = self.stamp(&mut state);
+                record.done(at, verdict.clone(), None);
             } else {
-                match spec.priority {
+                match record.timeline.priority {
                     Priority::Interactive => state.interactive.push_back(id),
                     Priority::Bulk => state.bulk.push_back(id),
                 }
                 self.metrics.replays.inc();
-                JobPhase::Queued
-            };
-            state.jobs.insert(id, JobRecord::new(spec, phase, verdict));
+            }
+            state.jobs.insert(id, record);
             state.next_id = state.next_id.max(id + 1);
         }
         self.metrics.set_queue_depth(&state);
@@ -293,13 +311,13 @@ impl Daemon {
                         .pop_front()
                         .or_else(|| state.bulk.pop_front())
                     {
-                        let record = state.jobs.get_mut(&id).expect("queued job exists");
-                        record.phase = JobPhase::Running;
                         state.running += 1;
                         self.metrics.set_queue_depth(&state);
-                        self.timelines.record_picked_up(id);
-                        let record = state.jobs.get(&id).expect("queued job exists");
-                        let wait = record.queued_at.elapsed().as_micros() as u64;
+                        let at = self.stamp(&mut state);
+                        let record = state.jobs.get_mut(&id).expect("queued job exists");
+                        record.timeline.phase = JobPhase::Running;
+                        record.timeline.picked_up_us = Some(at);
+                        let wait = at - record.timeline.submitted_us;
                         self.metrics.queue_wait.observe(wait);
                         break ExecJob {
                             id,
@@ -317,26 +335,22 @@ impl Daemon {
                     state = next;
                 }
             };
-            let outcome = self.executor.run(&job, worker, self.fanout.as_ref());
+            let outcome = self.executor.run(&job, worker, self);
             let mut state = self.state.lock().expect("daemon state poisoned");
             state.running -= 1;
+            let at = self.stamp(&mut state);
             let record = state.jobs.get_mut(&job.id).expect("running job exists");
             if outcome.cancelled {
-                record.phase = JobPhase::Interrupted;
-                self.timelines
-                    .record_finished(job.id, JobPhase::Interrupted, "interrupted");
+                record
+                    .timeline
+                    .finish(at, JobPhase::Interrupted, "interrupted");
             } else {
-                record.phase = JobPhase::Done;
-                record.spec = None;
-                record.verdict = Some(outcome.verdict.clone());
-                record.post_mortem = outcome.post_mortem;
-                self.timelines
-                    .record_finished(job.id, JobPhase::Done, &outcome.verdict.verdict);
                 if let Some(journal) = &self.journal {
                     if let Err(e) = journal.record_verdict(job.id, &outcome.verdict) {
                         eprintln!("octopocsd: {e}");
                     }
                 }
+                record.done(at, outcome.verdict, outcome.post_mortem);
             }
             drop(state);
             self.idle.notify_all();
@@ -371,11 +385,8 @@ impl Daemon {
             Priority::Interactive => state.interactive.push_back(id),
             Priority::Bulk => state.bulk.push_back(id),
         }
-        self.timelines
-            .record_submitted(id, &spec.name, spec.priority);
-        state
-            .jobs
-            .insert(id, JobRecord::new(spec, JobPhase::Queued, None));
+        let at = self.stamp(&mut state);
+        state.jobs.insert(id, JobRecord::queued(id, spec, at));
         self.metrics.admissions.inc();
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -399,7 +410,14 @@ impl Daemon {
     /// One job's status, or `None` for unknown ids.
     pub fn job_status(&self, id: u64) -> Option<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state.jobs.get(&id).map(|j| j.status(id))
+        state.jobs.get(&id).map(JobRecord::status)
+    }
+
+    /// A snapshot of one job's timeline (the `/jobs/<id>` body), or
+    /// `None` for unknown ids.
+    pub fn timeline(&self, id: u64) -> Option<JobTimeline> {
+        let state = self.state.lock().expect("daemon state poisoned");
+        state.jobs.get(&id).map(|j| j.timeline.clone())
     }
 
     /// Finished verdicts in id (= submission) order.
@@ -411,7 +429,7 @@ impl Daemon {
             .filter_map(|(id, j)| {
                 j.verdict.as_ref().map(|v| ResultRow {
                     id: *id,
-                    name: j.name.clone(),
+                    name: j.timeline.name.clone(),
                     verdict: v.clone(),
                 })
             })
@@ -422,7 +440,7 @@ impl Daemon {
     /// queue + in-flight + completed listing behind `GET /jobs`.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state.jobs.iter().map(|(id, j)| j.status(*id)).collect()
+        state.jobs.values().map(JobRecord::status).collect()
     }
 
     /// The executor's metrics rendering.
@@ -436,72 +454,56 @@ impl Daemon {
         self.executor.metrics_prometheus()
     }
 
-    /// The live per-job timeline table.
-    pub fn timelines(&self) -> &Arc<TimelineStore> {
-        &self.timelines
-    }
-
-    /// Streams `id`'s live events into `deliver` until the job
-    /// finishes, then delivers the terminal `done` (or `error`) line.
-    /// `deliver` returning `Err` (the peer hung up) detaches quietly.
+    /// Streams `id`'s events into `deliver`: first every event the job
+    /// has recorded (at most [`crate::timeline::MAX_STEPS_PER_JOB`]),
+    /// then each new one as it is recorded, read from the job table
+    /// every 20 ms. Ends with the `done` line, or with an `error` line
+    /// when the job is unknown, was interrupted, or was still queued
+    /// when the daemon shut down. `deliver` returning `Err` (the peer
+    /// hung up) detaches quietly.
     pub fn watch(
         &self,
         id: u64,
         deliver: &mut dyn FnMut(&Response) -> Result<(), String>,
     ) -> Result<(), String> {
-        struct BufferSink {
-            job: u64,
-            buf: Mutex<Vec<Event>>,
-        }
-        impl EventSink for BufferSink {
-            fn emit(&self, event: Event) {
-                if event.job() as u64 == self.job {
-                    self.buf.lock().expect("watch buffer poisoned").push(event);
-                }
-            }
-        }
-
-        if self.job_status(id).is_none() {
-            return deliver(&Response::Error {
-                message: format!("unknown job id {id}"),
-            });
-        }
-        let sink = Arc::new(BufferSink {
-            job: id,
-            buf: Mutex::new(Vec::new()),
-        });
-        let sub = self.fanout.subscribe(sink.clone());
-        let result = (|| loop {
-            let pending: Vec<Event> =
-                std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
+        let interrupted = || Response::Error {
+            message: format!("job {id} interrupted by shutdown"),
+        };
+        let mut cursor = 0;
+        loop {
+            // Read under the lock, deliver outside it: a slow peer must
+            // not hold up the workers.
+            let read = {
+                let state = self.state.lock().expect("daemon state poisoned");
+                state.jobs.get(&id).map(|record| {
+                    let steps = &record.timeline.steps[cursor..];
+                    cursor += steps.len();
+                    let pending: Vec<Event> = steps.iter().map(|s| s.event.clone()).collect();
+                    let end = match record.timeline.phase {
+                        JobPhase::Done => Some(Response::Done {
+                            id,
+                            verdict: record.verdict.clone().expect("done job has a verdict"),
+                        }),
+                        JobPhase::Interrupted => Some(interrupted()),
+                        JobPhase::Queued if state.shutting_down => Some(interrupted()),
+                        JobPhase::Queued | JobPhase::Running => None,
+                    };
+                    (pending, end)
+                })
+            };
+            let Some((pending, end)) = read else {
+                return deliver(&Response::Error {
+                    message: format!("unknown job id {id}"),
+                });
+            };
             for event in pending {
                 deliver(&Response::Event(event))?;
             }
-            let status = self.job_status(id).expect("watched job exists");
-            match status.phase {
-                JobPhase::Done => {
-                    let drained: Vec<Event> =
-                        std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
-                    for event in drained {
-                        deliver(&Response::Event(event))?;
-                    }
-                    return deliver(&Response::Done {
-                        id,
-                        verdict: status.verdict.expect("done job has a verdict"),
-                    });
-                }
-                JobPhase::Interrupted => {
-                    return deliver(&Response::Error {
-                        message: format!("job {id} interrupted by shutdown"),
-                    });
-                }
-                JobPhase::Queued | JobPhase::Running => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
+            match end {
+                Some(end) => return deliver(&end),
+                None => std::thread::sleep(Duration::from_millis(20)),
             }
-        })();
-        self.fanout.unsubscribe(sub);
-        result
+        }
     }
 
     /// Stops admissions; queued work still runs. Returns the number of
@@ -546,7 +548,8 @@ impl Daemon {
         }
     }
 
-    /// The event fan-out every executor run emits into.
+    /// The event fan-out: every event the executor emits reaches it,
+    /// after the daemon has recorded it in the job's timeline.
     pub fn fanout(&self) -> &Arc<FanoutSink> {
         &self.fanout
     }
@@ -569,6 +572,22 @@ impl Daemon {
         let kept = incomplete.len() as u64;
         drop(state);
         Some(journal.compact(&incomplete).map(|()| kept))
+    }
+}
+
+/// Workers hand the daemon to the executor as its event sink: each
+/// event is recorded in its job's timeline, then passed to the fan-out.
+/// Events for ids the daemon never admitted are only passed on.
+impl EventSink for Daemon {
+    fn emit(&self, event: Event) {
+        {
+            let mut state = self.state.lock().expect("daemon state poisoned");
+            let at = self.stamp(&mut state);
+            if let Some(record) = state.jobs.get_mut(&(event.job() as u64)) {
+                record.timeline.record(at, event.clone());
+            }
+        }
+        self.fanout.emit(event);
     }
 }
 
@@ -634,7 +653,18 @@ impl StubExecutor {
 }
 
 impl JobExecutor for StubExecutor {
-    fn run(&self, job: &ExecJob, _worker: usize, _sink: &dyn EventSink) -> ExecOutcome {
+    /// Emits `started` and `finished` into `sink` around the (possibly
+    /// gated) job, as the real runtime does.
+    fn run(&self, job: &ExecJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
+        let index = job.id as usize;
+        sink.emit(Event::new(
+            0,
+            worker,
+            EventKind::JobStarted {
+                job: index,
+                name: job.spec.name.clone(),
+            },
+        ));
         self.executed
             .lock()
             .expect("executed poisoned")
@@ -649,6 +679,15 @@ impl JobExecutor for StubExecutor {
             }
         }
         let cancelled = self.cancelled.load(Ordering::Acquire);
+        sink.emit(Event::new(
+            1,
+            worker,
+            EventKind::JobFinished {
+                job: index,
+                outcome: "Type-I".to_string(),
+                micros: 1,
+            },
+        ));
         ExecOutcome {
             verdict: VerdictSummary {
                 verdict: "Type-I".to_string(),
@@ -675,6 +714,9 @@ impl JobExecutor for StubExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::MAX_STEPS_PER_JOB;
+    use octo_sched::EventLog;
+    use std::thread::JoinHandle;
 
     fn spec(name: &str, priority: Priority) -> JobSpec {
         JobSpec {
@@ -687,6 +729,23 @@ mod tests {
         }
     }
 
+    /// Waits until a gated executor's worker holds a job (its `started`
+    /// event is recorded by then).
+    fn wait_running(executor: &StubExecutor) {
+        while executor.executed.lock().unwrap().is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Runs everything queued, then drains and joins the workers.
+    fn drain_and_join(daemon: &Daemon, workers: Vec<JoinHandle<()>>) {
+        daemon.wait_idle();
+        daemon.drain();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
     #[test]
     fn runs_submitted_jobs_and_reports_results_in_id_order() {
         let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 16);
@@ -694,11 +753,7 @@ mod tests {
         let b = daemon.submit(spec("b", Priority::Bulk)).unwrap();
         assert_eq!((a, b), (1, 2));
         let workers = daemon.start_workers(2);
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
         let rows = daemon.results();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "a");
@@ -714,18 +769,12 @@ mod tests {
         // queues, so dequeue order is observable.
         daemon.submit(spec("first", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
-        while executor.executed.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_running(&executor);
         daemon.submit(spec("bulk-1", Priority::Bulk)).unwrap();
         daemon.submit(spec("bulk-2", Priority::Bulk)).unwrap();
         daemon.submit(spec("rush", Priority::Interactive)).unwrap();
         executor.release();
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
         let order = executor.executed.lock().unwrap().clone();
         assert_eq!(order, vec!["first", "rush", "bulk-1", "bulk-2"]);
     }
@@ -736,9 +785,7 @@ mod tests {
         let daemon = Daemon::new(executor.clone(), None, 1);
         daemon.submit(spec("running", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
-        while executor.executed.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_running(&executor);
         // Worker busy; capacity-1 queue takes exactly one more.
         daemon.submit(spec("queued", Priority::Bulk)).unwrap();
         let err = daemon.submit(spec("overflow", Priority::Bulk)).unwrap_err();
@@ -750,11 +797,7 @@ mod tests {
         assert_eq!(reg.get_counter("serve_rejections_total").unwrap().get(), 1);
         assert_eq!(reg.get_counter("serve_admissions_total").unwrap().get(), 2);
         executor.release();
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
     }
 
     #[test]
@@ -780,9 +823,7 @@ mod tests {
         let daemon = Daemon::new(executor.clone(), None, 8);
         daemon.submit(spec("victim", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
-        while executor.executed.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_running(&executor);
         daemon.shutdown();
         for w in workers {
             w.join().unwrap();
@@ -821,11 +862,7 @@ mod tests {
         let reg = daemon.executor.registry();
         assert_eq!(reg.get_counter("serve_replays_total").unwrap().get(), 1);
         let workers = daemon.start_workers(1);
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
         let rows = daemon.results();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].verdict.verdict, "Type-II");
@@ -848,11 +885,7 @@ mod tests {
             "a queued job holds its whole submission"
         );
         let workers = daemon.start_workers(1);
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
         assert!(
             daemon.state.lock().unwrap().jobs[&1].spec.is_none(),
             "a done job holds no program text, PoC or shared list"
@@ -882,7 +915,7 @@ mod tests {
                 verdict,
             }]
         );
-        let t = daemon.timelines().timeline(1).expect("timeline exists");
+        let t = daemon.timeline(1).expect("timeline exists");
         assert_eq!(
             (t.name.as_str(), t.priority, t.phase, t.outcome.as_deref()),
             (
@@ -924,9 +957,7 @@ mod tests {
         let waiting = spec("waiting", Priority::Interactive);
         assert_eq!(daemon.submit(victim.clone()), Ok(2));
         let workers = daemon.start_workers(1);
-        while executor.executed.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_running(&executor);
         assert_eq!(daemon.submit(waiting.clone()), Ok(3));
         daemon.shutdown();
         for w in workers {
@@ -948,9 +979,7 @@ mod tests {
         let daemon = Daemon::new(executor.clone(), None, 16);
         daemon.submit(spec("first", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
-        while executor.executed.lock().unwrap().is_empty() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_running(&executor);
         daemon.submit(spec("bulk-q", Priority::Bulk)).unwrap();
         daemon.submit(spec("rush", Priority::Interactive)).unwrap();
         let reg = executor.registry();
@@ -966,11 +995,7 @@ mod tests {
             "the aggregate gauge is replaced by the per-priority split"
         );
         executor.release();
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
+        drain_and_join(&daemon, workers);
         assert_eq!(
             reg.get_gauge("serve_queue_depth_interactive")
                 .unwrap()
@@ -983,14 +1008,12 @@ mod tests {
     #[test]
     fn daemon_assembles_timelines_for_submitted_jobs() {
         let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
+        let log = Arc::new(EventLog::new());
+        daemon.fanout().subscribe(log.clone());
         daemon.submit(spec("traced", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
-        daemon.wait_idle();
-        daemon.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let t = daemon.timelines().timeline(1).expect("timeline exists");
+        drain_and_join(&daemon, workers);
+        let t = daemon.timeline(1).expect("timeline exists");
         assert_eq!(t.name, "traced");
         assert_eq!(t.phase, JobPhase::Done);
         assert_eq!(t.outcome.as_deref(), Some("Type-I"));
@@ -998,6 +1021,14 @@ mod tests {
         let finished = t.finished_us.expect("finished");
         assert!(t.submitted_us < picked && picked < finished);
         assert_eq!(t.queue_wait_us(), Some(picked - t.submitted_us));
+        // A scrape's queue wait is the timeline's, from the same stamps.
+        let wait = daemon.executor.registry();
+        let wait = wait.get_histogram("serve_queue_wait_micros").unwrap();
+        assert_eq!((wait.count(), wait.sum()), (1, picked - t.submitted_us));
+        // Every recorded event reached the fan-out, as emitted.
+        let recorded: Vec<Event> = t.steps.iter().map(|s| s.event.clone()).collect();
+        assert_eq!(recorded.len(), 2);
+        assert_eq!(log.snapshot(), recorded);
         // The daemon's /jobs listing mirrors the job table.
         let jobs = daemon.jobs();
         assert_eq!(jobs.len(), 1);
@@ -1005,7 +1036,66 @@ mod tests {
     }
 
     #[test]
-    fn watch_streams_done_for_finished_jobs() {
+    fn lifecycle_stamps_are_strictly_monotonic() {
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), None, 4);
+        daemon.submit(spec("job-a", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        wait_running(&executor);
+        daemon.emit(Event::new(
+            0,
+            0,
+            EventKind::PhaseFinished {
+                job: 1,
+                phase: "prepare".into(),
+                micros: 1000,
+            },
+        ));
+        executor.release();
+        drain_and_join(&daemon, workers);
+
+        let t = daemon.timeline(1).unwrap();
+        assert_eq!(t.phase, JobPhase::Done);
+        let mut stamps = vec![t.submitted_us, t.picked_up_us.unwrap()];
+        stamps.extend(t.steps.iter().map(|s| s.at_us));
+        stamps.push(t.finished_us.unwrap());
+        assert_eq!(stamps.len(), 6, "started, prepare and finished steps");
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "timeline stamps must strictly increase: {stamps:?}"
+        );
+        assert_eq!(
+            t.queue_wait_us(),
+            Some(t.picked_up_us.unwrap() - t.submitted_us)
+        );
+    }
+
+    #[test]
+    fn queued_jobs_have_no_attempts_and_unknown_jobs_drop_events() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        daemon.submit(spec("waiting", Priority::Bulk)).unwrap();
+        assert!(daemon.timeline(1).unwrap().attempts().is_empty());
+        // An event for an id never admitted is ignored, not a panic.
+        daemon.emit(Event::new(0, 0, EventKind::CacheHit { job: 99, key: 0xAB }));
+        assert!(daemon.timeline(99).is_none());
+        let ids: Vec<u64> = daemon.jobs().iter().map(|j| j.id).collect();
+        assert_eq!(ids, vec![1]);
+    }
+
+    #[test]
+    fn step_cap_counts_drops_instead_of_growing() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        daemon.submit(spec("storm", Priority::Bulk)).unwrap();
+        for _ in 0..(MAX_STEPS_PER_JOB + 10) {
+            daemon.emit(Event::new(0, 0, EventKind::CacheHit { job: 1, key: 1 }));
+        }
+        let t = daemon.timeline(1).unwrap();
+        assert_eq!(t.steps.len(), MAX_STEPS_PER_JOB);
+        assert_eq!(t.dropped_steps, 10);
+    }
+
+    #[test]
+    fn watch_replays_a_finished_jobs_events_then_done() {
         let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
         daemon
             .submit(spec("watched", Priority::Interactive))
@@ -1019,7 +1109,28 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert!(matches!(seen.last(), Some(Response::Done { id: 1, .. })));
+        // Events the job emitted before the watch began, as emitted,
+        // then the verdict.
+        let started = EventKind::JobStarted {
+            job: 1,
+            name: "watched".into(),
+        };
+        let finished = EventKind::JobFinished {
+            job: 1,
+            outcome: "Type-I".into(),
+            micros: 1,
+        };
+        assert_eq!(
+            seen,
+            vec![
+                Response::Event(Event::new(0, 0, started)),
+                Response::Event(Event::new(1, 0, finished)),
+                Response::Done {
+                    id: 1,
+                    verdict: daemon.job_status(1).unwrap().verdict.unwrap(),
+                },
+            ]
+        );
         let mut unknown = Vec::new();
         daemon
             .watch(99, &mut |resp| {
@@ -1028,9 +1139,44 @@ mod tests {
             })
             .unwrap();
         assert!(matches!(unknown.last(), Some(Response::Error { .. })));
-        daemon.drain();
+        drain_and_join(&daemon, workers);
+    }
+
+    #[test]
+    fn watch_on_a_job_still_queued_at_shutdown_ends_with_an_error() {
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), None, 8);
+        daemon.submit(spec("running", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        wait_running(&executor);
+        daemon.submit(spec("stranded", Priority::Bulk)).unwrap();
+        daemon.shutdown();
         for w in workers {
             w.join().unwrap();
         }
+        assert_eq!(daemon.job_status(2).unwrap().phase, JobPhase::Queued);
+        // Watch on a side thread, so a watch that never returns fails
+        // the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let watcher = Arc::clone(&daemon);
+        let handle = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            let result = watcher.watch(2, &mut |resp| {
+                seen.push(resp.clone());
+                Ok(())
+            });
+            let _ = tx.send((result, seen));
+        });
+        let (result, seen) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a watch on a job stranded by shutdown returns");
+        handle.join().unwrap();
+        assert_eq!(result, Ok(()));
+        assert_eq!(
+            seen,
+            vec![Response::Error {
+                message: "job 2 interrupted by shutdown".to_string()
+            }]
+        );
     }
 }

@@ -122,7 +122,7 @@ impl Scope {
             "/jobs" => HttpResponse::ok("application/json", self.render_jobs()),
             _ => match path.strip_prefix("/jobs/") {
                 Some(rest) => match rest.parse::<u64>() {
-                    Ok(id) => match self.daemon.timelines().timeline(id) {
+                    Ok(id) => match self.daemon.timeline(id) {
                         Some(t) => HttpResponse::ok("application/json", t.render_json()),
                         None => HttpResponse::error(404, &format!("unknown job id {id}")),
                     },

@@ -9,12 +9,14 @@
 //!   responses, and their total parse/render pairs.
 //! - [`journal`]: the append-only durability log replayed on restart.
 //! - [`daemon`]: admission control, the bounded two-class priority
-//!   queue, the worker pool, and the [`daemon::JobExecutor`] seam the
+//!   queue, the worker pool, the one job table (each job's submission,
+//!   verdict and timeline), and the [`daemon::JobExecutor`] seam the
 //!   core crate plugs its pipeline into.
 //! - [`server`]: the socket accept loop and capped line reader.
 //! - [`client`]: the connection type the CLI subcommands drive.
 //! - [`timeline`]: per-job timelines (submit → queue wait → attempts →
-//!   phase spans) assembled from the daemon's own event stream.
+//!   phase spans), kept in the daemon's job record and fed by the
+//!   events its executor emits.
 //! - [`http`]: octo-scope, the read-only HTTP/1.1 observability plane
 //!   (`/healthz`, `/metrics`, `/metrics/rates`, `/jobs`, `/jobs/<id>`).
 //!
@@ -33,7 +35,7 @@ pub mod server;
 pub mod timeline;
 
 pub use client::{Client, Endpoint};
-pub use daemon::{Daemon, ExecJob, ExecOutcome, JobExecutor, SubmitError, QUEUE_WAIT_BUCKETS};
+pub use daemon::{Daemon, ExecJob, ExecOutcome, JobExecutor, ServeMetrics, SubmitError};
 pub use http::{bind_http, http_get, serve_http, HttpResponse, Scope};
 pub use journal::{Journal, Replay};
 pub use proto::{
@@ -41,4 +43,4 @@ pub use proto::{
     ResultRow, VerdictSummary, MAX_LINE_BYTES,
 };
 pub use server::{handle_connection, serve, ServerConfig};
-pub use timeline::{AttemptSpan, JobTimeline, TimelineStep, TimelineStore};
+pub use timeline::{AttemptSpan, JobTimeline, TimelineStep};

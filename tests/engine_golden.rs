@@ -20,7 +20,7 @@ use octo_symex::{DirectedStats, NaiveExplorer, NaiveOutcome, NaiveStats};
 use octo_taint::{ContextMode, Granularity};
 use octo_vm::CrashReport;
 use octopocs::{
-    prepare, verify, PipelineConfig, PrepareFailure, PreparedSource, SoftwarePairInput,
+    prepare, verify, FailureReason, PipelineConfig, PreparedSource, SoftwarePairInput,
     VerificationReport,
 };
 
@@ -217,16 +217,8 @@ fn prepared_fields(prep: &PreparedSource) -> String {
     )
 }
 
-fn failure_fields(failure: &PrepareFailure) -> String {
-    format!(
-        "failure={:?} ep={} {}",
-        failure.reason,
-        failure.ep_name.as_deref().unwrap_or("-"),
-        failure
-            .s_crash
-            .as_ref()
-            .map_or("crash=-".to_string(), crash_fields),
-    )
+fn failure_fields(reason: &FailureReason) -> String {
+    format!("failure={reason:?}")
 }
 
 /// The P1 rows, in golden order: pair × granularity × context mode.
