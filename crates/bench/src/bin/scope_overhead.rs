@@ -21,9 +21,9 @@ use std::time::Duration;
 use octo_bench::{render_table, ScopeOverheadRow};
 use octo_obs::RateRecorder;
 use octo_sched::CancelToken;
-use octo_serve::{Daemon, Priority};
+use octo_serve::{Daemon, JobSpec, Priority};
 use octopocs::batch::{corpus_jobs, BatchJob, BatchOptions};
-use octopocs::{batch_job_to_spec, PipelineConfig, ServeExecutor};
+use octopocs::{PipelineConfig, ServeExecutor};
 
 const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
@@ -95,7 +95,7 @@ fn run_once(jobs: &[BatchJob], scope: bool) -> (f64, u64, u64) {
     let start = std::time::Instant::now();
     for job in jobs {
         daemon
-            .submit(batch_job_to_spec(job, Priority::Bulk))
+            .submit(JobSpec::from_job(job, Priority::Bulk))
             .expect("submit");
     }
     let workers = daemon.start_workers(WORKERS);

@@ -49,40 +49,21 @@ use crate::pipeline::{
 };
 use crate::verdict::{FailureReason, Verdict};
 
-/// One owned batch job: it owns its programs so it can be loaded from
-/// files or the corpus and shipped across worker threads.
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Display name (e.g. `"idx10 CVE-2016-10095 tiffsplit->opj_compress"`).
-    pub name: String,
-    /// The original vulnerable software.
-    pub s: Program,
-    /// The propagated software.
-    pub t: Program,
-    /// The original PoC (crashes `S`).
-    pub poc: PocFile,
-    /// Names of the shared (cloned) functions.
-    pub shared: Vec<String>,
-}
-
-impl From<octo_corpus::SoftwarePair> for BatchJob {
-    fn from(pair: octo_corpus::SoftwarePair) -> BatchJob {
-        BatchJob {
-            name: pair.display_name(),
-            s: pair.s,
-            t: pair.t,
-            poc: pair.poc,
-            shared: pair.shared,
-        }
-    }
-}
+/// One owned batch job; the daemon's admission builds the same type.
+pub use octo_serve::BatchJob;
 
 /// The 15 Table II pairs as batch jobs, in corpus order (the
 /// `octopocs batch --corpus` job set the golden files pin).
 pub fn corpus_jobs() -> Vec<BatchJob> {
     octo_corpus::all_pairs()
         .into_iter()
-        .map(BatchJob::from)
+        .map(|pair| BatchJob {
+            name: pair.display_name(),
+            s: pair.s,
+            t: pair.t,
+            poc: pair.poc,
+            shared: pair.shared,
+        })
         .collect()
 }
 

@@ -102,11 +102,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use octo_ir::parse::parse_program;
+use octo_ir::parse::{parse_program, parse_valid_program};
 use octo_obs::MetricsRegistry;
 use octo_poc::PocFile;
 use octo_sched::{Event, EventSink, NullSink};
-use octo_serve::{Client, Endpoint, Priority as ServePriority, Request, Response};
+use octo_serve::{Client, Endpoint, JobSpec, Priority as ServePriority, Request, Response};
 use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchReport};
 use octopocs::cli::{walk, Argv, EngineFlags, ENGINE_FLAGS};
 use octopocs::{verify, ScanSource, ScanTarget, SoftwarePairInput, Verdict};
@@ -211,14 +211,7 @@ fn unexpected(response: &Response) -> ExitCode {
 
 fn load_program(path: &str) -> Result<octo_ir::Program, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let p = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    octo_ir::validate::validate(&p).map_err(|es| {
-        format!(
-            "{path}: {}",
-            es.first().map(ToString::to_string).unwrap_or_default()
-        )
-    })?;
-    Ok(p)
+    parse_valid_program(&src).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Writes `content` to `path`; a failure prints `error writing` and
@@ -1015,7 +1008,7 @@ fn submit_main(argv: &[String]) -> Exit {
     let mut client = connect(socket, tcp)?;
     let mut refused = 0usize;
     for job in &jobs {
-        let spec = octopocs::batch_job_to_spec(job, priority);
+        let spec = JobSpec::from_job(job, priority);
         let refusal = match client.request(&Request::Submit { job: spec }) {
             Ok(Response::Accepted { id }) => {
                 println!("accepted {id} {}", job.name);

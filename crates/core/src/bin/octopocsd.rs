@@ -103,12 +103,13 @@ fn main() -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    let replayed = replay.incomplete().len();
-    let restored = replay.verdicts.len();
-
     let executor = Arc::new(ServeExecutor::new(&config, &options));
     let daemon = Daemon::new(executor.clone(), Some(journal), capacity);
     daemon.restore(replay);
+    // No worker has started: every queued job was resubmitted, and every
+    // done one restored (or refused again at admission, as a Failure).
+    let status = daemon.status();
+    let (restored, replayed) = (status.done, status.queued_interactive + status.queued_bulk);
     if replayed > 0 || restored > 0 {
         eprintln!(
             "octopocsd: journal {}: {restored} finished job(s) restored, \
@@ -192,9 +193,6 @@ fn main() -> ExitCode {
         ),
         Some(Err(e)) => eprintln!("octopocsd: {e}"),
         None => {}
-    }
-    for error in executor.conversion_errors() {
-        eprintln!("octopocsd: {error}");
     }
     if let Some(path) = metrics_json {
         if let Err(e) = std::fs::write(&path, daemon.metrics_json()) {

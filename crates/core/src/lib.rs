@@ -120,5 +120,5 @@ pub use scan::{
     corpus_scan_inputs, expand_scan, run_scan, PairCandidates, ScanExpansion, ScanReport,
     ScanSource, ScanTarget,
 };
-pub use service::{batch_job_to_spec, spec_to_batch_job, ServeExecutor};
+pub use service::ServeExecutor;
 pub use verdict::{FailureReason, NotTriggerableReason, TriggerKind, Verdict};

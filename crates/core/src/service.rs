@@ -1,7 +1,7 @@
 //! The bridge between the engine and the `octo-serve` daemon layer:
 //! [`ServeExecutor`] plugs the batch runtime into
-//! [`octo_serve::JobExecutor`], and the spec converters let the client
-//! subcommands ship [`BatchJob`]s over the wire.
+//! [`octo_serve::JobExecutor`]. The daemon hands it each job as
+//! admission parsed it, a [`crate::BatchJob`], so nothing here parses.
 //!
 //! One executor backs one daemon process. It owns a [`BatchRuntime`]
 //! (artifact cache, metrics registry, watchdog, retry policy, fault
@@ -11,57 +11,21 @@
 //! that `shutdown` (or SIGINT/SIGTERM) fires to wind in-flight jobs
 //! down as [`FailureReason::Cancelled`].
 
-use std::sync::Mutex;
 use std::time::Instant;
 
-use octo_ir::parse::parse_program;
-use octo_ir::printer::print_program;
 use octo_obs::MetricsRegistry;
-use octo_poc::PocFile;
 use octo_sched::{CancelToken, EventSink};
-use octo_serve::proto::{from_hex, to_hex};
-use octo_serve::{ExecJob, ExecOutcome, JobExecutor, JobSpec, Priority, VerdictSummary};
+use octo_serve::{BatchJob, ExecOutcome, JobExecutor};
 
-use crate::batch::{BatchJob, BatchOptions, BatchRuntime};
+use crate::batch::{BatchOptions, BatchRuntime};
 use crate::config::PipelineConfig;
 use crate::verdict::{FailureReason, Verdict};
-
-/// Converts a wire spec into an owned batch job. Fails on unparsable
-/// programs or hex (the daemon validates at admission, so reaching this
-/// error from a worker indicates a journal edited by hand).
-pub fn spec_to_batch_job(spec: &JobSpec) -> Result<BatchJob, String> {
-    let s = parse_program(&spec.s_text).map_err(|e| format!("program `s`: {e}"))?;
-    let t = parse_program(&spec.t_text).map_err(|e| format!("program `t`: {e}"))?;
-    let poc = PocFile::from(from_hex(&spec.poc_hex)?);
-    Ok(BatchJob {
-        name: spec.name.clone(),
-        s,
-        t,
-        poc,
-        shared: spec.shared.clone(),
-    })
-}
-
-/// Converts an owned batch job into its wire spec.
-pub fn batch_job_to_spec(job: &BatchJob, priority: Priority) -> JobSpec {
-    JobSpec {
-        name: job.name.clone(),
-        priority,
-        s_text: print_program(&job.s),
-        t_text: print_program(&job.t),
-        poc_hex: to_hex(job.poc.bytes()),
-        shared: job.shared.clone(),
-    }
-}
 
 /// The daemon's verification engine: the full OctoPoCs pipeline behind
 /// one long-lived [`BatchRuntime`].
 pub struct ServeExecutor {
     runtime: BatchRuntime,
     cancel: CancelToken,
-    /// Post-mortems are engine-side state; keep the last failure per
-    /// run_job call observable through [`ExecOutcome`] only.
-    errors: Mutex<Vec<String>>,
 }
 
 impl ServeExecutor {
@@ -75,7 +39,6 @@ impl ServeExecutor {
         ServeExecutor {
             runtime: BatchRuntime::new(config, &options),
             cancel,
-            errors: Mutex::new(Vec::new()),
         }
     }
 
@@ -92,41 +55,15 @@ impl ServeExecutor {
         self.runtime.refresh_metrics();
         recorder.record(self.runtime.metrics(), elapsed_micros);
     }
-
-    /// Conversion errors encountered by workers (empty in healthy
-    /// operation; populated only from hand-corrupted journals).
-    pub fn conversion_errors(&self) -> Vec<String> {
-        self.errors.lock().expect("errors poisoned").clone()
-    }
 }
 
 impl JobExecutor for ServeExecutor {
-    fn run(&self, job: &ExecJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
-        let batch_job = match spec_to_batch_job(&job.spec) {
-            Ok(batch_job) => batch_job,
-            Err(e) => {
-                self.errors
-                    .lock()
-                    .expect("errors poisoned")
-                    .push(format!("job {}: {e}", job.id));
-                return ExecOutcome {
-                    verdict: VerdictSummary {
-                        verdict: "Failure".to_string(),
-                        poc_generated: false,
-                        verified: false,
-                        attempts: 1,
-                        quarantined: false,
-                    },
-                    post_mortem: Some(format!("unrunnable job: {e}")),
-                    cancelled: false,
-                };
-            }
-        };
+    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
         // The daemon already measured queue wait; from the runtime's
         // point of view the job starts now.
         let entry = self
             .runtime
-            .run_job(job.id as usize, worker, &batch_job, Instant::now(), sink);
+            .run_job(id as usize, worker, job, Instant::now(), sink);
         let cancelled = matches!(
             &entry.report.verdict,
             Verdict::Failure {
@@ -167,7 +104,7 @@ impl JobExecutor for ServeExecutor {
 mod tests {
     use super::*;
     use octo_serve::daemon::Daemon;
-    use octo_serve::SubmitError;
+    use octo_serve::{JobSpec, Priority, SubmitError};
     use std::sync::Arc;
 
     const S: &str = "func main() {\nentry:\n  fd = open\n  b = getc fd\n  call shared(b)\n  \
@@ -183,18 +120,6 @@ mod tests {
             poc_hex: "41".to_string(),
             shared: vec!["shared".to_string()],
         }
-    }
-
-    #[test]
-    fn specs_round_trip_through_batch_jobs() {
-        let job = spec_to_batch_job(&spec("rt")).unwrap();
-        let back = batch_job_to_spec(&job, Priority::Bulk);
-        assert_eq!(back.name, "rt");
-        assert_eq!(back.poc_hex, "41");
-        assert_eq!(back.shared, vec!["shared".to_string()]);
-        // Printed programs re-parse to the same batch job.
-        let again = spec_to_batch_job(&back).unwrap();
-        assert_eq!(print_program(&again.s), print_program(&job.s));
     }
 
     #[test]
@@ -219,7 +144,6 @@ mod tests {
         // Identical S and T: the original PoC triggers directly.
         assert_eq!(rows[0].verdict.verdict, "Type-I");
         assert!(rows[0].verdict.poc_generated);
-        assert!(executor.conversion_errors().is_empty());
         // The serve_* metrics live in the same registry as the batch
         // metrics, so one scrape carries both.
         let names = executor.registry().names();

@@ -86,6 +86,18 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     parse_program_with_entry(src, "main")
 }
 
+/// Parses a complete program and checks it with
+/// [`crate::validate::validate`]: what every program read from a file or
+/// a wire must pass before it runs.
+///
+/// # Errors
+/// The parse error, or else the first validation error, as text.
+pub fn parse_valid_program(src: &str) -> Result<Program, String> {
+    let program = parse_program(src).map_err(|e| e.to_string())?;
+    crate::validate::validate(&program).map_err(|errors| errors[0].to_string())?;
+    Ok(program)
+}
+
 /// Parses a complete program with an explicit entry function name.
 ///
 /// # Errors
@@ -859,6 +871,15 @@ mod tests {
         let main = p.func(p.entry());
         assert_eq!(main.blocks.len(), 1);
         assert_eq!(main.blocks[0].term, Terminator::Ret(Some(Operand::Imm(0))));
+    }
+
+    #[test]
+    fn parse_valid_program_reports_parse_then_validation_errors() {
+        assert!(parse_valid_program("func main() {\nentry:\n ret 0\n}\n").is_ok());
+        let parse = parse_valid_program("not a program").unwrap_err();
+        assert!(parse.starts_with("line 1: expected `func`"), "{parse}");
+        let invalid = parse_valid_program("func main(a) {\nentry:\n ret a\n}\n").unwrap_err();
+        assert_eq!(invalid, "main: entry function must take no parameters");
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! [`Gauge`]s, and fixed-bucket [`Histogram`]s. Registration hands out
 //! [`std::sync::Arc`] handles; the record path is lock-free relaxed
 //! atomics, so worker threads share one registry without contention.
-//! Registries (and histograms) merge, so per-thread collection also
-//! works. Pipeline phases are timed by the core crate's phase guard,
+//! Pipeline phases are timed by the core crate's phase guard,
 //! which emits `octo_sched::EventKind::PhaseFinished`; the batch layer
 //! records the phase histograms here from the finished report.
 //!

@@ -3,9 +3,7 @@
 //! The hot path never takes a lock: [`MetricsRegistry`] hands out
 //! [`Arc`] handles once (registration locks a `Mutex` around a
 //! `BTreeMap`), and every subsequent `inc`/`observe` is a relaxed
-//! atomic operation. Worker threads can share one registry directly,
-//! or keep private registries and [`MetricsRegistry::merge_from`] them
-//! at the end of a batch.
+//! atomic operation, so worker threads share one registry directly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -190,32 +188,6 @@ impl Histogram {
         // a racing observer should degrade gracefully, not panic.
         Some(self.max.load(Ordering::Relaxed))
     }
-
-    /// Folds another histogram with identical bounds into this one.
-    ///
-    /// The merged histogram is exactly the histogram of the concatenated
-    /// observation streams (bucket counts, count, and sum add; min/max
-    /// combine).
-    ///
-    /// # Panics
-    /// If the bucket bounds differ.
-    pub fn merge_from(&self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time value capture of every registered metric, taken
@@ -235,7 +207,7 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, (u64, u64)>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -401,29 +373,6 @@ impl MetricsRegistry {
     /// All registered names, sorted.
     pub fn names(&self) -> Vec<String> {
         self.metrics.lock().unwrap().keys().cloned().collect()
-    }
-
-    /// Folds `other` into this registry: counters add, gauges keep the
-    /// maximum (they track peaks), histograms merge bucket-wise. Metrics
-    /// only present in `other` are created here.
-    ///
-    /// # Panics
-    /// If a name is registered with different kinds (or histogram
-    /// bounds) in the two registries.
-    pub fn merge_from(&self, other: &MetricsRegistry) {
-        let theirs = other.metrics.lock().unwrap().clone();
-        for (name, metric) in theirs {
-            match metric {
-                Metric::Counter(c) => self.counter(&name).add(c.get()),
-                Metric::Gauge(g) => self.gauge(&name).record_max(g.get()),
-                Metric::Histogram(h) => self.histogram(&name, h.bounds()).merge_from(&h),
-            }
-        }
-        let their_labels = other.info_labels.lock().unwrap().clone();
-        let mut mine = self.info_labels.lock().unwrap();
-        for (name, labels) in their_labels {
-            mine.entry(name).or_insert(labels);
-        }
     }
 
     /// Renders every metric as JSON: `{"metrics":[...]}` with one object
@@ -642,21 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_maxes_gauges() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.counter("steps").add(3);
-        b.counter("steps").add(4);
-        a.gauge("peak").record_max(10);
-        b.gauge("peak").record_max(25);
-        b.counter("only_in_b").add(1);
-        a.merge_from(&b);
-        assert_eq!(a.counter("steps").get(), 7);
-        assert_eq!(a.gauge("peak").get(), 25);
-        assert_eq!(a.counter("only_in_b").get(), 1);
-    }
-
-    #[test]
     fn renderers_are_sorted_and_parseable_shapes() {
         let reg = MetricsRegistry::new();
         reg.counter("zzz_total").inc();
@@ -737,12 +671,9 @@ mod tests {
     }
 
     #[test]
-    fn info_labels_survive_merge_and_escape_specials() {
+    fn info_labels_escape_specials() {
         let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        b.info("build_info", &[("version", "a\"b\\c")]);
-        a.merge_from(&b);
-        assert_eq!(a.gauge("build_info").get(), 1);
+        a.info("build_info", &[("version", "a\"b\\c")]);
         let prom = a.render_prometheus();
         assert!(
             prom.contains("build_info{version=\"a\\\"b\\\\c\"} 1"),

@@ -1,9 +1,8 @@
-//! Property tests for the histogram math (ISSUE 3 satellite): merging
-//! two histograms must be indistinguishable from observing the
-//! concatenated stream, and the quantile/render paths must stay total
-//! (no NaN, no division by zero) for every input — including empty.
+//! Property tests for the histogram math: the quantile path must stay
+//! total (no NaN, no division by zero) for every input — including
+//! empty.
 
-use octo_obs::{Histogram, MetricsRegistry};
+use octo_obs::Histogram;
 use proptest::prelude::*;
 
 /// Strictly increasing bucket bounds drawn from a small universe.
@@ -17,35 +16,6 @@ fn bounds_strategy() -> impl Strategy<Value = Vec<u64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn merged_histograms_equal_histogram_of_concatenation(
-        bounds in bounds_strategy(),
-        xs in prop::collection::vec(0u64..20_000, 0..64),
-        ys in prop::collection::vec(0u64..20_000, 0..64),
-    ) {
-        let a = Histogram::new(&bounds);
-        let b = Histogram::new(&bounds);
-        let whole = Histogram::new(&bounds);
-        for &x in &xs {
-            a.observe(x);
-            whole.observe(x);
-        }
-        for &y in &ys {
-            b.observe(y);
-            whole.observe(y);
-        }
-        a.merge_from(&b);
-
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert_eq!(a.sum(), whole.sum());
-        prop_assert_eq!(a.min(), whole.min());
-        prop_assert_eq!(a.max(), whole.max());
-        prop_assert_eq!(a.bucket_counts(), whole.bucket_counts());
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(a.quantile(q), whole.quantile(q));
-        }
-    }
 
     #[test]
     fn quantile_is_total_and_within_observed_range(
@@ -67,34 +37,5 @@ proptest! {
                 prop_assert!(v <= cap, "quantile {v} above cap {cap}");
             }
         }
-    }
-
-    #[test]
-    fn registry_merge_matches_single_registry_recording(
-        xs in prop::collection::vec(0u64..1_000, 0..32),
-        ys in prop::collection::vec(0u64..1_000, 0..32),
-    ) {
-        // Two worker-local registries merged into one must agree with a
-        // single shared registry — the two collection modes the batch
-        // layer may use.
-        let merged = MetricsRegistry::new();
-        let shared = MetricsRegistry::new();
-        let worker_a = MetricsRegistry::new();
-        let worker_b = MetricsRegistry::new();
-        for (reg_pair, stream) in [((&worker_a, &shared), &xs), ((&worker_b, &shared), &ys)] {
-            let (local, global) = reg_pair;
-            for &v in stream {
-                local.counter("steps_total").add(v);
-                global.counter("steps_total").add(v);
-                local.gauge("peak").record_max(v);
-                global.gauge("peak").record_max(v);
-                local.histogram("lat", &[10, 100]).observe(v);
-                global.histogram("lat", &[10, 100]).observe(v);
-            }
-        }
-        merged.merge_from(&worker_a);
-        merged.merge_from(&worker_b);
-        prop_assert_eq!(merged.render_json(), shared.render_json());
-        prop_assert_eq!(merged.render_prometheus(), shared.render_prometheus());
     }
 }

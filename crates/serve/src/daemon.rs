@@ -8,20 +8,22 @@
 //! crate free of a dependency on the pipeline while letting the daemon
 //! and the one-shot `batch` subcommand share one execution path.
 //!
-//! Lifecycle: jobs are journaled *before* they are enqueued and their
-//! verdicts journaled when they finish; a job cut short by shutdown is
+//! Lifecycle: a submission is parsed and validated once, at admission
+//! ([`JobSpec::admit`]); it is journaled *before* it is enqueued and its
+//! verdict journaled when it finishes. A job cut short by shutdown is
 //! journaled as submitted but never as finished, so a restart on the
-//! same journal resubmits it under its original id and the run
+//! same journal admits it again under its original id and the run
 //! converges to the verdicts an uninterrupted run would have produced.
 //!
-//! One job table holds everything the daemon knows about a job: its
-//! submission while a run may still need it, its verdict, and its
-//! [`JobTimeline`]. Workers hand the daemon itself to the executor as
-//! the event sink, so each event lands in the job's timeline before it
-//! reaches the fan-out, and `watch` replays a job's recorded events
-//! from the table rather than from a subscription of its own.
+//! One job table holds everything the daemon knows about a job: the
+//! admitted [`BatchJob`] until a worker takes it, its verdict, and its
+//! [`JobTimeline`]. Program text lives only in the journal. Workers
+//! hand the daemon itself to the executor as the event sink, so each
+//! event lands in the job's timeline before it reaches the fan-out, and
+//! `watch` replays a job's recorded events from the table rather than
+//! from a subscription of its own.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -31,21 +33,13 @@ use octo_sched::{Event, EventKind, EventSink, FanoutSink};
 
 use crate::journal::{Journal, Replay};
 use crate::proto::{
-    JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Response, ResultRow, VerdictSummary,
+    BatchJob, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Response, ResultRow,
+    VerdictSummary,
 };
 use crate::timeline::JobTimeline;
 
 /// Queue-wait histogram bounds, microseconds (100 µs … 10 s).
 const QUEUE_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
-
-/// One admitted job as handed to the executor.
-#[derive(Debug, Clone)]
-pub struct ExecJob {
-    /// Daemon-global id (also the event-stream job index).
-    pub id: u64,
-    /// What to verify.
-    pub spec: JobSpec,
-}
 
 /// What the executor produced for one job.
 #[derive(Debug, Clone)]
@@ -62,9 +56,10 @@ pub struct ExecOutcome {
 
 /// The verification engine behind the daemon.
 pub trait JobExecutor: Send + Sync {
-    /// Runs one job to completion (or cancellation), emitting progress
-    /// events for worker lane `worker` into `sink`.
-    fn run(&self, job: &ExecJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome;
+    /// Runs job `id` (the daemon-global id, also the event-stream job
+    /// index) to completion (or cancellation), emitting progress events
+    /// for worker lane `worker` into `sink`.
+    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome;
 
     /// The registry the daemon's `serve_*` metrics live in (shared with
     /// the engine's own metrics so one `metrics` reply carries both).
@@ -140,31 +135,30 @@ struct JobRecord {
     /// Name, priority, phase, the daemon-clock stamps, the outcome and
     /// the recorded events: what `/jobs/<id>` serves and `watch` replays.
     timeline: JobTimeline,
-    /// The whole submission (program texts, PoC, shared list), held only
-    /// while a restart may still have to run the job: queued, running or
-    /// interrupted. Dropped when the job is done, so a finished job costs
-    /// the same memory whatever the size of its programs.
-    spec: Option<JobSpec>,
+    /// The admitted job while it waits in the queue; the worker that
+    /// picks it up takes it. A record that has started costs the same
+    /// memory whatever the size of its programs: a restart reads their
+    /// text from the journal.
+    job: Option<Box<BatchJob>>,
     verdict: Option<VerdictSummary>,
     post_mortem: Option<String>,
 }
 
 impl JobRecord {
-    /// A queued record for `spec`, admitted at `submitted_us`.
-    fn queued(id: u64, spec: JobSpec, submitted_us: u64) -> JobRecord {
+    /// A queued record for `spec`, admitted at `submitted_us` as `job`.
+    fn queued(id: u64, spec: &JobSpec, job: Option<BatchJob>, submitted_us: u64) -> JobRecord {
         JobRecord {
             timeline: JobTimeline::queued(id, spec.name.clone(), spec.priority, submitted_us),
-            spec: Some(spec),
+            job: job.map(Box::new),
             verdict: None,
             post_mortem: None,
         }
     }
 
-    /// Records the verdict at `at_us` and drops the submission.
+    /// Records the verdict at `at_us`.
     fn done(&mut self, at_us: u64, verdict: VerdictSummary, post_mortem: Option<String>) {
         self.timeline
             .finish(at_us, JobPhase::Done, &verdict.verdict);
-        self.spec = None;
         self.verdict = Some(verdict);
         self.post_mortem = post_mortem;
     }
@@ -197,6 +191,13 @@ struct State {
 impl State {
     fn queued(&self) -> u64 {
         (self.interactive.len() + self.bulk.len()) as u64
+    }
+
+    fn enqueue(&mut self, id: u64, priority: Priority) {
+        match priority {
+            Priority::Interactive => self.interactive.push_back(id),
+            Priority::Bulk => self.bulk.push_back(id),
+        }
     }
 
     fn done(&self) -> u64 {
@@ -257,27 +258,46 @@ impl Daemon {
         state.last_stamp
     }
 
-    /// Restores journal contents: finished jobs become `done` rows,
-    /// unfinished jobs are resubmitted under their original ids.
+    /// Restores journal contents: finished jobs become `done` rows, and
+    /// unfinished jobs are admitted again and queued under their
+    /// original ids. An unfinished job that no longer admits (a journal
+    /// edited by hand) is done as a `Failure`, journaled so the next
+    /// start does not retry it.
     pub fn restore(&self, replay: Replay) {
         let mut state = self.state.lock().expect("daemon state poisoned");
         for (id, spec) in replay.jobs {
-            let at = self.stamp(&mut state);
-            let mut record = JobRecord::queued(id, spec, at);
-            if let Some(verdict) = replay.verdicts.get(&id) {
-                // A restored verdict has no live history; its timeline
-                // is just the restored outcome.
-                let at = self.stamp(&mut state);
-                record.done(at, verdict.clone(), None);
-            } else {
-                match record.timeline.priority {
-                    Priority::Interactive => state.interactive.push_back(id),
-                    Priority::Bulk => state.bulk.push_back(id),
-                }
-                self.metrics.replays.inc();
-            }
-            state.jobs.insert(id, record);
             state.next_id = state.next_id.max(id + 1);
+            let at = self.stamp(&mut state);
+            // A restored verdict has no live history; its timeline is
+            // just the restored outcome.
+            let (verdict, post_mortem) = match replay.verdicts.get(&id) {
+                Some(verdict) => (verdict.clone(), None),
+                None => match spec.admit() {
+                    Ok(job) => {
+                        state
+                            .jobs
+                            .insert(id, JobRecord::queued(id, &spec, Some(job), at));
+                        state.enqueue(id, spec.priority);
+                        self.metrics.replays.inc();
+                        continue;
+                    }
+                    Err(e) => {
+                        eprintln!("octopocsd: job {id}: {e}");
+                        let verdict = VerdictSummary {
+                            verdict: "Failure".to_string(),
+                            poc_generated: false,
+                            verified: false,
+                            attempts: 1,
+                            quarantined: false,
+                        };
+                        self.journal_verdict(id, &verdict);
+                        (verdict, Some(format!("unrunnable job: {e}")))
+                    }
+                },
+            };
+            let mut record = JobRecord::queued(id, &spec, None, at);
+            record.done(self.stamp(&mut state), verdict, post_mortem);
+            state.jobs.insert(id, record);
         }
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -300,7 +320,7 @@ impl Daemon {
 
     fn worker_loop(&self, worker: usize) {
         loop {
-            let job = {
+            let (id, job) = {
                 let mut state = self.state.lock().expect("daemon state poisoned");
                 loop {
                     if state.shutting_down {
@@ -319,10 +339,8 @@ impl Daemon {
                         record.timeline.picked_up_us = Some(at);
                         let wait = at - record.timeline.submitted_us;
                         self.metrics.queue_wait.observe(wait);
-                        break ExecJob {
-                            id,
-                            spec: record.spec.clone().expect("a queued job keeps its spec"),
-                        };
+                        let job = record.job.take().expect("a queued job holds its job");
+                        break (id, job);
                     }
                     if state.draining {
                         // Nothing queued and no more admissions: done.
@@ -335,21 +353,17 @@ impl Daemon {
                     state = next;
                 }
             };
-            let outcome = self.executor.run(&job, worker, self);
+            let outcome = self.executor.run(id, &job, worker, self);
             let mut state = self.state.lock().expect("daemon state poisoned");
             state.running -= 1;
             let at = self.stamp(&mut state);
-            let record = state.jobs.get_mut(&job.id).expect("running job exists");
+            let record = state.jobs.get_mut(&id).expect("running job exists");
             if outcome.cancelled {
                 record
                     .timeline
                     .finish(at, JobPhase::Interrupted, "interrupted");
             } else {
-                if let Some(journal) = &self.journal {
-                    if let Err(e) = journal.record_verdict(job.id, &outcome.verdict) {
-                        eprintln!("octopocsd: {e}");
-                    }
-                }
+                self.journal_verdict(id, &outcome.verdict);
                 record.done(at, outcome.verdict, outcome.post_mortem);
             }
             drop(state);
@@ -357,11 +371,22 @@ impl Daemon {
         }
     }
 
-    /// Admits one job: journal first, then enqueue. Full queues and
-    /// draining daemons refuse with [`SubmitError::Rejected`]; malformed
-    /// jobs with [`SubmitError::Invalid`].
+    /// Appends `id`'s verdict to the journal, if one is attached. A
+    /// failed append is reported, not fatal: the job reruns on restart.
+    fn journal_verdict(&self, id: u64, verdict: &VerdictSummary) {
+        if let Some(journal) = &self.journal {
+            if let Err(e) = journal.record_verdict(id, verdict) {
+                eprintln!("octopocsd: {e}");
+            }
+        }
+    }
+
+    /// Admits one job: parse and validate ([`JobSpec::admit`]), journal,
+    /// then enqueue. Full queues and draining daemons refuse with
+    /// [`SubmitError::Rejected`]; malformed jobs with
+    /// [`SubmitError::Invalid`].
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        validate_spec(&spec).map_err(SubmitError::Invalid)?;
+        let job = spec.admit().map_err(SubmitError::Invalid)?;
         let mut state = self.state.lock().expect("daemon state poisoned");
         if state.draining {
             self.metrics.rejections.inc();
@@ -381,12 +406,11 @@ impl Daemon {
                 .map_err(SubmitError::Invalid)?;
         }
         state.next_id += 1;
-        match spec.priority {
-            Priority::Interactive => state.interactive.push_back(id),
-            Priority::Bulk => state.bulk.push_back(id),
-        }
+        state.enqueue(id, spec.priority);
         let at = self.stamp(&mut state);
-        state.jobs.insert(id, JobRecord::queued(id, spec, at));
+        state
+            .jobs
+            .insert(id, JobRecord::queued(id, &spec, Some(job), at));
         self.metrics.admissions.inc();
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -555,23 +579,22 @@ impl Daemon {
     }
 
     /// Compacts the journal (if one is attached) down to the jobs a
-    /// restart would actually resubmit: everything finished is
-    /// dropped, everything queued/running/interrupted is rewritten as
-    /// a bare job record. Call on an orderly exit, after the workers
-    /// have stopped. Returns the number of records kept, or `None`
-    /// when the daemon is journal-less.
+    /// restart would actually run again: everything finished is
+    /// dropped, and the journal's own `job` line of everything
+    /// queued/running/interrupted is kept. Call on an orderly exit,
+    /// after the workers have stopped. Returns the number of records
+    /// kept, or `None` when the daemon is journal-less.
     pub fn compact_journal(&self) -> Option<Result<u64, String>> {
         let journal = self.journal.as_ref()?;
         let state = self.state.lock().expect("daemon state poisoned");
-        // Exactly the unfinished jobs still hold their spec.
-        let incomplete: Vec<(u64, JobSpec)> = state
+        let incomplete: BTreeSet<u64> = state
             .jobs
             .iter()
-            .filter_map(|(id, j)| Some((*id, j.spec.clone()?)))
+            .filter(|(_, j)| j.timeline.phase != JobPhase::Done)
+            .map(|(id, _)| *id)
             .collect();
-        let kept = incomplete.len() as u64;
         drop(state);
-        Some(journal.compact(&incomplete).map(|()| kept))
+        Some(journal.compact(&incomplete))
     }
 }
 
@@ -589,27 +612,6 @@ impl EventSink for Daemon {
         }
         self.fanout.emit(event);
     }
-}
-
-/// Parses and validates both program texts and the PoC hex so a bad
-/// submission is refused at admission, not at execution.
-fn validate_spec(spec: &JobSpec) -> Result<(), String> {
-    crate::proto::from_hex(&spec.poc_hex).map_err(|e| format!("job `{}`: {e}", spec.name))?;
-    for (label, text) in [("s", &spec.s_text), ("t", &spec.t_text)] {
-        let program = octo_ir::parse::parse_program(text)
-            .map_err(|e| format!("job `{}`: program `{label}`: {e}", spec.name))?;
-        octo_ir::validate::validate(&program).map_err(|errors| {
-            format!(
-                "job `{}`: program `{label}`: {}",
-                spec.name,
-                errors
-                    .first()
-                    .map(ToString::to_string)
-                    .unwrap_or_else(|| "invalid program".to_string())
-            )
-        })?;
-    }
-    Ok(())
 }
 
 /// A trivial executor for tests: records calls, returns canned
@@ -655,20 +657,20 @@ impl StubExecutor {
 impl JobExecutor for StubExecutor {
     /// Emits `started` and `finished` into `sink` around the (possibly
     /// gated) job, as the real runtime does.
-    fn run(&self, job: &ExecJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
-        let index = job.id as usize;
+    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
+        let index = id as usize;
         sink.emit(Event::new(
             0,
             worker,
             EventKind::JobStarted {
                 job: index,
-                name: job.spec.name.clone(),
+                name: job.name.clone(),
             },
         ));
         self.executed
             .lock()
             .expect("executed poisoned")
-            .push(job.spec.name.clone());
+            .push(job.name.clone());
         if let Some((flag, cv)) = &self.gate {
             let mut open = flag.lock().expect("gate poisoned");
             while !*open && !self.cancelled.load(Ordering::Acquire) {
@@ -853,11 +855,11 @@ mod tests {
         );
         daemon.restore(replay);
         {
-            // A restored done job keeps no program text; the job to
-            // resubmit keeps its whole spec.
+            // A restored done job holds no job; the one to run again
+            // holds it admitted.
             let state = daemon.state.lock().unwrap();
-            assert!(state.jobs[&1].spec.is_none());
-            assert_eq!(state.jobs[&2].spec, Some(spec("redo", Priority::Bulk)));
+            assert!(state.jobs[&1].job.is_none());
+            assert_eq!(state.jobs[&2].job.as_ref().unwrap().name, "redo");
         }
         let reg = daemon.executor.registry();
         assert_eq!(reg.get_counter("serve_replays_total").unwrap().get(), 1);
@@ -876,20 +878,78 @@ mod tests {
     }
 
     #[test]
+    fn restore_ends_a_job_that_no_longer_admits_as_a_failure() {
+        let path =
+            std::env::temp_dir().join(format!("octo-serve-daemon-restore-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let executor = Arc::new(StubExecutor::immediate());
+        let daemon = Daemon::new(executor.clone(), Some(Journal::open(&path).unwrap().0), 16);
+        let mut bad = spec("bad", Priority::Bulk);
+        bad.s_text = "this is not MicroIR".to_string();
+        let mut replay = Replay::default();
+        replay.jobs.push((1, spec("good", Priority::Bulk)));
+        replay.jobs.push((2, bad));
+        daemon.restore(replay);
+        let reg = executor.registry();
+        assert_eq!(reg.get_counter("serve_replays_total").unwrap().get(), 1);
+        let failure = VerdictSummary {
+            verdict: "Failure".to_string(),
+            poc_generated: false,
+            verified: false,
+            attempts: 1,
+            quarantined: false,
+        };
+        let status = daemon.job_status(2).unwrap();
+        assert_eq!(
+            (status.phase, status.verdict.as_ref()),
+            (JobPhase::Done, Some(&failure))
+        );
+        let post_mortem = status.post_mortem.unwrap();
+        assert!(
+            post_mortem.starts_with("unrunnable job: job `bad`: program `s`: line 1:"),
+            "{post_mortem}"
+        );
+        let workers = daemon.start_workers(1);
+        drain_and_join(&daemon, workers);
+        assert_eq!(*executor.executed.lock().unwrap(), vec!["good"]);
+        assert_eq!(
+            daemon.job_status(1).unwrap().verdict.unwrap().verdict,
+            "Type-I"
+        );
+        // Both verdicts are journaled: the next start retries neither.
+        drop(daemon);
+        let (_journal, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.verdicts[&2], failure);
+        assert_eq!(replay.verdicts.len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn finished_jobs_drop_their_program_text_but_answer_as_before() {
         let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
         daemon.submit(spec("kept", Priority::Interactive)).unwrap();
         assert_eq!(
-            daemon.state.lock().unwrap().jobs[&1].spec,
-            Some(spec("kept", Priority::Interactive)),
-            "a queued job holds its whole submission"
+            daemon.state.lock().unwrap().jobs[&1]
+                .job
+                .as_ref()
+                .unwrap()
+                .name,
+            "kept",
+            "a queued job holds its admitted job"
         );
         let workers = daemon.start_workers(1);
         drain_and_join(&daemon, workers);
-        assert!(
-            daemon.state.lock().unwrap().jobs[&1].spec.is_none(),
-            "a done job holds no program text, PoC or shared list"
-        );
+        {
+            let state = daemon.state.lock().unwrap();
+            let record = &state.jobs[&1];
+            assert!(record.job.is_none(), "a done job holds no programs");
+            let steps = &record.timeline.steps;
+            assert_eq!(
+                (steps.len(), steps.capacity()),
+                (2, 2),
+                "no spare step slots"
+            );
+        }
         let verdict = VerdictSummary {
             verdict: "Type-I".to_string(),
             poc_generated: true,

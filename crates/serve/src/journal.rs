@@ -14,10 +14,15 @@
 //! jobs with verdicts are restored as done, jobs without are resubmitted
 //! under their **original ids**, so a batch interrupted by a crash
 //! converges to the same results as an uninterrupted run. A torn final
-//! line (the process died mid-append) is ignored; corruption anywhere
+//! line (the process died mid-append) is ignored and cut off the file,
+//! so the next append starts a line of its own; corruption anywhere
 //! else is an error.
+//!
+//! The journal is the only place a job's program text is kept once the
+//! job has started: compaction copies the `job` lines of the jobs a
+//! restart must run from the file itself.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -35,18 +40,6 @@ pub struct Replay {
     pub verdicts: BTreeMap<u64, VerdictSummary>,
 }
 
-impl Replay {
-    /// Ids journaled as submitted but lacking a verdict — the jobs the
-    /// daemon must resubmit.
-    pub fn incomplete(&self) -> Vec<u64> {
-        self.jobs
-            .iter()
-            .map(|(id, _)| *id)
-            .filter(|id| !self.verdicts.contains_key(id))
-            .collect()
-    }
-}
-
 /// An open journal. All appends flush before returning so a record is
 /// on its way to disk before the daemon acts on it.
 #[derive(Debug)]
@@ -57,7 +50,9 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` and replays its
-    /// existing records.
+    /// existing records. A torn final line is cut off and a final record
+    /// that lacks its newline gets one, so the next append starts a line
+    /// of its own.
     pub fn open(path: &Path) -> Result<(Journal, Replay), String> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -68,7 +63,15 @@ impl Journal {
         let mut text = String::new();
         file.read_to_string(&mut text)
             .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        let replay = Journal::replay(&text)?;
+        let (replay, whole) = Journal::replay(&text)?;
+        let repaired = if whole < text.len() {
+            file.set_len(whole as u64)
+        } else if !text.is_empty() && !text.ends_with('\n') {
+            file.write_all(b"\n")
+        } else {
+            Ok(())
+        };
+        repaired.map_err(|e| format!("cannot repair journal tail {}: {e}", path.display()))?;
         Ok((
             Journal {
                 path: path.to_path_buf(),
@@ -78,9 +81,11 @@ impl Journal {
         ))
     }
 
-    fn replay(text: &str) -> Result<Replay, String> {
+    /// Replays `text`. Also returns the length of its prefix of whole
+    /// lines: all of `text` unless the final line is torn.
+    fn replay(text: &str) -> Result<(Replay, usize), String> {
         let mut replay = Replay::default();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
         let last = lines.len().saturating_sub(1);
         for (i, line) in lines.iter().enumerate() {
             if line.trim().is_empty() {
@@ -94,11 +99,11 @@ impl Journal {
                 // The process died mid-append: a torn final line is
                 // expected and dropped. Torn *interior* lines mean the
                 // file was corrupted some other way — refuse to guess.
-                Err(_) if i == last => {}
+                Err(_) if i == last => return Ok((replay, text.len() - line.len())),
                 Err(e) => return Err(format!("journal line {}: {e}", i + 1)),
             }
         }
-        Ok(replay)
+        Ok((replay, text.len()))
     }
 
     fn parse_record(line: &str) -> Result<Record, String> {
@@ -146,22 +151,28 @@ impl Journal {
         ))
     }
 
-    /// Rewrites the journal to hold only the given still-incomplete
-    /// jobs, dropping every finished job/verdict pair. The replacement
-    /// is written to a sibling temp file and atomically renamed over
-    /// the journal, so a crash mid-compaction leaves either the old
-    /// file or the new one — never a mix. The open handle switches to
-    /// the new file, and the append lock is held throughout so no
-    /// record can slip between the snapshot and the swap.
-    pub fn compact(&self, incomplete: &[(u64, JobSpec)]) -> Result<(), String> {
-        let mut text = String::new();
-        for (id, job) in incomplete {
-            text.push_str(&format!(
-                "{{\"journal\":\"job\",\"id\":{id},\"job\":{{{}}}}}\n",
-                render_jobspec_fields(job)
-            ));
-        }
+    /// Rewrites the journal to hold only the `job` records of the ids in
+    /// `incomplete`, copied byte for byte from the file, dropping every
+    /// other record. Returns the number of records kept. The
+    /// replacement is written to a sibling temp file and atomically
+    /// renamed over the journal, so a crash mid-compaction leaves either
+    /// the old file or the new one — never a mix. The open handle
+    /// switches to the new file, and the append lock is held throughout
+    /// so no record can slip between the read and the swap.
+    pub fn compact(&self, incomplete: &BTreeSet<u64>) -> Result<u64, String> {
         let mut file = self.file.lock().expect("journal lock poisoned");
+        let old = std::fs::read_to_string(&self.path)
+            .map_err(|e| format!("cannot read journal {}: {e}", self.path.display()))?;
+        let mut text = String::new();
+        let mut kept = 0;
+        for line in old.split_inclusive('\n') {
+            if let Ok(Record::Job { id, .. }) = Journal::parse_record(line) {
+                if incomplete.contains(&id) {
+                    text.push_str(line);
+                    kept += 1;
+                }
+            }
+        }
         let mut tmp_name = self.path.as_os_str().to_os_string();
         tmp_name.push(".compact");
         let tmp = PathBuf::from(tmp_name);
@@ -176,7 +187,7 @@ impl Journal {
         match write() {
             Ok(reopened) => {
                 *file = reopened;
-                Ok(())
+                Ok(kept)
             }
             Err(e) => {
                 let _ = std::fs::remove_file(&tmp);
@@ -250,7 +261,6 @@ mod tests {
         assert_eq!(replay.jobs[0].1, spec("a"));
         assert_eq!(replay.verdicts.len(), 1);
         assert_eq!(replay.verdicts[&1], verdict());
-        assert_eq!(replay.incomplete(), vec![2]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -263,7 +273,7 @@ mod tests {
         journal.record_verdict(1, &verdict()).unwrap();
         journal.record_job(2, &spec("b")).unwrap();
         let before = std::fs::metadata(&path).unwrap().len();
-        journal.compact(&[(2, spec("b"))]).unwrap();
+        assert_eq!(journal.compact(&BTreeSet::from([2])), Ok(1));
         let after = std::fs::metadata(&path).unwrap().len();
         assert!(after < before, "journal shrank ({before} -> {after})");
         // Appends after compaction land in the renamed-in file.
@@ -273,7 +283,7 @@ mod tests {
         assert_eq!(replay.jobs.len(), 1);
         assert_eq!(replay.jobs[0].0, 2);
         assert_eq!(replay.verdicts.len(), 1);
-        assert!(replay.incomplete().is_empty());
+        assert!(replay.verdicts.contains_key(&2));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -284,7 +294,7 @@ mod tests {
         let (journal, _) = Journal::open(&path).unwrap();
         journal.record_job(1, &spec("a")).unwrap();
         journal.record_verdict(1, &verdict()).unwrap();
-        journal.compact(&[]).unwrap();
+        assert_eq!(journal.compact(&BTreeSet::new()), Ok(0));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         drop(journal);
         let (_j, replay) = Journal::open(&path).unwrap();
@@ -308,12 +318,64 @@ mod tests {
         let (_j, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay.jobs.len(), 1);
         assert!(replay.verdicts.is_empty());
-        assert_eq!(replay.incomplete(), vec![1]);
 
         // The same garbage *before* a valid line is corruption.
         let bad = "{\"journal\":\"verd\n{\"journal\":\"job\",\"id\":1,\"job\":{}}\n";
         std::fs::write(&path, bad).unwrap();
         assert!(Journal::open(&path).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_append_after_a_torn_tail_starts_its_own_line() {
+        let path = temp_path("torn-append");
+        let _ = std::fs::remove_file(&path);
+        Journal::open(&path)
+            .unwrap()
+            .0
+            .record_job(1, &spec("a"))
+            .unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"journal\":\"verdict\",\"id\":1,\"verd");
+        std::fs::write(&path, &text).unwrap();
+        Journal::open(&path)
+            .unwrap()
+            .0
+            .record_job(2, &spec("b"))
+            .unwrap();
+        // Job 2 was acknowledged, so the replay must hold it.
+        let (journal, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.jobs, vec![(1, spec("a")), (2, spec("b"))]);
+        assert!(replay.verdicts.is_empty());
+        // One more append leaves every line whole.
+        journal.record_verdict(2, &verdict()).unwrap();
+        drop(journal);
+        let (_j, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.jobs, vec![(1, spec("a")), (2, spec("b"))]);
+        assert_eq!(replay.verdicts.keys().collect::<Vec<_>>(), vec![&2]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_last_record_without_its_newline_is_kept_and_ended() {
+        let path = temp_path("no-newline");
+        let _ = std::fs::remove_file(&path);
+        Journal::open(&path)
+            .unwrap()
+            .0
+            .record_job(1, &spec("a"))
+            .unwrap();
+        // A write cut just before its newline leaves a whole record.
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
+        Journal::open(&path)
+            .unwrap()
+            .0
+            .record_verdict(1, &verdict())
+            .unwrap();
+        let (_j, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.jobs, vec![(1, spec("a"))]);
+        assert_eq!(replay.verdicts[&1], verdict());
         let _ = std::fs::remove_file(&path);
     }
 }

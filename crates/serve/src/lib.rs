@@ -6,12 +6,15 @@
 //! - [`json`]: a dependency-free JSON value parser for the wire and
 //!   journal formats.
 //! - [`proto`]: the line-delimited JSON wire protocol — requests,
-//!   responses, and their total parse/render pairs.
+//!   responses, and their total parse/render pairs — and admission,
+//!   [`JobSpec::admit`], which parses a submission once into the
+//!   [`BatchJob`] the engine runs.
 //! - [`journal`]: the append-only durability log replayed on restart.
 //! - [`daemon`]: admission control, the bounded two-class priority
-//!   queue, the worker pool, the one job table (each job's submission,
-//!   verdict and timeline), and the [`daemon::JobExecutor`] seam the
-//!   core crate plugs its pipeline into.
+//!   queue, the worker pool, the one job table (each job's admitted
+//!   [`BatchJob`] until pickup, verdict and timeline), and the
+//!   [`daemon::JobExecutor`] seam the core crate plugs its pipeline
+//!   into.
 //! - [`server`]: the socket accept loop and capped line reader.
 //! - [`client`]: the connection type the CLI subcommands drive.
 //! - [`timeline`]: per-job timelines (submit → queue wait → attempts →
@@ -35,12 +38,12 @@ pub mod server;
 pub mod timeline;
 
 pub use client::{Client, Endpoint};
-pub use daemon::{Daemon, ExecJob, ExecOutcome, JobExecutor, ServeMetrics, SubmitError};
+pub use daemon::{Daemon, ExecOutcome, JobExecutor, ServeMetrics, SubmitError};
 pub use http::{bind_http, http_get, serve_http, HttpResponse, Scope};
 pub use journal::{Journal, Replay};
 pub use proto::{
-    render_verdicts_json, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request, Response,
-    ResultRow, VerdictSummary, MAX_LINE_BYTES,
+    render_verdicts_json, BatchJob, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request,
+    Response, ResultRow, VerdictSummary, MAX_LINE_BYTES,
 };
 pub use server::{handle_connection, serve, ServerConfig};
 pub use timeline::{AttemptSpan, JobTimeline, TimelineStep};

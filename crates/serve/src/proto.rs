@@ -9,6 +9,10 @@
 //! total: malformed input yields `Err(String)`, never a panic or a
 //! dropped connection. The full reference lives in `docs/service.md`.
 
+use octo_ir::parse::parse_valid_program;
+use octo_ir::printer::print_program;
+use octo_ir::Program;
+use octo_poc::PocFile;
 use octo_sched::{Event, EventKind};
 
 use crate::json::{json_escape, parse_json, JsonValue};
@@ -84,9 +88,9 @@ impl JobPhase {
     }
 }
 
-/// One job as submitted over the wire: program *texts* (parsed and
-/// validated by the daemon at admission), the PoC as hex, the shared
-/// set, and a priority class.
+/// One job as submitted over the wire: program *texts*, the PoC as hex,
+/// the shared set, and a priority class. [`JobSpec::admit`] turns it
+/// into the [`BatchJob`] the engine runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Display name, echoed through status/results.
@@ -101,6 +105,55 @@ pub struct JobSpec {
     pub poc_hex: String,
     /// Names of the shared (cloned) functions, in order.
     pub shared: Vec<String>,
+}
+
+/// One job as the engine runs it: it owns its programs so it can be
+/// loaded from files, the corpus or the wire and shipped across worker
+/// threads.
+#[derive(Debug, Clone)]
+pub struct BatchJob {
+    /// Display name (e.g. `"idx10 CVE-2016-10095 tiffsplit->opj_compress"`).
+    pub name: String,
+    /// The original vulnerable software.
+    pub s: Program,
+    /// The propagated software.
+    pub t: Program,
+    /// The original PoC (crashes `S`).
+    pub poc: PocFile,
+    /// Names of the shared (cloned) functions.
+    pub shared: Vec<String>,
+}
+
+impl JobSpec {
+    /// Admission: decodes the PoC and parses and validates `S` and `T`,
+    /// the one place a submission's text is read. A bad job is refused
+    /// here with a message naming it, never at execution.
+    pub fn admit(&self) -> Result<BatchJob, String> {
+        let poc = from_hex(&self.poc_hex).map_err(|e| format!("job `{}`: {e}", self.name))?;
+        let program = |label: &str, text: &str| {
+            parse_valid_program(text)
+                .map_err(|e| format!("job `{}`: program `{label}`: {e}", self.name))
+        };
+        Ok(BatchJob {
+            name: self.name.clone(),
+            s: program("s", &self.s_text)?,
+            t: program("t", &self.t_text)?,
+            poc: PocFile::from(poc),
+            shared: self.shared.clone(),
+        })
+    }
+
+    /// The wire spec of `job` (what the client subcommands submit).
+    pub fn from_job(job: &BatchJob, priority: Priority) -> JobSpec {
+        JobSpec {
+            name: job.name.clone(),
+            priority,
+            s_text: print_program(&job.s),
+            t_text: print_program(&job.t),
+            poc_hex: to_hex(job.poc.bytes()),
+            shared: job.shared.clone(),
+        }
+    }
 }
 
 /// The stable, journal-safe summary of one finished job — exactly the
@@ -1007,6 +1060,29 @@ mod tests {
         assert!(Response::parse(&line(u64::from(u32::MAX))).is_ok());
         let err = Response::parse(&line(u64::from(u32::MAX) + 1)).unwrap_err();
         assert!(err.contains("`attempt` out of range"), "{err}");
+    }
+
+    #[test]
+    fn specs_round_trip_through_batch_jobs() {
+        let s = "func main() {\nentry:\n  fd = open\n  b = getc fd\n  call shared(b)\n  \
+                 halt 0\n}\nfunc shared(v) {\nentry:\n  c = eq v, 0x41\n  br c, boom, fine\n\
+                 boom:\n  trap 1\nfine:\n  ret\n}\n";
+        let spec = JobSpec {
+            name: "rt".to_string(),
+            priority: Priority::Bulk,
+            s_text: s.to_string(),
+            t_text: s.to_string(),
+            poc_hex: "41".to_string(),
+            shared: vec!["shared".to_string()],
+        };
+        let job = spec.admit().unwrap();
+        let back = JobSpec::from_job(&job, Priority::Bulk);
+        assert_eq!(back.name, "rt");
+        assert_eq!(back.poc_hex, "41");
+        assert_eq!(back.shared, vec!["shared".to_string()]);
+        // Printed programs re-parse to the same batch job.
+        let again = back.admit().unwrap();
+        assert_eq!(print_program(&again.s), print_program(&job.s));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! structured `error` line and the connection stays open; only EOF or a
 //! transport error closes it.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -175,6 +175,22 @@ pub fn handle_connection<R: BufRead, W: Write>(daemon: &Daemon, mut reader: R, m
     }
 }
 
+/// Serves one accepted connection on a thread of its own. The read half
+/// is cloned on that thread, so a failed clone (or thread spawn), say
+/// for want of file descriptors, drops this connection only and the
+/// accept loop goes on.
+fn spawn_handler<S>(daemon: &Arc<Daemon>, stream: S, try_clone: fn(&S) -> std::io::Result<S>)
+where
+    S: Read + Write + Send + 'static,
+{
+    let daemon = Arc::clone(daemon);
+    let _ = std::thread::Builder::new().spawn(move || {
+        if let Ok(reader) = try_clone(&stream) {
+            handle_connection(&daemon, BufReader::new(reader), stream);
+        }
+    });
+}
+
 /// Runs the accept loop until the daemon finishes (drain completed or
 /// shutdown requested) or `stop` fires — `stop` is mapped to a full
 /// [`Daemon::shutdown`], the graceful-on-first-signal path.
@@ -221,24 +237,12 @@ pub fn serve(
         #[cfg(unix)]
         if let Ok((stream, _)) = unix_listener.accept() {
             accepted = true;
-            let daemon = Arc::clone(daemon);
-            let reader = stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone stream: {e}"))?;
-            std::thread::spawn(move || {
-                handle_connection(&daemon, BufReader::new(reader), stream);
-            });
+            spawn_handler(daemon, stream, std::os::unix::net::UnixStream::try_clone);
         }
         if let Some(listener) = &tcp_listener {
             if let Ok((stream, _)) = listener.accept() {
                 accepted = true;
-                let daemon = Arc::clone(daemon);
-                let reader = stream
-                    .try_clone()
-                    .map_err(|e| format!("cannot clone stream: {e}"))?;
-                std::thread::spawn(move || {
-                    handle_connection(&daemon, BufReader::new(reader), stream);
-                });
+                spawn_handler(daemon, stream, TcpStream::try_clone);
             }
         }
         if !accepted {

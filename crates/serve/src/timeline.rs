@@ -107,11 +107,13 @@ impl JobTimeline {
     }
 
     /// The terminal transition at `at_us`. `outcome` is the verdict
-    /// label, or `"interrupted"` when a shutdown cut the job short.
+    /// label, or `"interrupted"` when a shutdown cut the job short. No
+    /// step follows it, so the step list gives back its spare capacity.
     pub(crate) fn finish(&mut self, at_us: u64, phase: JobPhase, outcome: &str) {
         self.finished_us = Some(at_us);
         self.phase = phase;
         self.outcome = Some(outcome.to_string());
+        self.steps.shrink_to_fit();
     }
 
     /// Queue wait in microseconds, once a worker picked the job up.

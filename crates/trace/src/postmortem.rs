@@ -4,22 +4,6 @@
 
 use crate::TraceEvent;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Why a verification job failed to trigger, reconstructed from the
 /// flight record and the dying state. Attached to the verification
 /// report on any not-triggerable or deadline verdict.
@@ -62,25 +46,6 @@ impl PostMortem {
         }
         out
     }
-
-    /// One JSON object (single line, no trailing newline).
-    pub fn render_json(&self) -> String {
-        let last = match &self.last_constraint {
-            Some(c) => format!("\"{}\"", json_escape(c)),
-            None => "null".into(),
-        };
-        let tail: Vec<String> = self.tail.iter().map(|e| e.render_json()).collect();
-        format!(
-            "{{\"event\":\"{}\",\"ep_entries\":{},\"total_entries\":{},\"constraints\":{},\
-             \"last_constraint\":{last},\"detail\":\"{}\",\"tail\":[{}]}}",
-            json_escape(&self.event),
-            self.ep_entries,
-            self.total_entries,
-            self.constraints,
-            json_escape(&self.detail),
-            tail.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -118,22 +83,5 @@ mod tests {
         assert!(text.contains("ep entry 1/3"), "{text}");
         assert!(text.contains("last constraint: f[2] == 0x41"), "{text}");
         assert!(text.contains("last 2 events:"), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let json = sample().render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"event\":\"loop-dead\""), "{json}");
-        assert!(json.contains("\"total_entries\":3"), "{json}");
-        assert!(json.contains("\"tail\":[{"), "{json}");
-        let none = PostMortem {
-            last_constraint: None,
-            tail: Vec::new(),
-            ..sample()
-        };
-        let json = none.render_json();
-        assert!(json.contains("\"last_constraint\":null"), "{json}");
-        assert!(json.contains("\"tail\":[]"), "{json}");
     }
 }

@@ -67,6 +67,9 @@ fn start_daemon(dir: &Path, extra: &[&str]) -> (Child, PathBuf) {
         if Client::connect(&Endpoint::Unix(socket.clone())).is_ok() {
             return (child, socket);
         }
+        if let Ok(Some(status)) = child.try_wait() {
+            panic!("daemon exited before it listened: {status}");
+        }
         if Instant::now() >= deadline {
             let _ = child.kill();
             let _ = child.wait();
@@ -173,6 +176,36 @@ fn killed_daemon_replays_journal_and_converges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A torn final journal line (a daemon died mid-append) is cut off at
+/// the next start, so the records appended after it replay after a
+/// second kill. SIGKILL, not drain: a drain's compaction rewrites the
+/// file.
+#[test]
+fn jobs_appended_after_a_torn_journal_tail_replay() {
+    let dir = workdir("torn");
+    let torn = "{\"journal\":\"verdict\",\"id\":1,\"verd";
+    std::fs::write(dir.join("d.journal"), torn).expect("write torn journal");
+    let (mut child, socket) = start_daemon(&dir, &["--workers", "2"]);
+    let (code, _, stderr) = client(&socket, &["submit", "--corpus"]);
+    assert_eq!(code, 0, "submit failed: {stderr}");
+    let (code, _, stderr) = client(&socket, &["results", "--wait"]);
+    assert_eq!(code, 0, "results failed: {stderr}");
+    child.kill().expect("SIGKILL daemon");
+    child.wait().expect("reap daemon");
+
+    let (mut child, socket) = start_daemon(&dir, &["--workers", "2"]);
+    let (code, verdicts, stderr) = client(&socket, &["results", "--wait", "--verdicts-json"]);
+    assert_eq!(code, 0, "results failed: {stderr}");
+    assert_eq!(
+        verdicts, GOLDEN,
+        "replay lost jobs appended after the torn tail"
+    );
+    let (code, _, stderr) = client(&socket, &["drain"]);
+    assert_eq!(code, 0, "drain failed: {stderr}");
+    assert_eq!(child.wait().expect("daemon exit").code(), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: an orderly drain compacts the journal. After a full
 /// corpus run every job has a verdict, so the compacted journal is
 /// empty, and a restart on it replays nothing.
@@ -238,7 +271,7 @@ fn full_queue_submission_is_rejected_not_hung() {
     // Job 1 wedges the only worker; job 2 fills the queue.
     let submit_one = |tag: &str| {
         let mut c = Client::connect(&Endpoint::Unix(socket.clone())).expect("connect");
-        let job = octopocs::batch_job_to_spec(
+        let job = octo_serve::JobSpec::from_job(
             &octo_corpus::all_pairs()
                 .into_iter()
                 .map(|p| octopocs::BatchJob {
