@@ -20,7 +20,6 @@ pub type Node = (FuncId, BlockId);
 /// target function.
 #[derive(Debug, Clone)]
 pub struct DistanceMap {
-    target: FuncId,
     dist: HashMap<Node, u32>,
 }
 
@@ -36,7 +35,7 @@ impl DistanceMap {
         // predecessors: intra preds + "caller" edges (callee entry ←
         // calling block).
         let mut rev: HashMap<Node, Vec<Node>> = HashMap::new();
-        for (fid, func) in program.iter() {
+        for (fid, _) in program.iter() {
             let fcfg = cfg.func(fid);
             for (bi, ss) in fcfg.succs.iter().enumerate() {
                 let from = (fid, BlockId(bi as u32));
@@ -48,7 +47,6 @@ impl DistanceMap {
                 let callee_entry = (*callee, program.func(*callee).entry());
                 rev.entry(callee_entry).or_default().push((fid, *block));
             }
-            let _ = func;
         }
 
         let mut dist = HashMap::new();
@@ -66,12 +64,7 @@ impl DistanceMap {
                 }
             }
         }
-        DistanceMap { target, dist }
-    }
-
-    /// The target function this map measures distance to.
-    pub fn target(&self) -> FuncId {
-        self.target
+        DistanceMap { dist }
     }
 
     /// Distance of a node, or `None` if the node cannot reach the target.
@@ -84,61 +77,12 @@ impl DistanceMap {
         self.dist.contains_key(&(func, block))
     }
 
-    /// Number of nodes that can reach the target.
-    pub fn reaching_nodes(&self) -> usize {
-        self.dist.len()
-    }
-
     /// The largest finite distance in the map (0 when only the target
     /// itself reaches it). Used to normalise seed distances in the AFLGo
     /// baseline.
     pub fn max_distance(&self) -> u32 {
         self.dist.values().copied().max().unwrap_or(0)
     }
-}
-
-/// Extracts one shortest path `from → … → (target, entry)` using a distance
-/// map, following forward edges of strictly decreasing distance.
-///
-/// Returns `None` when the target is unreachable from `from`.
-pub fn shortest_path(
-    program: &Program,
-    cfg: &Cfg,
-    map: &DistanceMap,
-    from: Node,
-) -> Option<Vec<Node>> {
-    let mut path = vec![from];
-    let mut cur = from;
-    let target_entry: Node = (map.target(), program.func(map.target()).entry());
-    let mut budget = map.reaching_nodes() + 1;
-    while cur != target_entry {
-        budget = budget.checked_sub(1)?;
-        let d = map.get(cur.0, cur.1)?;
-        let (fid, bid) = cur;
-        let fcfg = cfg.func(fid);
-        // Forward successors: intra edges, then call edges out of this block.
-        let mut next: Option<Node> = None;
-        for s in &fcfg.succs[bid.0 as usize] {
-            if map.get(fid, *s).is_some_and(|ds| ds < d) {
-                next = Some((fid, *s));
-                break;
-            }
-        }
-        if next.is_none() {
-            for (block, callee) in &fcfg.calls {
-                if *block == bid {
-                    let entry = (*callee, program.func(*callee).entry());
-                    if map.get(entry.0, entry.1).is_some_and(|ds| ds < d) {
-                        next = Some(entry);
-                        break;
-                    }
-                }
-            }
-        }
-        cur = next?;
-        path.push(cur);
-    }
-    Some(path)
 }
 
 #[cfg(test)]
@@ -215,26 +159,12 @@ entry:
     }
 
     #[test]
-    fn shortest_path_reaches_target_entry() {
-        let (p, cfg, map) = setup();
-        let path = shortest_path(&p, &cfg, &map, (p.entry(), BlockId(0))).unwrap();
-        let target = p.func_by_name("target_fn").unwrap();
-        assert_eq!(*path.first().unwrap(), (p.entry(), BlockId(0)));
-        assert_eq!(*path.last().unwrap(), (target, BlockId(0)));
-        // Path distances strictly decrease.
-        let ds: Vec<u32> = path.iter().map(|n| map.get(n.0, n.1).unwrap()).collect();
-        for w in ds.windows(2) {
-            assert!(w[1] < w[0]);
-        }
-    }
-
-    #[test]
     fn unreachable_target_yields_none() {
         let (p, cfg, _) = setup();
         let unrelated = p.func_by_name("unrelated").unwrap();
         let map = DistanceMap::compute(&p, &cfg, unrelated);
         assert!(!map.reaches(p.entry(), BlockId(0)));
-        assert!(shortest_path(&p, &cfg, &map, (p.entry(), BlockId(0))).is_none());
+        assert_eq!(map.get(p.entry(), BlockId(0)), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use octo_ir::{BlockId, FuncId, Inst, Program, Terminator};
+use octo_ir::{BlockId, FuncId, Function, Inst, Program, Terminator};
 
 /// Which recovery algorithm to use (paper §IV-B discusses both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,43 +42,6 @@ impl fmt::Display for CfgError {
 
 impl std::error::Error for CfgError {}
 
-/// Statically-derived resolutions of indirect control flow, consumed by
-/// dynamic-mode recovery in place of the address-taken over-approximation.
-///
-/// Produced by `octo-lint`'s constant-propagation pass: when the value
-/// flowing into an `ijmp`/`icall` is a compile-time constant with code
-/// provenance, the exact target set replaces the candidate sweep. A hint
-/// also rescues functions dynamic mode would otherwise reject (an
-/// indirect jump with no address-taken candidates).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CfgHints {
-    /// `(func, block)` → exact successor set of that block's `ijmp`.
-    pub ijmp_targets: Vec<(FuncId, BlockId, Vec<BlockId>)>,
-    /// `(func, block)` → exact callee set of that block's `icall`s.
-    pub icall_targets: Vec<(FuncId, BlockId, Vec<FuncId>)>,
-}
-
-impl CfgHints {
-    /// Whether no hints are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ijmp_targets.is_empty() && self.icall_targets.is_empty()
-    }
-
-    fn ijmp(&self, func: FuncId, block: BlockId) -> Option<&[BlockId]> {
-        self.ijmp_targets
-            .iter()
-            .find(|(f, b, _)| *f == func && *b == block)
-            .map(|(_, _, ts)| ts.as_slice())
-    }
-
-    fn icall(&self, func: FuncId, block: BlockId) -> Option<&[FuncId]> {
-        self.icall_targets
-            .iter()
-            .find(|(f, b, _)| *f == func && *b == block)
-            .map(|(_, _, ts)| ts.as_slice())
-    }
-}
-
 /// Recovered control flow for one function.
 #[derive(Debug, Clone, Default)]
 pub struct FuncCfg {
@@ -86,10 +49,12 @@ pub struct FuncCfg {
     pub succs: Vec<Vec<BlockId>>,
     /// Intraprocedural predecessors per block.
     pub preds: Vec<Vec<BlockId>>,
-    /// Call edges: `(block, callee)` for every direct call plus every
-    /// resolved indirect call candidate.
+    /// Call edges: `(block, callee)` for every direct call plus, in
+    /// dynamic mode, every candidate of every indirect call.
     pub calls: Vec<(BlockId, FuncId)>,
-    /// Blocks ending in an indirect jump that static mode left unresolved.
+    /// Blocks ending in an indirect jump that recovery gave no
+    /// successors: every `ijmp` in static mode, and in dynamic mode one in
+    /// a function that takes no block address.
     pub unresolved_indirect: Vec<BlockId>,
 }
 
@@ -139,25 +104,6 @@ impl Cfg {
 /// function — there is nothing for address-taken resolution to propose, so
 /// the recovered graph would silently miss real edges.
 pub fn build_cfg(program: &Program, mode: CfgMode) -> Result<Cfg, CfgError> {
-    build_cfg_with_hints(program, mode, &CfgHints::default())
-}
-
-/// Builds the CFG of `program`, consulting `hints` for indirect flow.
-///
-/// Behaves exactly like [`build_cfg`] except that in [`CfgMode::Dynamic`]
-/// a hinted `ijmp` block takes its successors from the hint (even when no
-/// block address is taken in the function) and a hinted `icall` block
-/// takes its call edges from the hint instead of every address-taken
-/// function.
-///
-/// # Errors
-/// Same as [`build_cfg`]: an unhinted indirect jump in dynamic mode with
-/// no address-taken candidates fails with [`CfgError`].
-pub fn build_cfg_with_hints(
-    program: &Program,
-    mode: CfgMode,
-    hints: &CfgHints,
-) -> Result<Cfg, CfgError> {
     // Functions whose address is taken anywhere in the program are indirect
     // call candidates.
     let mut addr_taken_funcs: Vec<FuncId> = Vec::new();
@@ -174,16 +120,44 @@ pub fn build_cfg_with_hints(
     }
 
     let mut funcs = Vec::with_capacity(program.function_count());
-    for (fid, f) in program.iter() {
-        let n = f.blocks.len();
-        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut calls: Vec<(BlockId, FuncId)> = Vec::new();
-        let mut unresolved: Vec<BlockId> = Vec::new();
+    for (_, f) in program.iter() {
+        let fcfg = func_cfg(f, mode, &addr_taken_funcs);
+        if mode == CfgMode::Dynamic {
+            if let Some(&block) = fcfg.unresolved_indirect.first() {
+                return Err(CfgError {
+                    func: f.name.clone(),
+                    block,
+                    reason: "indirect jump with no address-taken candidate \
+                             targets; cannot recover edges"
+                        .into(),
+                });
+            }
+        }
+        funcs.push(fcfg);
+    }
+    Ok(Cfg { funcs, mode })
+}
 
-        // Blocks whose address is taken within this function: the candidate
-        // targets for its indirect jumps.
-        let mut addr_taken_blocks: Vec<BlockId> = Vec::new();
-        for b in &f.blocks {
+/// Recovers the control flow of one function in `mode`.
+///
+/// In dynamic mode each `icall` gets a call edge to every function in
+/// `icall_candidates`, and an `ijmp` gets every block whose address the
+/// function takes as successors. An `ijmp` left without successors (every
+/// one in static mode, and in dynamic mode one in a function that takes
+/// no block address) is listed in [`FuncCfg::unresolved_indirect`] instead
+/// of failing, so per-function analyses can treat that one function
+/// conservatively.
+pub fn func_cfg(func: &Function, mode: CfgMode, icall_candidates: &[FuncId]) -> FuncCfg {
+    let n = func.blocks.len();
+    let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    let mut calls: Vec<(BlockId, FuncId)> = Vec::new();
+    let mut unresolved: Vec<BlockId> = Vec::new();
+
+    // Blocks whose address is taken within this function: the candidate
+    // targets for its indirect jumps. Static mode proposes none.
+    let mut addr_taken_blocks: Vec<BlockId> = Vec::new();
+    if mode == CfgMode::Dynamic {
+        for b in &func.blocks {
             for inst in &b.insts {
                 if let Inst::BlockAddr { block, .. } = inst {
                     if !addr_taken_blocks.contains(block) {
@@ -192,63 +166,43 @@ pub fn build_cfg_with_hints(
                 }
             }
         }
-
-        for (bi, b) in f.blocks.iter().enumerate() {
-            let bid = BlockId(bi as u32);
-            for inst in &b.insts {
-                match inst {
-                    Inst::Call { callee, .. } => calls.push((bid, *callee)),
-                    Inst::CallIndirect { .. } if mode == CfgMode::Dynamic => {
-                        match hints.icall(fid, bid) {
-                            Some(exact) => calls.extend(exact.iter().map(|cand| (bid, *cand))),
-                            None => calls.extend(addr_taken_funcs.iter().map(|cand| (bid, *cand))),
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            match &b.term {
-                Terminator::JmpIndirect { .. } => match mode {
-                    CfgMode::Static => unresolved.push(bid),
-                    CfgMode::Dynamic => {
-                        if let Some(exact) = hints.ijmp(fid, bid) {
-                            succs[bi].extend(exact.iter().copied());
-                        } else if addr_taken_blocks.is_empty() {
-                            return Err(CfgError {
-                                func: f.name.clone(),
-                                block: bid,
-                                reason: "indirect jump with no address-taken candidate \
-                                         targets; cannot recover edges"
-                                    .into(),
-                            });
-                        } else {
-                            succs[bi].extend(addr_taken_blocks.iter().copied());
-                        }
-                    }
-                },
-                term => succs[bi].extend(term.static_successors()),
-            }
-            succs[bi].sort_by_key(|b| b.0);
-            succs[bi].dedup();
-        }
-
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (bi, ss) in succs.iter().enumerate() {
-            for s in ss {
-                preds[s.0 as usize].push(BlockId(bi as u32));
-            }
-        }
-        calls.sort_by_key(|(b, f)| (b.0, f.0));
-        calls.dedup();
-
-        funcs.push(FuncCfg {
-            succs,
-            preds,
-            calls,
-            unresolved_indirect: unresolved,
-        });
     }
-    Ok(Cfg { funcs, mode })
+
+    for (bi, b) in func.blocks.iter().enumerate() {
+        let bid = BlockId(bi as u32);
+        for inst in &b.insts {
+            match inst {
+                Inst::Call { callee, .. } => calls.push((bid, *callee)),
+                Inst::CallIndirect { .. } if mode == CfgMode::Dynamic => {
+                    calls.extend(icall_candidates.iter().map(|cand| (bid, *cand)));
+                }
+                _ => {}
+            }
+        }
+        match &b.term {
+            Terminator::JmpIndirect { .. } if addr_taken_blocks.is_empty() => unresolved.push(bid),
+            Terminator::JmpIndirect { .. } => succs[bi].extend(addr_taken_blocks.iter().copied()),
+            term => succs[bi].extend(term.static_successors()),
+        }
+        succs[bi].sort_by_key(|b| b.0);
+        succs[bi].dedup();
+    }
+
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+    for (bi, ss) in succs.iter().enumerate() {
+        for s in ss {
+            preds[s.0 as usize].push(BlockId(bi as u32));
+        }
+    }
+    calls.sort_by_key(|(b, f)| (b.0, f.0));
+    calls.dedup();
+
+    FuncCfg {
+        succs,
+        preds,
+        calls,
+        unresolved_indirect: unresolved,
+    }
 }
 
 #[cfg(test)]
@@ -322,7 +276,12 @@ dead:
         let p = parse_program(src).unwrap();
         let err = build_cfg(&p, CfgMode::Dynamic).unwrap_err();
         assert_eq!(err.func, "main");
+        assert_eq!(err.block, BlockId(0));
         assert!(err.reason.contains("no address-taken"));
+        // One function's recovery marks the block instead of failing.
+        let f = func_cfg(p.func(p.entry()), CfgMode::Dynamic, &[]);
+        assert_eq!(f.unresolved_indirect, vec![BlockId(0)]);
+        assert!(f.succs[0].is_empty());
         // Static mode still "succeeds" (with missing edges).
         assert!(build_cfg(&p, CfgMode::Static).is_ok());
     }
@@ -358,60 +317,6 @@ entry:
         // Static mode sees only the direct call.
         let cfg_s = build_cfg(&p, CfgMode::Static).unwrap();
         assert_eq!(cfg_s.func(p.entry()).calls.len(), 1);
-    }
-
-    #[test]
-    fn hints_narrow_indirect_jump_edges() {
-        let p = parse_program(DISPATCH).unwrap();
-        let main = p.func(p.entry());
-        let go = main.block_by_label("go").unwrap();
-        let a = main.block_by_label("blk_a").unwrap();
-        let hints = CfgHints {
-            ijmp_targets: vec![(p.entry(), go, vec![a])],
-            icall_targets: Vec::new(),
-        };
-        let cfg = build_cfg_with_hints(&p, CfgMode::Dynamic, &hints).unwrap();
-        assert_eq!(cfg.func(p.entry()).succs[go.0 as usize], vec![a]);
-    }
-
-    #[test]
-    fn hints_rescue_computed_goto_and_narrow_icalls() {
-        // No baddr anywhere: plain dynamic mode fails, a hint rescues it.
-        let src = r#"
-func main() {
-entry:
-    t = 7
-    ijmp t
-other:
-    g = faddr f
-    h = faddr g2
-    s = icall g(2)
-    halt s
-}
-func f(a) {
-entry:
-    ret a
-}
-func g2(a) {
-entry:
-    ret a
-}
-"#;
-        let p = parse_program(src).unwrap();
-        assert!(build_cfg(&p, CfgMode::Dynamic).is_err());
-        let main = p.func(p.entry());
-        let entry = main.block_by_label("entry").unwrap();
-        let other = main.block_by_label("other").unwrap();
-        let f = p.func_by_name("f").unwrap();
-        let hints = CfgHints {
-            ijmp_targets: vec![(p.entry(), entry, vec![other])],
-            icall_targets: vec![(p.entry(), other, vec![f])],
-        };
-        let cfg = build_cfg_with_hints(&p, CfgMode::Dynamic, &hints).unwrap();
-        let mc = cfg.func(p.entry());
-        assert_eq!(mc.succs[entry.0 as usize], vec![other]);
-        // The icall contributes only the hinted callee, not both faddr'd funcs.
-        assert_eq!(mc.calls, vec![(other, f)]);
     }
 
     #[test]

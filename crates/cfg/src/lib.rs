@@ -16,6 +16,12 @@
 //!   paper's Idx-15 failure, where angr "did not correctly create the CFG
 //!   of pdfinfo (due to a bug in its codebase)".
 //!
+//! [`func_cfg`] is the only code that recovers a function's edges.
+//! [`build_cfg`] runs it on every function and turns a dynamic-mode
+//! `ijmp` without candidates into the [`CfgError`]; `octo-lint`'s
+//! per-function analyses call it directly, where such a block is only
+//! marked unresolved.
+//!
 //! On top of the recovered graph, [`DistanceMap`] computes per-node
 //! distances to a target function by *backward* breadth-first search over
 //! the interprocedural supergraph — the paper's "backward path finding",
@@ -45,8 +51,6 @@
 
 pub mod distance;
 pub mod graph;
-pub mod loops;
 
-pub use distance::{shortest_path, DistanceMap, Node};
-pub use graph::{build_cfg, build_cfg_with_hints, Cfg, CfgError, CfgHints, CfgMode, FuncCfg};
-pub use loops::{natural_loops, Dominators, NaturalLoop};
+pub use distance::{DistanceMap, Node};
+pub use graph::{build_cfg, func_cfg, Cfg, CfgError, CfgMode, FuncCfg};

@@ -1,6 +1,6 @@
 //! Property tests for CFG recovery and backward path finding.
 
-use octo_cfg::{build_cfg, shortest_path, CfgMode, DistanceMap};
+use octo_cfg::{build_cfg, CfgMode, DistanceMap};
 use octo_ir::parse::parse_program;
 use octo_ir::{BlockId, Program};
 use proptest::prelude::*;
@@ -93,26 +93,6 @@ proptest! {
         let map = DistanceMap::compute(&p, &cfg, target);
         let expected = gates.iter().any(|g| *g);
         prop_assert_eq!(map.reaches(p.entry(), BlockId(0)), expected);
-    }
-
-    /// A shortest path, when it exists, starts at the given node, ends at
-    /// the target entry, and has length equal to the distance.
-    #[test]
-    fn shortest_path_agrees_with_distance(
-        gates in prop::collection::vec(any::<bool>(), 1..5),
-        chain_len in 1usize..4,
-    ) {
-        prop_assume!(gates.iter().any(|g| *g));
-        let p = chain_program(&gates, chain_len);
-        let cfg = build_cfg(&p, CfgMode::Dynamic).expect("cfg");
-        let target = p.func_by_name("target_fn").expect("target");
-        let map = DistanceMap::compute(&p, &cfg, target);
-        let from = (p.entry(), BlockId(0));
-        let path = shortest_path(&p, &cfg, &map, from).expect("path exists");
-        prop_assert_eq!(path[0], from);
-        prop_assert_eq!(*path.last().unwrap(), (target, p.func(target).entry()));
-        let d = map.get(from.0, from.1).unwrap() as usize;
-        prop_assert_eq!(path.len(), d + 1, "path length vs distance");
     }
 
     /// Static and dynamic recovery agree on programs without indirect

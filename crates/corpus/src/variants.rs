@@ -24,7 +24,7 @@
 use octo_ir::types::{BlockId, Operand, Reg};
 use octo_ir::{rewrite_function, BasicBlock, Function, Inst, Program, Terminator};
 
-use crate::pairs::{all_pairs, SoftwarePair};
+use crate::pairs::all_pairs;
 
 /// Minimal deterministic PRNG (xorshift64*) so variant synthesis never
 /// depends on an external `rand` and is identical across runs.
@@ -278,21 +278,24 @@ pub struct VariantCase {
     pub shared: Vec<String>,
 }
 
-/// Applies `transform` to every shared function of `pair.t`, leaving
-/// the driver and helpers untouched, and rebuilds the program.
-fn transform_shared(pair: &SoftwarePair, transform: &dyn Fn(&Function) -> Function) -> Program {
-    let funcs: Vec<Function> = pair
-        .t
+/// Applies `transform` to every function of `program` named in `shared`,
+/// leaving the driver and helpers untouched, and rebuilds the program.
+pub fn transform_shared(
+    program: &Program,
+    shared: &[String],
+    transform: &dyn Fn(&Function) -> Function,
+) -> Program {
+    let funcs: Vec<Function> = program
         .iter()
         .map(|(_, f)| {
-            if pair.shared.iter().any(|s| s == &f.name) {
+            if shared.contains(&f.name) {
                 transform(f)
             } else {
                 f.clone()
             }
         })
         .collect();
-    let entry = pair.t.func(pair.t.entry()).name.clone();
+    let entry = program.func(program.entry()).name.clone();
     Program::from_functions(funcs, &entry).expect("variant synthesis produced an invalid program")
 }
 
@@ -325,7 +328,7 @@ pub fn variant_corpus() -> Vec<VariantCase> {
                 kind: *kind,
                 name: format!("idx{:02}-{}", pair.idx, kind.label()),
                 s: pair.s.clone(),
-                t: transform_shared(&pair, transform.as_ref()),
+                t: transform_shared(&pair.t, &pair.shared, transform.as_ref()),
                 shared: pair.shared.clone(),
             });
         }

@@ -21,70 +21,11 @@
 //! sound for the block it appears in. When in doubt the screen stays
 //! silent and the pipeline proceeds to symbolic execution.
 
-use octo_cfg::FuncCfg;
-use octo_ir::{decode_func_addr, BlockId, FuncId, Function, Inst, Operand, Program, Terminator};
+use octo_cfg::{func_cfg, CfgMode};
+use octo_ir::{decode_func_addr, BlockId, FuncId, Inst, Operand, Program};
 
 use crate::constprop::{self, CVal, Provenance};
 use crate::dataflow::reachable_blocks;
-
-/// Best-effort per-function CFG: like dynamic mode, but an indirect jump
-/// with no address-taken candidates marks the block unresolved instead of
-/// failing the whole build. Used by the lint driver so one pathological
-/// function does not blind the analysis of every other.
-pub fn lenient_func_cfg(func: &Function) -> FuncCfg {
-    let n = func.blocks.len();
-    let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    let mut calls: Vec<(BlockId, FuncId)> = Vec::new();
-    let mut unresolved: Vec<BlockId> = Vec::new();
-
-    let mut addr_taken: Vec<BlockId> = Vec::new();
-    for b in &func.blocks {
-        for inst in &b.insts {
-            if let Inst::BlockAddr { block, .. } = inst {
-                if !addr_taken.contains(block) {
-                    addr_taken.push(*block);
-                }
-            }
-        }
-    }
-
-    for (bi, b) in func.blocks.iter().enumerate() {
-        let bid = BlockId(bi as u32);
-        for inst in &b.insts {
-            if let Inst::Call { callee, .. } = inst {
-                calls.push((bid, *callee));
-            }
-        }
-        match &b.term {
-            Terminator::JmpIndirect { .. } => {
-                if addr_taken.is_empty() {
-                    unresolved.push(bid);
-                } else {
-                    succs[bi].extend(addr_taken.iter().copied());
-                }
-            }
-            t => succs[bi].extend(t.static_successors()),
-        }
-        succs[bi].sort_by_key(|b| b.0);
-        succs[bi].dedup();
-    }
-
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for (bi, ss) in succs.iter().enumerate() {
-        for s in ss {
-            preds[s.0 as usize].push(BlockId(bi as u32));
-        }
-    }
-    calls.sort_by_key(|(b, f)| (b.0, f.0));
-    calls.dedup();
-
-    FuncCfg {
-        succs,
-        preds,
-        calls,
-        unresolved_indirect: unresolved,
-    }
-}
 
 /// The interprocedural call graph, as over-approximated statically.
 #[derive(Debug, Clone)]
@@ -199,7 +140,7 @@ pub fn build_call_graph(program: &Program) -> CallGraph {
     }
 
     for (fid, func) in program.iter() {
-        let cfg = lenient_func_cfg(func);
+        let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
         // Any indirect jump — even one with address-taken candidates —
         // means the recovered CFG may miss edges: a computed block
         // address can land on a block `baddr` never named. Edge
@@ -313,7 +254,7 @@ pub fn prescreen_ep(
         if !reach[fid.0 as usize] {
             continue;
         }
-        let cfg = lenient_func_cfg(func);
+        let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
         // Mirror build_call_graph: any ijmp may hide CFG edges, making
         // both block reachability and the dataflow facts untrustworthy.
         let has_ijmp = func.blocks.iter().any(|b| b.term.is_indirect());
@@ -450,7 +391,7 @@ mod tests {
     #[test]
     fn computed_block_address_does_not_drop_call_edges() {
         // `t2 = t + 1` lands on block `b`, which `baddr` never names: the
-        // lenient CFG thinks `b` is dead, yet it runs and calls `helper`.
+        // recovered CFG thinks `b` is dead, yet it runs and calls `helper`.
         // A sound call graph must keep that edge (and the pre-screen must
         // not declare helper unreachable).
         let p = parse_program(
@@ -465,7 +406,7 @@ mod tests {
         let reach = cg.reachable_from(p.entry());
         assert!(
             reach[helper.0 as usize],
-            "call edge in a lenient-unreachable block was dropped"
+            "call edge in a CFG-unreachable block was dropped"
         );
         assert_eq!(prescreen_ep(&p, helper, &[]), None);
     }

@@ -1,27 +1,9 @@
-//! Unreachable-block detection, dead-store detection (via backward
-//! liveness) and the optional CFG-prune transform.
-//!
-//! The prune transform rewrites a program into a semantically equivalent
-//! one with less work for downstream consumers (naive symbolic
-//! exploration in `octo-symex`):
-//!
-//! * a `br`/`switch` whose scrutinee is a propagated constant becomes a
-//!   plain `jmp` to the only successor that can execute;
-//! * an `ijmp` whose target is a block-address constant becomes a `jmp`;
-//! * blocks unreachable after the rewrite are *neutralised*: their body
-//!   is replaced by a single `trap` and their terminator by a self-jump.
-//!   Executing a neutralised block would crash loudly — by construction
-//!   it cannot execute, and a loud failure is preferable to silently
-//!   diverging semantics if the reachability argument were ever wrong.
-//!
-//! Functions containing an unresolved indirect jump are left untouched:
-//! with edges missing from the recovered graph, "unreachable" cannot be
-//! trusted.
+//! Unreachable-block detection and dead-store detection (via backward
+//! liveness).
 
 use octo_cfg::FuncCfg;
-use octo_ir::{BlockId, Function, Inst, Program, Reg, Terminator};
+use octo_ir::{BlockId, Function, Inst, Reg};
 
-use crate::constprop::{self, ResolvedFlow};
 use crate::dataflow::{reachable_blocks, solve, Analysis, BlockStates, Direction};
 
 /// Backward liveness of registers for one function.
@@ -161,86 +143,6 @@ pub fn unreachable(func: &Function, cfg: &FuncCfg) -> Vec<BlockId> {
         .collect()
 }
 
-/// What [`prune_program`] changed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneStats {
-    /// `br`/`switch` terminators folded to `jmp`.
-    pub branches_folded: usize,
-    /// `ijmp` terminators folded to `jmp`.
-    pub ijmps_folded: usize,
-    /// Unreachable blocks neutralised.
-    pub blocks_neutralized: usize,
-}
-
-/// Returns a pruned copy of `program` (see the module docs) along with
-/// statistics. Block and function ids are preserved — consumers keep
-/// their indices. Functions with unresolved indirect jumps, and programs
-/// whose dynamic CFG cannot be recovered at all, are returned unchanged.
-pub fn prune_program(program: &Program) -> (Program, PruneStats) {
-    let mut pruned = program.clone();
-    let mut stats = PruneStats::default();
-    let Ok(cfg) = octo_cfg::build_cfg(program, octo_cfg::CfgMode::Dynamic) else {
-        return (pruned, stats);
-    };
-
-    for (fid, func) in program.iter() {
-        let fcfg = cfg.func(fid);
-        if !fcfg.unresolved_indirect.is_empty() {
-            continue;
-        }
-        let (_, flow): (_, ResolvedFlow) = constprop::analyze(func, fid, fcfg);
-        let out = &mut pruned.funcs_mut()[fid.0 as usize];
-
-        // Fold statically decided terminators.
-        for (bid, target) in &flow.const_branches {
-            out.blocks[bid.0 as usize].term = Terminator::Jmp(*target);
-            stats.branches_folded += 1;
-        }
-        for (bid, target) in &flow.resolved_ijmps {
-            out.blocks[bid.0 as usize].term = Terminator::Jmp(*target);
-            stats.ijmps_folded += 1;
-        }
-
-        // Recompute reachability over the folded graph.
-        let n = out.blocks.len();
-        let mut succs: Vec<Vec<BlockId>> = Vec::with_capacity(n);
-        let addr_taken: Vec<BlockId> = out
-            .blocks
-            .iter()
-            .flat_map(|b| b.insts.iter())
-            .filter_map(|i| match i {
-                Inst::BlockAddr { block, .. } => Some(*block),
-                _ => None,
-            })
-            .collect();
-        for b in &out.blocks {
-            match &b.term {
-                Terminator::JmpIndirect { .. } => succs.push(addr_taken.clone()),
-                t => succs.push(t.static_successors()),
-            }
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = stack.pop() {
-            for s in &succs[b] {
-                if !seen[s.0 as usize] {
-                    seen[s.0 as usize] = true;
-                    stack.push(s.0 as usize);
-                }
-            }
-        }
-        for (bi, block) in out.blocks.iter_mut().enumerate() {
-            if !seen[bi] {
-                block.insts = vec![Inst::Trap { code: 0xDEAD }];
-                block.term = Terminator::Jmp(BlockId(bi as u32));
-                stats.blocks_neutralized += 1;
-            }
-        }
-    }
-    (pruned, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,53 +185,5 @@ mod tests {
         let cfg = build_cfg(&p, CfgMode::Dynamic).unwrap();
         let u = unreachable(p.func(p.entry()), cfg.func(p.entry()));
         assert_eq!(u, vec![BlockId(1)]);
-    }
-
-    #[test]
-    fn prune_folds_constant_branch_and_neutralises_dead_arm() {
-        let p = parse_program(
-            "func main() {\nentry:\n c = eq 1, 1\n br c, yes, no\nyes:\n halt 0\n\
-             no:\n halt 1\n}\n",
-        )
-        .unwrap();
-        let (q, stats) = prune_program(&p);
-        assert_eq!(stats.branches_folded, 1);
-        assert_eq!(stats.blocks_neutralized, 1);
-        let f = q.func(q.entry());
-        let yes = f.block_by_label("yes").unwrap();
-        assert_eq!(f.blocks[0].term, Terminator::Jmp(yes));
-        let no = f.block_by_label("no").unwrap();
-        assert!(matches!(
-            f.blocks[no.0 as usize].insts.as_slice(),
-            [Inst::Trap { .. }]
-        ));
-        assert!(octo_ir::validate::validate(&q).is_ok());
-        // Execution is unchanged: both versions halt with 0.
-        assert_eq!(
-            octo_vm::Vm::new(&p, b"").run(),
-            octo_vm::Vm::new(&q, b"").run()
-        );
-    }
-
-    #[test]
-    fn prune_folds_resolved_ijmp() {
-        let p = parse_program("func main() {\nentry:\n t = baddr tgt\n ijmp t\ntgt:\n halt 0\n}\n")
-            .unwrap();
-        let (q, stats) = prune_program(&p);
-        assert_eq!(stats.ijmps_folded, 1);
-        let f = q.func(q.entry());
-        let tgt = f.block_by_label("tgt").unwrap();
-        assert_eq!(f.blocks[0].term, Terminator::Jmp(tgt));
-    }
-
-    #[test]
-    fn unresolved_ijmp_function_untouched() {
-        let p = parse_program(
-            "func main() {\nentry:\n t = 0xB10C_0000_0000_0000\n ijmp t\ndead:\n halt 0\n}\n",
-        )
-        .unwrap();
-        let (q, stats) = prune_program(&p);
-        assert_eq!(stats, PruneStats::default());
-        assert_eq!(&q, &p);
     }
 }

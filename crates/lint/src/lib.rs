@@ -1,17 +1,18 @@
 //! # octo-lint — MicroIR static-analysis framework.
 //!
-//! A worklist-based dataflow framework over the CFGs `octo-cfg` recovers,
-//! plus the concrete analyses the OCTOPOCS pipeline consumes:
+//! A worklist-based dataflow framework over the per-function CFGs
+//! `octo-cfg` recovers ([`octo_cfg::func_cfg`] in dynamic mode with no
+//! `icall` candidates, so an unresolvable `ijmp` marks its block
+//! unresolved instead of failing the build), plus the concrete analyses
+//! the OCTOPOCS pipeline consumes:
 //!
 //! * **Reaching definitions** ([`reaching`]) → use-before-def
 //!   diagnostics (`UBD001`/`UBD002`).
 //! * **Constant propagation & folding** ([`constprop`]) → statically
 //!   decided branches (`CST001`) and resolved indirect jumps/calls
-//!   (`CST002`/`CST003`), exported to `octo-cfg`'s dynamic-mode recovery
-//!   as [`CfgHints`] via [`cfg_hints`].
+//!   (`CST002`/`CST003`).
 //! * **Unreachable-block and dead-store detection** ([`deadcode`],
-//!   `DEAD001`/`DEAD002`) with an optional CFG-prune transform
-//!   ([`prune_program`]) consumed by `octo-symex`'s naive explorer.
+//!   `DEAD001`/`DEAD002`).
 //! * **Static `ep`-reachability pre-screen** ([`callgraph`],
 //!   [`prescreen_ep`]) over the interprocedural call graph — pipeline
 //!   phase P0: a statically dead or unstitchable entry point decides a
@@ -28,15 +29,12 @@ pub mod deadcode;
 pub mod diagnostics;
 pub mod reaching;
 
-use octo_cfg::CfgHints;
+use octo_cfg::{func_cfg, CfgMode};
 use octo_ir::{Inst, Program};
 
-pub use callgraph::{
-    build_call_graph, lenient_func_cfg, prescreen_ep, CallGraph, Prescreen, ReachKind,
-};
+pub use callgraph::{build_call_graph, prescreen_ep, CallGraph, Prescreen, ReachKind};
 pub use constprop::{CVal, Provenance, ResolvedFlow};
 pub use dataflow::{reachable_blocks, solve, Analysis, BlockStates, Direction};
-pub use deadcode::{prune_program, PruneStats};
 pub use diagnostics::{Diagnostic, LintReport, LintSummary, Rule, Severity};
 pub use reaching::{UbdFinding, UbdKind};
 
@@ -60,7 +58,7 @@ pub fn lint_program(program: &Program) -> LintReport {
     }
 
     for (fid, func) in program.iter() {
-        let cfg = callgraph::lenient_func_cfg(func);
+        let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
         let diag = |rule, block: Option<&str>, message: String| Diagnostic {
             rule,
             func: func.name.clone(),
@@ -176,51 +174,9 @@ pub fn lint_program(program: &Program) -> LintReport {
     report
 }
 
-/// Derives [`CfgHints`] for `program` from constant propagation: exact
-/// successor sets for resolved indirect jumps and exact callee sets for
-/// resolved indirect calls, consumable by
-/// [`octo_cfg::build_cfg_with_hints`].
-pub fn cfg_hints(program: &Program) -> CfgHints {
-    let mut hints = CfgHints::default();
-    for (fid, func) in program.iter() {
-        let cfg = callgraph::lenient_func_cfg(func);
-        if !cfg.unresolved_indirect.is_empty() {
-            // Constant facts are unsound with missing edges; an
-            // unresolved ijmp elsewhere in the function could reach any
-            // resolved site with different register values.
-            continue;
-        }
-        let (_, flow) = constprop::analyze(func, fid, &cfg);
-        for (b, target) in &flow.resolved_ijmps {
-            hints.ijmp_targets.push((fid, *b, vec![*target]));
-        }
-        // Group resolved icalls per block; a block may also contain
-        // unresolved icalls, in which case no hint must be emitted.
-        let mut by_block: Vec<(octo_ir::BlockId, Vec<octo_ir::FuncId>)> = Vec::new();
-        for (b, callee) in &flow.resolved_icalls {
-            match by_block.iter_mut().find(|(bb, _)| bb == b) {
-                Some((_, cs)) => cs.push(*callee),
-                None => by_block.push((*b, vec![*callee])),
-            }
-        }
-        for (b, callees) in by_block {
-            let icalls_in_block = func.blocks[b.0 as usize]
-                .insts
-                .iter()
-                .filter(|i| matches!(i, Inst::CallIndirect { .. }))
-                .count();
-            if callees.len() == icalls_in_block {
-                hints.icall_targets.push((fid, b, callees));
-            }
-        }
-    }
-    hints
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octo_cfg::{build_cfg_with_hints, CfgMode};
     use octo_ir::parse::parse_program;
 
     #[test]
@@ -250,24 +206,6 @@ mod tests {
         assert!(rules.contains(&"DEAD001"), "{rules:?}"); // dead block
         assert_eq!(report.error_count(), 0);
         assert_eq!(report.summary.functions, 1);
-    }
-
-    #[test]
-    fn hints_rescue_a_dynamic_cfg_failure() {
-        // Without hints this program fails dynamic recovery in `go`
-        // (no baddr in the function? — there is one, but narrow anyway).
-        let p = parse_program(
-            "func main() {\nentry:\n t = baddr tgt\n jmp go\ngo:\n ijmp t\n\
-             tgt:\n halt 0\nalt:\n u = baddr tgt\n halt 1\n}\n",
-        )
-        .unwrap();
-        let hints = cfg_hints(&p);
-        assert_eq!(hints.ijmp_targets.len(), 1);
-        let cfg = build_cfg_with_hints(&p, CfgMode::Dynamic, &hints).unwrap();
-        let f = p.func(p.entry());
-        let go = f.block_by_label("go").unwrap();
-        let tgt = f.block_by_label("tgt").unwrap();
-        assert_eq!(cfg.func(p.entry()).succs[go.0 as usize], vec![tgt]);
     }
 
     #[test]

@@ -179,30 +179,6 @@ impl<'p> NaiveExplorer<'p> {
     }
 }
 
-/// Naive exploration over a statically pruned copy of `program`.
-///
-/// Runs `octo-lint`'s CFG-prune transform (constant-decided branches are
-/// folded, statically unreachable blocks neutralised) and explores the
-/// result. The transform is semantics-preserving for every executable
-/// path, so the verdict is the same as exploring `program` directly — but
-/// states are never forked into branches a constant already decides, which
-/// shrinks the frontier on programs with configuration-style dead code.
-pub fn explore_pruned(
-    program: &Program,
-    file_len: u64,
-    target: FuncId,
-    config: NaiveConfig,
-) -> (NaiveOutcome, NaiveStats) {
-    let (pruned, _) = octo_lint::prune_program(program);
-    let (outcome, stats) = NaiveExplorer::new(&pruned, file_len, target)
-        .with_config(config)
-        .run();
-    // `ReachedTarget` carries a state borrowing nothing from `pruned` —
-    // `SymState` owns its data — so returning it is sound; the path
-    // condition speaks only about input bytes, which the prune preserves.
-    (outcome, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,65 +240,6 @@ entry:
         let t = p.func_by_name("target").unwrap();
         let (outcome, _) = NaiveExplorer::new(&p, 2, t).run();
         assert!(matches!(outcome, NaiveOutcome::Exhausted));
-    }
-
-    #[test]
-    fn pruned_exploration_is_equivalent_and_no_more_work() {
-        // `mode` is a compile-time constant, so the `slow` arm (and the
-        // branch bomb inside it) is statically dead; the prune folds the
-        // branch and neutralises the bomb. Exploration of the pruned
-        // program must reach the same verdict with the same model, doing
-        // no more work than the unpruned run.
-        let src = r#"
-func main() {
-entry:
-    fd = open
-    mode = 1
-    c = eq mode, 1
-    br c, fast, slow
-fast:
-    b = getc fd
-    d = eq b, 0x42
-    br d, go, skip
-go:
-    call target()
-    halt 0
-skip:
-    halt 1
-slow:
-    x = getc fd
-    y = getc fd
-    cx = eq x, 1
-    br cx, s1, s2
-s1:
-    cy = eq y, 2
-    br cy, go, skip
-s2:
-    jmp skip
-}
-func target() {
-entry:
-    trap 1
-}
-"#;
-        let p = parse_program(src).unwrap();
-        let t = p.func_by_name("target").unwrap();
-        let config = NaiveConfig::default();
-        let (base_out, base_stats) = NaiveExplorer::new(&p, 4, t).with_config(config).run();
-        let (pruned_out, pruned_stats) = explore_pruned(&p, 4, t, config);
-        let model_byte = |o: NaiveOutcome| match o {
-            NaiveOutcome::ReachedTarget { mut state } => state.model().expect("sat").byte(0),
-            other => panic!("expected reach, got {other:?}"),
-        };
-        assert_eq!(model_byte(base_out), 0x42);
-        assert_eq!(model_byte(pruned_out), 0x42);
-        assert!(
-            pruned_stats.states_created <= base_stats.states_created,
-            "prune created more states: {} > {}",
-            pruned_stats.states_created,
-            base_stats.states_created
-        );
-        assert!(pruned_stats.total_steps <= base_stats.total_steps);
     }
 
     #[test]
