@@ -24,8 +24,8 @@
 use octo_cfg::{func_cfg, CfgMode};
 use octo_ir::{decode_func_addr, BlockId, FuncId, Inst, Operand, Program};
 
-use crate::constprop::{self, CVal, Provenance};
-use crate::dataflow::reachable_blocks;
+use crate::constprop::{self, CVal, ConstProp, Provenance};
+use crate::dataflow::{reachable_blocks, solve};
 
 /// The interprocedural call graph, as over-approximated statically.
 #[derive(Debug, Clone)]
@@ -120,8 +120,64 @@ impl CallGraph {
     }
 }
 
+/// What the call graph and the argument screen both read from one
+/// function's recovered CFG, computed once per function.
+struct FuncFacts {
+    /// Blocks reachable from the entry over the recovered CFG.
+    reach: Vec<bool>,
+    /// Constant propagation's register state on entry to each block, or
+    /// `None` when the function has an indirect jump. Any indirect jump —
+    /// even one with address-taken candidates — means the recovered CFG
+    /// may miss edges: a computed block address can land on a block
+    /// `baddr` never named. Every block might then run, and facts solved
+    /// over the possibly-incomplete graph cannot be trusted.
+    input: Option<Vec<Vec<CVal>>>,
+}
+
+impl FuncFacts {
+    /// The facts of every function of `program`, indexed by [`FuncId`].
+    fn of_program(program: &Program) -> Vec<FuncFacts> {
+        program
+            .iter()
+            .map(|(fid, func)| {
+                let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
+                let has_ijmp = func.blocks.iter().any(|b| b.term.is_indirect());
+                FuncFacts {
+                    reach: reachable_blocks(&cfg),
+                    input: (!has_ijmp).then(|| solve(&ConstProp::new(func, fid), &cfg).input),
+                }
+            })
+            .collect()
+    }
+
+    /// Whether block `bi` can execute: provably, unless an indirect jump
+    /// may hide an edge into it.
+    fn may_run(&self, bi: usize) -> bool {
+        self.input.is_none() || self.reach[bi]
+    }
+
+    /// Whether the register facts on entry to block `bi` are sound: the
+    /// function has no indirect jump and the block is reachable.
+    fn facts_hold(&self, bi: usize) -> bool {
+        self.input.is_some() && self.reach[bi]
+    }
+
+    /// The register state on entry to block `bi` where the facts hold;
+    /// every register unknown otherwise.
+    fn entry_regs(&self, bi: usize, n_regs: u16) -> Vec<CVal> {
+        match &self.input {
+            Some(input) if self.reach[bi] => input[bi].clone(),
+            _ => vec![CVal::Nac; n_regs as usize],
+        }
+    }
+}
+
 /// Builds the call graph of `program`.
 pub fn build_call_graph(program: &Program) -> CallGraph {
+    call_graph_of(program, &FuncFacts::of_program(program))
+}
+
+fn call_graph_of(program: &Program, facts: &[FuncFacts]) -> CallGraph {
     let n = program.function_count();
     let mut direct: Vec<Vec<FuncId>> = vec![Vec::new(); n];
     let mut resolved_icalls: Vec<Vec<FuncId>> = vec![Vec::new(); n];
@@ -140,28 +196,14 @@ pub fn build_call_graph(program: &Program) -> CallGraph {
     }
 
     for (fid, func) in program.iter() {
-        let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
-        // Any indirect jump — even one with address-taken candidates —
-        // means the recovered CFG may miss edges: a computed block
-        // address can land on a block `baddr` never named. Edge
-        // collection must then scan every block, and the dataflow facts
-        // (solved over the possibly-incomplete graph) cannot be trusted.
-        let has_ijmp = func.blocks.iter().any(|b| b.term.is_indirect());
-        let reach = reachable_blocks(&cfg);
         let fi = fid.0 as usize;
-        let states = (!has_ijmp).then(|| constprop::analyze(func, fid, &cfg).0);
-
+        let facts = &facts[fi];
         for (bi, block) in func.blocks.iter().enumerate() {
-            // In a soundly-recovered function, unreachable blocks never
-            // execute and contribute no edges. With any indirect jump the
-            // recovered graph may miss edges, so every block might run.
-            if !has_ijmp && !reach[bi] {
+            // Blocks that cannot execute contribute no edges.
+            if !facts.may_run(bi) {
                 continue;
             }
-            let mut regs = match &states {
-                Some(s) => s.input[bi].clone(),
-                None => vec![CVal::Nac; func.n_regs as usize],
-            };
+            let mut regs = facts.entry_regs(bi, func.n_regs);
             for inst in &block.insts {
                 match inst {
                     Inst::Call { callee, .. } if !direct[fi].contains(callee) => {
@@ -234,7 +276,10 @@ pub fn prescreen_ep(
     ep: FuncId,
     recorded_args: &[Vec<u64>],
 ) -> Option<Prescreen> {
-    let cg = build_call_graph(program);
+    // One analysis per function serves both the call graph and the
+    // call-site scan below.
+    let facts = FuncFacts::of_program(program);
+    let cg = call_graph_of(program, &facts);
     let reach = cg.reachable_from(program.entry());
     if !reach[ep.0 as usize] {
         return Some(Prescreen::EpUnreachable);
@@ -254,20 +299,12 @@ pub fn prescreen_ep(
         if !reach[fid.0 as usize] {
             continue;
         }
-        let cfg = func_cfg(func, CfgMode::Dynamic, &[]);
-        // Mirror build_call_graph: any ijmp may hide CFG edges, making
-        // both block reachability and the dataflow facts untrustworthy.
-        let has_ijmp = func.blocks.iter().any(|b| b.term.is_indirect());
-        let block_reach = reachable_blocks(&cfg);
-        let states = (!has_ijmp).then(|| constprop::analyze(func, fid, &cfg).0);
+        let facts = &facts[fid.0 as usize];
         for (bi, block) in func.blocks.iter().enumerate() {
             // Sites in provably dead blocks still count (harmless: they
             // only weaken the screen), but their register facts do not.
-            let facts_ok = !has_ijmp && block_reach[bi];
-            let mut regs = match (&states, facts_ok) {
-                (Some(s), true) => s.input[bi].clone(),
-                _ => vec![CVal::Nac; func.n_regs as usize],
-            };
+            let facts_ok = facts.facts_hold(bi);
+            let mut regs = facts.entry_regs(bi, func.n_regs);
             for inst in &block.insts {
                 if let Inst::Call { callee, args, .. } = inst {
                     if *callee == ep {

@@ -275,15 +275,6 @@ impl ConstraintSet {
         self.items.is_empty()
     }
 
-    /// All byte offsets referenced by any constraint.
-    pub fn vars(&self) -> std::collections::BTreeSet<u32> {
-        let mut out = std::collections::BTreeSet::new();
-        for c in &self.items {
-            out.extend(c.vars());
-        }
-        out
-    }
-
     /// Approximate node count (state-memory accounting).
     pub fn size(&self) -> usize {
         self.items.iter().map(Constraint::size).sum()

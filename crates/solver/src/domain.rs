@@ -71,7 +71,7 @@ impl ByteDomain {
     /// The single remaining value, if exactly one remains.
     pub fn as_singleton(&self) -> Option<u8> {
         if self.len() == 1 {
-            self.iter().next()
+            self.min()
         } else {
             None
         }
@@ -79,20 +79,29 @@ impl ByteDomain {
 
     /// The smallest remaining value.
     pub fn min(&self) -> Option<u8> {
-        self.iter().next()
+        let i = self.bits.iter().position(|&w| w != 0)?;
+        Some((i as u32 * 64 + self.bits[i].trailing_zeros()) as u8)
     }
 
     /// The largest remaining value.
     pub fn max(&self) -> Option<u8> {
-        (0u16..=255)
-            .rev()
-            .map(|v| v as u8)
-            .find(|v| self.contains(*v))
+        let i = self.bits.iter().rposition(|&w| w != 0)?;
+        Some((i as u32 * 64 + 63 - self.bits[i].leading_zeros()) as u8)
     }
 
     /// Iterates remaining values in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..=255).map(|v| v as u8).filter(|v| self.contains(*v))
+        self.bits.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some((i as u32 * 64 + bit) as u8)
+            })
+        })
     }
 }
 
@@ -119,6 +128,43 @@ impl fmt::Debug for ByteDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A random set of byte values: dense, sparse (0–3 values, so
+    /// singletons and the empty set are common) or one contiguous range.
+    fn arb_model() -> impl Strategy<Value = [bool; 256]> {
+        fn model(keep: impl Fn(u8) -> bool) -> [bool; 256] {
+            std::array::from_fn(|v| keep(v as u8))
+        }
+        prop_oneof![
+            prop::collection::vec(any::<bool>(), 256).prop_map(|bits| model(|v| bits[v as usize])),
+            prop::collection::vec(any::<u8>(), 0..4).prop_map(|vs| model(|v| vs.contains(&v))),
+            (any::<u8>(), any::<u8>()).prop_map(|(a, b)| model(|v| a.min(b) <= v && v <= a.max(b))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every query agrees with a plain `[bool; 256]` model of the set.
+        #[test]
+        fn queries_agree_with_a_bool_array_model(model in arb_model()) {
+            let mut d = ByteDomain::empty();
+            for v in (0..=255u8).filter(|&v| model[v as usize]) {
+                d.insert(v);
+            }
+            let vals: Vec<u8> = (0..=255u8).filter(|&v| model[v as usize]).collect();
+            prop_assert_eq!(d.len() as usize, vals.len());
+            prop_assert_eq!(d.is_empty(), vals.is_empty());
+            prop_assert_eq!(d.min(), vals.first().copied());
+            prop_assert_eq!(d.max(), vals.last().copied());
+            prop_assert_eq!(d.as_singleton(), (vals.len() == 1).then(|| vals[0]));
+            prop_assert_eq!(d.iter().collect::<Vec<u8>>(), vals);
+            for v in 0..=255u8 {
+                prop_assert_eq!(d.contains(v), model[v as usize]);
+            }
+        }
+    }
 
     #[test]
     fn full_and_empty() {

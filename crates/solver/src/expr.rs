@@ -73,22 +73,24 @@ impl Expr {
     /// Collects the distinct byte offsets this term depends on.
     pub fn vars(&self) -> BTreeSet<u32> {
         let mut out = BTreeSet::new();
-        self.collect_vars(&mut out);
+        self.for_each_var(&mut |o| {
+            out.insert(o);
+        });
         out
     }
 
-    fn collect_vars(&self, out: &mut BTreeSet<u32>) {
+    /// Calls `f` with the offset of every byte leaf, left to right; an
+    /// offset read twice is passed twice.
+    pub(crate) fn for_each_var(&self, f: &mut impl FnMut(u32)) {
         match self {
             Expr::Const(_) => {}
-            Expr::Byte(o) => {
-                out.insert(*o);
-            }
-            Expr::Concat(parts) => parts.iter().for_each(|p| p.collect_vars(out)),
+            Expr::Byte(o) => f(*o),
+            Expr::Concat(parts) => parts.iter().for_each(|p| p.for_each_var(f)),
             Expr::Bin(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
+                a.for_each_var(f);
+                b.for_each_var(f);
             }
-            Expr::Un(_, a) => a.collect_vars(out),
+            Expr::Un(_, a) => a.for_each_var(f),
         }
     }
 

@@ -6,6 +6,18 @@
 //! (e.g. `b0 + b1 + b2 == 766` is impossible because the sum is bounded by
 //! 765). All rules are *non-wrapping*: any operation that could overflow
 //! 64 bits answers "unknown" instead of a wrong bound.
+//!
+//! The pair filter relies on these bounds too: it drops a value of one
+//! byte without enumerating the other byte when the constraint is refuted
+//! over the other byte's whole `[min, max]`. So an unsound rule here turns
+//! a satisfiable path condition into `Unsat`, not only a wide one. The
+//! containment oracle in `tests/props.rs` checks every rule against
+//! concrete evaluation, over every operator the symbolic executor emits:
+//! `interval_bounds_contain_every_depth_one_value` (every term one
+//! operator deep), `interval_bounds_contain_every_operator_on_wrap_windows`
+//! (two deep, on operands whose bounds straddle each wrap point) and
+//! `interval_bounds_contain_sampled_values` (sampled, up to three deep).
+//! `interval_refutations_hold_at_every_point` checks [`refutes`].
 
 use crate::constraint::Cond;
 use crate::expr::Expr;
@@ -132,12 +144,14 @@ pub fn eval_interval(
                 }
                 BinOp::Shl => {
                     let (ia, ib) = (ia?, ib?);
-                    if !ib.is_point() || ib.lo >= 64 {
+                    // A shift that pushes a set bit of `hi` off the top
+                    // wraps (`checked_shl` only rejects amounts ≥ 64).
+                    if !ib.is_point() || ib.lo >= 64 || u64::from(ia.hi.leading_zeros()) < ib.lo {
                         return None;
                     }
                     Some(Interval {
-                        lo: ia.lo.checked_shl(ib.lo as u32)?,
-                        hi: ia.hi.checked_shl(ib.lo as u32)?,
+                        lo: ia.lo << ib.lo,
+                        hi: ia.hi << ib.lo,
                     })
                 }
                 BinOp::ShrL => {
@@ -240,6 +254,27 @@ mod tests {
         assert!(!refutes(Cond::Ult, &a, &b));
         assert!(refutes(Cond::Ne, &Interval::point(5), &Interval::point(5)));
         assert!(!refutes(Cond::Ne, &a, &a));
+    }
+
+    #[test]
+    fn shl_that_loses_high_bits_has_no_bound() {
+        let shl = |k: u64| {
+            E::bin(
+                BinOp::Shl,
+                E::bin(BinOp::Add, E::byte(0), E::val(k)),
+                E::val(1),
+            )
+        };
+        assert_eq!(
+            eval_interval(&shl(1 << 62), &full),
+            Some(Interval {
+                lo: 1 << 63,
+                hi: (1 << 63) + 510
+            })
+        );
+        // Only the values above 2^63 - 1 lose their top bit, but one is enough.
+        assert_eq!(eval_interval(&shl((1 << 63) - 100), &full), None);
+        assert_eq!(eval_interval(&shl(1 << 63), &full), None);
     }
 
     #[test]

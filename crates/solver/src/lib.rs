@@ -37,6 +37,15 @@
 //! at [`FILTER_MEMO_CAP`] entries, which bounds its memory and changes
 //! no answer.
 //!
+//! A filter that misses is cheap as well. The pair filter keeps a value
+//! of one byte only if some value of the other byte supports it, and it
+//! proves "no support" by [`interval`] bounds before enumerating: with
+//! the value fixed and the other byte over its domain's `[min, max]`, a
+//! refuted constraint needs no enumeration. The domains it leaves, and so
+//! every answer and counter, are those of enumeration alone; this makes
+//! the interval rules' soundness part of every `Sat` answer, which the
+//! crate's containment oracle checks.
+//!
 //! ```
 //! use octo_solver::{Expr, Cond, Constraint, ConstraintSet, SolveResult};
 //!

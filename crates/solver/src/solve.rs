@@ -18,8 +18,10 @@ thread_local! {
 /// Every [`ConstraintSet::solve_with`] entry (including
 /// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves` and adds
 /// the wall time it spends solving to `solve_nanos` (an entry a fault
-/// plan abandons spends none); refutations proven by interval
-/// reasoning alone bump `interval_refutations`; rewrite-rule firings in
+/// plan abandons spends none); a wide constraint (three or more free
+/// bytes) refuted by interval reasoning alone bumps
+/// `interval_refutations` (the pair filter's interval pre-check does
+/// not); rewrite-rule firings in
 /// the simplifier bump `simplify_rewrites`. Callers take two snapshots
 /// and diff them with [`SolverCounters::since`] to attribute work to a
 /// region — the counters are per-thread, so a verification job measures
@@ -30,7 +32,7 @@ pub struct SolverCounters {
     pub solves: u64,
     /// Wall time spent inside solver entries, nanoseconds.
     pub solve_nanos: u64,
-    /// Constraints refuted by interval reasoning during propagation.
+    /// Wide constraints refuted by interval reasoning during propagation.
     pub interval_refutations: u64,
     /// Simplifier rewrite rules fired.
     pub simplify_rewrites: u64,
@@ -351,15 +353,30 @@ struct Solver<'a> {
 
 impl<'a> Solver<'a> {
     fn new(set: &'a ConstraintSet, limits: SolveLimits, memo: &'a mut FilterMemo) -> Solver<'a> {
-        let vars: Vec<u32> = set.vars().into_iter().collect();
-        let index: BTreeMap<u32, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let cvars = set
-            .items()
+        let constraints = set.items();
+        // One walk of each constraint collects its offsets; once `vars`
+        // is known they are rewritten in place into indices of `vars`.
+        let mut cvars: Vec<Vec<usize>> = constraints
             .iter()
-            .map(|c| c.vars().into_iter().map(|v| index[&v]).collect())
+            .map(|c| {
+                let mut offs = Vec::new();
+                c.lhs.for_each_var(&mut |o| offs.push(o as usize));
+                c.rhs.for_each_var(&mut |o| offs.push(o as usize));
+                offs.sort_unstable();
+                offs.dedup();
+                offs
+            })
             .collect();
+        let mut vars: Vec<u32> = cvars.iter().flatten().map(|&o| o as u32).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        for v in cvars.iter_mut().flatten() {
+            *v = vars
+                .binary_search(&(*v as u32))
+                .expect("every offset of a constraint is in `vars`");
+        }
         Solver {
-            constraints: set.items(),
+            constraints,
             domains: vec![ByteDomain::full(); vars.len()],
             vars,
             cvars,
@@ -401,28 +418,35 @@ impl<'a> Solver<'a> {
         loop {
             let mut changed = false;
             for (ci, c) in self.constraints.iter().enumerate() {
-                let free: Vec<usize> = self.cvars[ci]
-                    .iter()
-                    .copied()
-                    .filter(|&vi| self.domains[vi].as_singleton().is_none())
-                    .collect();
-                match free.len() {
+                // How many variables are free, and the first two of them.
+                let mut free = [0usize; 2];
+                let mut n_free = 0;
+                for &vi in &self.cvars[ci] {
+                    if self.domains[vi].as_singleton().is_none() {
+                        if n_free < 2 {
+                            free[n_free] = vi;
+                        }
+                        n_free += 1;
+                    }
+                }
+                match n_free {
                     0 => {
                         let ok = c.eval(&|off| self.singleton_of(off)).unwrap_or(false);
                         if !ok {
                             return false;
                         }
                     }
-                    n @ (1 | 2) => {
-                        if n == 2 {
-                            let work = u64::from(self.domains[free[0]].len())
-                                * u64::from(self.domains[free[1]].len());
+                    1 | 2 => {
+                        let free = &free[..n_free];
+                        if let [a, b] = *free {
+                            let work =
+                                u64::from(self.domains[a].len()) * u64::from(self.domains[b].len());
                             if pair_work + work > self.limits.max_pair_work {
                                 continue;
                             }
                             pair_work += work;
                         }
-                        changed |= self.narrow(ci, &free);
+                        changed |= self.narrow(ci, free);
                         if free.iter().any(|&vi| self.domains[vi].is_empty()) {
                             return false;
                         }
@@ -432,7 +456,7 @@ impl<'a> Solver<'a> {
                     // refute impossible bounds (e.g. a byte sum that
                     // cannot reach the required constant).
                     _ => {
-                        if self.interval_refuted(c) {
+                        if refuted_within(c, &|off| self.bounds_of(off)) {
                             bump(&INTERVAL_REFUTATIONS);
                             return false;
                         }
@@ -496,28 +520,64 @@ impl<'a> Solver<'a> {
 
     /// Removes values of `target` that have no support in `other` for
     /// constraint `ci`. Returns whether the domain changed.
+    ///
+    /// Each value is first tried by interval reasoning, with `other` over
+    /// its domain's whole `[min, max]` and every other byte at its fixed
+    /// value: a refutation there proves that no value of `other` supports
+    /// it, so `other` is enumerated only when that fails. The domain left
+    /// is the one enumeration alone leaves, so answers, memo entries and
+    /// [`SolverCounters`] do not depend on the shortcut (it counts no
+    /// interval refutation).
     fn pair_filter(&mut self, ci: usize, target: usize, other: usize) -> bool {
         let c = &self.constraints[ci];
-        let (t_off, o_off) = (self.vars[target], self.vars[other]);
+        let t_off = self.vars[target];
         let mut keep = ByteDomain::empty();
         for tv in self.domains[target].iter() {
-            let supported = self.domains[other].iter().any(|ov| {
-                c.eval(&|off| {
-                    if off == t_off {
-                        Some(tv)
-                    } else if off == o_off {
-                        Some(ov)
-                    } else {
-                        self.singleton_of(off)
-                    }
-                })
-                .unwrap_or(false)
-            });
-            if supported {
+            let at_tv = |off: u32| {
+                if off == t_off {
+                    Some((tv, tv))
+                } else {
+                    self.bounds_of(off)
+                }
+            };
+            if !refuted_within(c, &at_tv) && self.has_support(c, t_off, tv, other) {
                 keep.insert(tv);
             }
         }
         self.domains[target].intersect(&keep)
+    }
+
+    /// [`Solver::pair_filter`] without the interval shortcut: the
+    /// enumerating filter it must agree with.
+    #[cfg(test)]
+    fn pair_filter_by_enumeration(&mut self, ci: usize, target: usize, other: usize) -> bool {
+        let c = &self.constraints[ci];
+        let t_off = self.vars[target];
+        let mut keep = ByteDomain::empty();
+        for tv in self.domains[target].iter() {
+            if self.has_support(c, t_off, tv, other) {
+                keep.insert(tv);
+            }
+        }
+        self.domains[target].intersect(&keep)
+    }
+
+    /// Whether some value of `other` satisfies `c` with the byte at
+    /// `t_off` set to `tv` and every other byte at its fixed value.
+    fn has_support(&self, c: &Constraint, t_off: u32, tv: u8, other: usize) -> bool {
+        let o_off = self.vars[other];
+        self.domains[other].iter().any(|ov| {
+            c.eval(&|off| {
+                if off == t_off {
+                    Some(tv)
+                } else if off == o_off {
+                    Some(ov)
+                } else {
+                    self.singleton_of(off)
+                }
+            })
+            .unwrap_or(false)
+        })
     }
 
     fn singleton_of(&self, off: u32) -> Option<u8> {
@@ -525,21 +585,11 @@ impl<'a> Solver<'a> {
         self.domains[vi].as_singleton()
     }
 
-    /// Interval-refutation check for one constraint against the current
-    /// domains. `true` = definitely unsatisfiable.
-    fn interval_refuted(&self, c: &Constraint) -> bool {
-        let bounds = |off: u32| -> Option<(u8, u8)> {
-            let vi = self.vars.binary_search(&off).ok()?;
-            let d = &self.domains[vi];
-            Some((d.min()?, d.max()?))
-        };
-        let (Some(l), Some(r)) = (
-            crate::interval::eval_interval(&c.lhs, &bounds),
-            crate::interval::eval_interval(&c.rhs, &bounds),
-        ) else {
-            return false;
-        };
-        crate::interval::refutes(c.cond, &l, &r)
+    /// The `[min, max]` of the byte at `off`'s current domain.
+    fn bounds_of(&self, off: u32) -> Option<(u8, u8)> {
+        let vi = self.vars.binary_search(&off).ok()?;
+        let d = &self.domains[vi];
+        Some((d.min()?, d.max()?))
     }
 
     /// Tries completing with every domain's minimum value.
@@ -613,19 +663,69 @@ impl<'a> Solver<'a> {
     }
 }
 
+/// Whether interval reasoning proves `c` false for every assignment
+/// inside `bounds` (each byte's inclusive `[min, max]`).
+fn refuted_within(c: &Constraint, bounds: &impl Fn(u32) -> Option<(u8, u8)>) -> bool {
+    let (Some(l), Some(r)) = (
+        crate::interval::eval_interval(&c.lhs, bounds),
+        crate::interval::eval_interval(&c.rhs, bounds),
+    ) else {
+        return false;
+    };
+    crate::interval::refutes(c.cond, &l, &r)
+}
+
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod common;
 
 #[cfg(test)]
 mod tests {
+    use super::common::{arb_cond, arb_op_expr, arb_wrap_or_small};
     use super::*;
     use crate::constraint::Cond;
     use crate::expr::Expr;
     use octo_ir::BinOp;
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+    use proptest::prelude::*;
+
+    /// A random domain: full, one range, a sparse set or a dense random
+    /// set (never empty: the filters only see non-empty domains).
+    fn arb_domain() -> impl Strategy<Value = ByteDomain> {
+        fn of(values: impl Iterator<Item = u8>) -> ByteDomain {
+            let mut d = ByteDomain::empty();
+            values.for_each(|v| d.insert(v));
+            d
+        }
+        prop_oneof![
+            Just(ByteDomain::full()),
+            (any::<u8>(), any::<u8>()).prop_map(|(a, b)| of(a.min(b)..=a.max(b))),
+            prop::collection::vec(any::<u8>(), 1..40).prop_map(|vs| of(vs.into_iter())),
+            prop::collection::vec(any::<bool>(), 256)
+                .prop_map(|keep| { of((0..=255u8).filter(|&v| keep[usize::from(v)] || v == 0)) }),
+        ]
+    }
+
+    /// A constraint from the every-operator generator; one in three
+    /// compares against `in[2]`, which the test fixes to a single value.
+    fn arb_pair_constraint() -> impl Strategy<Value = Constraint> {
+        let rhs = prop_oneof![
+            arb_wrap_or_small().prop_map(Expr::val),
+            arb_op_expr(1),
+            Just(Expr::byte(2)),
+        ];
+        (arb_op_expr(2), arb_cond(), rhs)
+            .prop_map(|(lhs, cond, rhs)| Constraint::new(lhs, rhs, cond))
+    }
+
+    fn set_of(c: Constraint) -> ConstraintSet {
+        let mut set = ConstraintSet::new();
+        set.push(c);
+        set
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The memo equivalence of `tests/props.rs` with a capacity of 1:
         /// the memo is cleared on almost every insert, so eviction lands
@@ -634,8 +734,73 @@ mod tests {
         fn capacity_one_memo_matches_a_fresh_memo(run in super::common::arb_run()) {
             let mut memo = FilterMemo::with_cap(1);
             super::common::check_memo_matches_fresh(&run, &mut memo)?;
-            proptest::prop_assert!(memo.len() <= 1);
+            prop_assert!(memo.len() <= 1);
         }
+
+        /// The pair filter, with its interval pre-check, leaves exactly
+        /// the domains the enumerating filter leaves, in both directions.
+        #[test]
+        fn pre_checked_pair_filter_matches_enumeration(
+            c in arb_pair_constraint(),
+            d0 in arb_domain(),
+            d1 in arb_domain(),
+            fixed in any::<u8>(),
+        ) {
+            let set = set_of(c);
+            // Only a constraint left whole that reads both bytes has a
+            // pair filter; normalisation may fold or split it.
+            prop_assume!(set.len() == 1);
+            let vars = set.items()[0].vars();
+            prop_assume!(vars.contains(&0) && vars.contains(&1));
+            let (mut m1, mut m2) = (FilterMemo::new(), FilterMemo::new());
+            let mut fast = Solver::new(&set, SolveLimits::default(), &mut m1);
+            let mut slow = Solver::new(&set, SolveLimits::default(), &mut m2);
+            for s in [&mut fast, &mut slow] {
+                s.domains[0] = d0;
+                s.domains[1] = d1;
+                if let Some(d) = s.domains.get_mut(2) {
+                    *d = ByteDomain::singleton(fixed);
+                }
+            }
+            for (target, other) in [(0, 1), (1, 0)] {
+                let changed = fast.pair_filter(0, target, other);
+                prop_assert_eq!(changed, slow.pair_filter_by_enumeration(0, target, other));
+                prop_assert_eq!(&fast.domains, &slow.domains, "{} filtering in[{}]", set.items()[0], target);
+            }
+        }
+    }
+
+    /// `(shl (add le(in[0], in[1], in[2]) 2^63 - 100) 1) == 0` holds at
+    /// `in = [100, 0, 0]`: the add reaches 2^63 and the shift drops that
+    /// bit. The bound of the shift must not refute the wide constraint.
+    #[test]
+    fn shl_that_wraps_does_not_refute_a_wide_constraint() {
+        let word = Expr::concat_le(0, 3);
+        let sum = Expr::bin(BinOp::Add, word, Expr::val(0x7fff_ffff_ffff_ff9c));
+        let shl = Expr::bin(BinOp::Shl, sum, Expr::val(1));
+        let set = set_of(Constraint::new(shl, Expr::val(0), Cond::Eq));
+        assert!(set.eval_file(&[100, 0, 0]));
+        assert!(
+            set.quick_feasible(),
+            "the pre-check refuted a satisfiable set"
+        );
+        // The search budget may run out before it reaches in[0] = 100;
+        // Unsat is the one wrong answer.
+        assert_ne!(set.solve(), SolveResult::Unsat);
+    }
+
+    /// `(shl (add le(in[0], in[1]) 2^63 - 300) 1) == 0` has the one
+    /// solution `in = [44, 1]`. The pair filter's interval pre-check must
+    /// not drop its values.
+    #[test]
+    fn shl_that_wraps_does_not_refute_a_pair_constraint() {
+        let word = Expr::concat_le(0, 2);
+        let sum = Expr::bin(BinOp::Add, word, Expr::val(0x7fff_ffff_ffff_fed4));
+        let shl = Expr::bin(BinOp::Shl, sum, Expr::val(1));
+        let set = set_of(Constraint::new(shl, Expr::val(0), Cond::Eq));
+        assert!(set.quick_feasible());
+        let m = sat_model(&set);
+        assert_eq!((m.byte(0), m.byte(1)), (44, 1));
     }
 
     #[test]

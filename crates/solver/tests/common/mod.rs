@@ -1,14 +1,95 @@
 //! Generators and the filter-memo equivalence check, shared by
 //! `tests/props.rs` and the solver's own unit tests (which alone can
-//! build a memo of capacity 1). Solver names resolve through `crate::`,
-//! which both includers provide.
+//! build a memo of capacity 1 and reach the pair filter). Solver names
+//! resolve through `crate::`, which both includers provide.
 
-use octo_ir::BinOp;
+use std::rc::Rc;
+
+use octo_ir::{BinOp, UnOp};
 use proptest::prelude::*;
 
 use crate::{
     Cond, Constraint, ConstraintSet, Expr, ExprRef, FilterMemo, SolveLimits, SolverCounters,
 };
+
+/// Constants at and next to the points where 8-, 16-, 32- and 64-bit
+/// arithmetic wraps, and where the sign bit flips.
+pub const WRAP_CONSTANTS: [u64; 9] = [
+    0,
+    1,
+    255,
+    256,
+    0xFFFF,
+    1 << 32,
+    (1 << 63) - 300,
+    1 << 63,
+    u64::MAX,
+];
+
+/// Every binary operator of the IR, so every one the symbolic executor
+/// can put in a term.
+pub const BIN_OPS: [BinOp; 21] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::DivU,
+    BinOp::RemU,
+    BinOp::And,
+    BinOp::Or,
+    BinOp::Xor,
+    BinOp::Shl,
+    BinOp::ShrL,
+    BinOp::ShrA,
+    BinOp::CmpEq,
+    BinOp::CmpNe,
+    BinOp::CmpLtU,
+    BinOp::CmpLeU,
+    BinOp::CmpGtU,
+    BinOp::CmpGeU,
+    BinOp::CmpLtS,
+    BinOp::CmpLeS,
+    BinOp::CmpGtS,
+    BinOp::CmpGeS,
+];
+
+/// Both unary operators of the IR.
+pub const UN_OPS: [UnOp; 2] = [UnOp::Not, UnOp::Neg];
+
+/// A 2-part little-endian concatenation, as a 2-byte load builds one.
+pub fn concat2(lo: ExprRef, hi: ExprRef) -> ExprRef {
+    Rc::new(Expr::Concat(vec![lo, hi]))
+}
+
+/// A random term of at most `depth` operator levels over `in[0]`,
+/// `in[1]` and the [`WRAP_CONSTANTS`], built from every operator the
+/// symbolic executor can emit: each [`BIN_OPS`] operator, each
+/// [`UN_OPS`] operator and the 2-part concat. Terms are not simplified.
+pub fn arb_op_expr(depth: u32) -> BoxedStrategy<ExprRef> {
+    let leaf = prop_oneof![
+        (0u32..2).prop_map(Expr::byte),
+        arb_wrap_constant().prop_map(Expr::val),
+    ];
+    leaf.prop_recursive(depth, 32, 2, |inner| {
+        let bin = (0..BIN_OPS.len(), inner.clone(), inner.clone())
+            .prop_map(|(i, a, b)| Expr::bin(BIN_OPS[i], a, b))
+            .boxed();
+        let un = (0..UN_OPS.len(), inner.clone()).prop_map(|(i, a)| Expr::un(UN_OPS[i], a));
+        let concat = (inner.clone(), inner).prop_map(|(lo, hi)| concat2(lo, hi));
+        // Binary operators get half the draws: there are 21 of them.
+        prop_oneof![bin.clone(), bin, un, concat]
+    })
+    .boxed()
+}
+
+/// One of the [`WRAP_CONSTANTS`].
+pub fn arb_wrap_constant() -> impl Strategy<Value = u64> {
+    (0..WRAP_CONSTANTS.len()).prop_map(|i| WRAP_CONSTANTS[i])
+}
+
+/// A right-hand constant: one of the [`WRAP_CONSTANTS`] or a small value.
+pub fn arb_wrap_or_small() -> impl Strategy<Value = u64> {
+    prop_oneof![arb_wrap_constant(), 0u64..300]
+}
 
 /// A small random expression over up to `vars` input bytes.
 pub fn arb_expr(vars: u32, depth: u32) -> BoxedStrategy<ExprRef> {
@@ -34,15 +115,18 @@ pub fn arb_expr(vars: u32, depth: u32) -> BoxedStrategy<ExprRef> {
     .boxed()
 }
 
+/// Every relation a constraint can state.
+pub const CONDS: [Cond; 6] = [
+    Cond::Eq,
+    Cond::Ne,
+    Cond::Ult,
+    Cond::Ule,
+    Cond::Slt,
+    Cond::Sle,
+];
+
 pub fn arb_cond() -> impl Strategy<Value = Cond> {
-    prop_oneof![
-        Just(Cond::Eq),
-        Just(Cond::Ne),
-        Just(Cond::Ult),
-        Just(Cond::Ule),
-        Just(Cond::Slt),
-        Just(Cond::Sle),
-    ]
+    (0..CONDS.len()).prop_map(|i| CONDS[i])
 }
 
 /// A random constraint over three input bytes. One in two pins a byte

@@ -4,11 +4,18 @@
 //! (Unsat ⇒ the paper's Type-III "not triggerable"), so both directions
 //! are checked: models must satisfy their constraint sets, and Unsat
 //! answers are cross-checked by exhaustive enumeration on small instances.
+//! Interval bounds decide Unsat answers too (the pair filter drops values
+//! they refute), so the containment oracle below checks every interval
+//! rule against concrete evaluation.
 
 mod common;
 
-use common::{arb_cond, arb_expr, arb_run, check_memo_matches_fresh};
+use common::{
+    arb_cond, arb_expr, arb_op_expr, arb_run, arb_wrap_or_small, check_memo_matches_fresh, concat2,
+    BIN_OPS, CONDS, UN_OPS, WRAP_CONSTANTS,
+};
 use octo_ir::BinOp;
+use octo_solver::interval::{eval_interval, refutes, Interval};
 // `common` names some of these (`ExprRef`, `SolverCounters`, …) through
 // `crate::`, so it compiles inside the solver's unit tests as well.
 use octo_solver::{
@@ -16,6 +23,202 @@ use octo_solver::{
     SolverCounters,
 };
 use proptest::prelude::*;
+
+/// Sat/Unsat answers for `lhs cond k` constraints over `in[0]` and
+/// `in[1]` agree with enumerating all 65,536 assignments.
+fn check_verdict_by_enumeration(exprs: &[(ExprRef, Cond, u64)]) -> Result<(), TestCaseError> {
+    let mut set = ConstraintSet::new();
+    for (lhs, cond, k) in exprs {
+        set.push(Constraint::new(lhs.clone(), Expr::val(*k), *cond));
+    }
+    let verdict = set.solve();
+    let mut any = false;
+    'outer: for b0 in 0u16..=255 {
+        for b1 in 0u16..=255 {
+            if set.eval_file(&[b0 as u8, b1 as u8]) {
+                any = true;
+                break 'outer;
+            }
+        }
+    }
+    match verdict {
+        SolveResult::Sat(_) => prop_assert!(any, "solver said Sat but no witness exists"),
+        SolveResult::Unsat => prop_assert!(!any, "solver said Unsat but a witness exists"),
+        SolveResult::Unknown => {} // budget — no claim
+        SolveResult::Injected => prop_assert!(false, "no fault plan is installed"),
+    }
+    Ok(())
+}
+
+/// `quick_feasible` does not refute a set the full solve finds Sat.
+fn check_quick_feasible_is_sound(exprs: &[(ExprRef, Cond, u64)]) -> Result<(), TestCaseError> {
+    let mut set = ConstraintSet::new();
+    for (lhs, cond, k) in exprs {
+        set.push(Constraint::new(lhs.clone(), Expr::val(*k), *cond));
+    }
+    if let SolveResult::Sat(_) = set.solve() {
+        prop_assert!(set.quick_feasible(), "quick check refuted a sat set");
+    }
+    Ok(())
+}
+
+/// Inclusive `[lo, hi]` boxes for `in[0]` and `in[1]`.
+type Boxes = [(u8, u8); 2];
+
+/// At every point of `boxes` where `e` evaluates, its value lies inside
+/// the bound [`eval_interval`] gives over `boxes`, if it gives one.
+fn check_containment(e: &Expr, boxes: Boxes) -> Result<(), String> {
+    let Some(iv) = eval_interval(e, &|off| boxes.get(off as usize).copied()) else {
+        return Ok(());
+    };
+    // A byte the term does not read is tried at one value only.
+    let reads = e.vars();
+    let range = |k: usize| {
+        let (lo, hi) = boxes[k];
+        lo..=if reads.contains(&(k as u32)) { hi } else { lo }
+    };
+    for x in range(0) {
+        for y in range(1) {
+            if let Some(v) = e.eval(&|off| [x, y].get(off as usize).copied()) {
+                if v < iv.lo || v > iv.hi {
+                    return Err(format!(
+                        "{e} at in = [{x}, {y}] is {v:#x}, outside [{:#x}, {:#x}] over {boxes:?}",
+                        iv.lo, iv.hi
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every term of one operator over the given operands: each unary
+/// operator on each left operand, and each binary operator and the
+/// 2-part concat on each (left, right) pair.
+fn one_operator_terms(left: &[ExprRef], right: &[ExprRef]) -> Vec<ExprRef> {
+    let mut out = Vec::new();
+    for a in left {
+        out.extend(UN_OPS.map(|op| Expr::un(op, a.clone())));
+        for b in right {
+            out.extend(BIN_OPS.map(|op| Expr::bin(op, a.clone(), b.clone())));
+            out.push(concat2(a.clone(), b.clone()));
+        }
+    }
+    out
+}
+
+/// Operands over `in[k]` whose bounds, over a box of 8 values at either
+/// end of the byte range, are windows ending at, starting at or holding
+/// each wrap constant: `in[k]`, the constant, `in[k] + K` and `K - in[k]`.
+fn window_operands(k: u32) -> Vec<ExprRef> {
+    let b = Expr::byte(k);
+    std::iter::once(b.clone())
+        .chain(WRAP_CONSTANTS.iter().flat_map(|&c| {
+            [
+                Expr::val(c),
+                Expr::bin(BinOp::Add, b.clone(), Expr::val(c)),
+                Expr::bin(BinOp::Sub, Expr::val(c), b.clone()),
+            ]
+        }))
+        .collect()
+}
+
+/// Boxes of 1 to 32 values per byte, one in two at an end of the byte
+/// range.
+fn arb_boxes() -> impl Strategy<Value = Boxes> {
+    let side = (
+        prop_oneof![any::<u8>(), any::<u8>(), Just(0u8), Just(224u8)],
+        0u8..32,
+    )
+        .prop_map(|(lo, w)| (lo, lo.saturating_add(w)));
+    (side.clone(), side).prop_map(|(a, b)| [a, b])
+}
+
+/// The containment oracle, exhaustively one operator deep: every term of
+/// one operator over `in[0]`, `in[1]` and the [`WRAP_CONSTANTS`], over
+/// 32-value boxes at both ends and the middle of the byte range.
+#[test]
+fn interval_bounds_contain_every_depth_one_value() {
+    let boxes: [Boxes; 3] = [
+        [(0, 31), (224, 255)],
+        [(224, 255), (0, 31)],
+        [(112, 143), (112, 143)],
+    ];
+    let leaves: Vec<ExprRef> = (0..2)
+        .map(Expr::byte)
+        .chain(WRAP_CONSTANTS.map(Expr::val))
+        .collect();
+    for e in one_operator_terms(&leaves, &leaves) {
+        for b in boxes {
+            if let Err(msg) = check_containment(&e, b) {
+                panic!("{msg}");
+            }
+        }
+    }
+}
+
+/// The containment oracle, exhaustively two operators deep on operands
+/// whose bounds straddle each wrap point: every operator on every pair of
+/// [`window_operands`] (this is the shape that catches a shift pushing a
+/// bit off the top for some values of a box but not others).
+#[test]
+fn interval_bounds_contain_every_operator_on_wrap_windows() {
+    let boxes: [Boxes; 3] = [[(0, 7), (0, 7)], [(0, 7), (248, 255)], [(248, 255), (0, 7)]];
+    for e in one_operator_terms(&window_operands(0), &window_operands(1)) {
+        for b in boxes {
+            if let Err(msg) = check_containment(&e, b) {
+                panic!("{msg}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The containment oracle on sampled terms up to three operators deep
+    /// over random boxes of at most 32 values per byte.
+    #[test]
+    fn interval_bounds_contain_sampled_values(e in arb_op_expr(3), boxes in arb_boxes()) {
+        check_containment(&e, boxes).map_err(TestCaseError::fail)?;
+    }
+}
+
+/// `refutes` claims only what fails at every pair of values of its
+/// intervals: every relation over every pair of intervals of up to five
+/// values within two of a wrap constant.
+#[test]
+fn interval_refutations_hold_at_every_point() {
+    let mut points: Vec<u64> = WRAP_CONSTANTS
+        .iter()
+        .flat_map(|&k| (0..5).map(move |d| k.saturating_sub(2).saturating_add(d)))
+        .collect();
+    points.sort_unstable();
+    points.dedup();
+    let windows: Vec<Interval> = points
+        .iter()
+        .flat_map(|&lo| {
+            points
+                .iter()
+                .filter(move |&&hi| lo <= hi && hi - lo < 5)
+                .map(move |&hi| Interval { lo, hi })
+        })
+        .collect();
+    for cond in CONDS {
+        for l in &windows {
+            for r in windows.iter().filter(|r| refutes(cond, l, r)) {
+                for a in l.lo..=l.hi {
+                    for b in r.lo..=r.hi {
+                        assert!(
+                            !cond.eval(a, b),
+                            "{l:?} {cond} {r:?} holds at ({a:#x}, {b:#x})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -41,26 +244,16 @@ proptest! {
     fn verdicts_match_exhaustive_enumeration(
         exprs in prop::collection::vec((arb_expr(2, 1), arb_cond(), 0u64..300), 1..4)
     ) {
-        let mut set = ConstraintSet::new();
-        for (lhs, cond, k) in &exprs {
-            set.push(Constraint::new(lhs.clone(), Expr::val(*k), *cond));
-        }
-        let verdict = set.solve();
-        let mut any = false;
-        'outer: for b0 in 0u16..=255 {
-            for b1 in 0u16..=255 {
-                if set.eval_file(&[b0 as u8, b1 as u8]) {
-                    any = true;
-                    break 'outer;
-                }
-            }
-        }
-        match verdict {
-            SolveResult::Sat(_) => prop_assert!(any, "solver said Sat but no witness exists"),
-            SolveResult::Unsat => prop_assert!(!any, "solver said Unsat but a witness exists"),
-            SolveResult::Unknown => {} // budget — no claim
-            SolveResult::Injected => prop_assert!(false, "no fault plan is installed"),
-        }
+        check_verdict_by_enumeration(&exprs)?;
+    }
+
+    /// The same, over every operator and the wrap constants: pair filters
+    /// here prove non-support by intervals before enumerating.
+    #[test]
+    fn verdicts_match_exhaustive_enumeration_on_every_operator(
+        exprs in prop::collection::vec((arb_op_expr(2), arb_cond(), arb_wrap_or_small()), 1..4)
+    ) {
+        check_verdict_by_enumeration(&exprs)?;
     }
 
     /// Simplification preserves evaluation on random inputs.
@@ -87,13 +280,15 @@ proptest! {
     fn quick_feasible_is_sound(
         exprs in prop::collection::vec((arb_expr(2, 1), arb_cond(), 0u64..300), 1..4)
     ) {
-        let mut set = ConstraintSet::new();
-        for (lhs, cond, k) in exprs {
-            set.push(Constraint::new(lhs, Expr::val(k), cond));
-        }
-        if let SolveResult::Sat(_) = set.solve() {
-            prop_assert!(set.quick_feasible(), "quick check refuted a sat set");
-        }
+        check_quick_feasible_is_sound(&exprs)?;
+    }
+
+    /// The same, over every operator and the wrap constants.
+    #[test]
+    fn quick_feasible_is_sound_on_every_operator(
+        exprs in prop::collection::vec((arb_op_expr(2), arb_cond(), arb_wrap_or_small()), 1..4)
+    ) {
+        check_quick_feasible_is_sound(&exprs)?;
     }
 
     /// A filter memo shared across growing, forking path conditions,
