@@ -137,10 +137,12 @@ fn simplify_bin(op: BinOp, a: ExprRef, b: ExprRef) -> ExprRef {
         }
         _ => {}
     }
-    // Shifting a concat right by whole bytes drops low bytes.
+    // Shifting a concat right by whole bytes drops low bytes. The shift
+    // must stay below 64: `ShrL` takes its amount modulo 64, as the VM
+    // does, so a shift by 64 keeps the value.
     if matches!(op, BinOp::ShrL) {
         if let (Expr::Concat(parts), Some(sh)) = (&*a, b.as_const()) {
-            if sh % 8 == 0 && (sh / 8) as usize <= parts.len() {
+            if sh < 64 && sh % 8 == 0 && (sh / 8) as usize <= parts.len() {
                 note_rewrite();
                 let skip = (sh / 8) as usize;
                 let rest: Vec<ExprRef> = parts[skip..].to_vec();
@@ -266,6 +268,14 @@ mod tests {
             }
             other => panic!("expected concat, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn shr_of_an_eight_byte_concat_by_64_keeps_the_value() {
+        let input: Vec<u8> = (1..=8).collect();
+        let e = Expr::bin(BinOp::ShrL, Expr::concat_le(0, 8), Expr::val(64));
+        assert_eq!(e.eval_file(&input), Some(0x0807_0605_0403_0201));
+        assert_eq!(simplify(&e).eval_file(&input), Some(0x0807_0605_0403_0201));
     }
 
     #[test]

@@ -123,6 +123,18 @@ fn window_operands(k: u32) -> Vec<ExprRef> {
         .collect()
 }
 
+/// Right shifts of `le(in[0..n])`, n in 1..=8, by every multiple of 8 up
+/// to 72 and by 63, 64 and 65: around the byte-dropping rewrite's edges,
+/// both the concat's width and the 64 at which a shift amount wraps.
+fn shifted_concats() -> Vec<ExprRef> {
+    let shifts = (0..=72).step_by(8).chain([63, 65]);
+    shifts
+        .flat_map(|sh| {
+            (1..=8).map(move |n| Expr::bin(BinOp::ShrL, Expr::concat_le(0, n), Expr::val(sh)))
+        })
+        .collect()
+}
+
 /// Boxes of 1 to 32 values per byte, one in two at an end of the byte
 /// range.
 fn arb_boxes() -> impl Strategy<Value = Boxes> {
@@ -264,6 +276,35 @@ proptest! {
     ) {
         let s = octo_solver::simplify::simplify(&e);
         prop_assert_eq!(e.eval_file(&input), s.eval_file(&input));
+    }
+
+    /// Simplification preserves evaluation on every shifted concat of
+    /// [`shifted_concats`], alone and under one more operator (each unary
+    /// operator, each binary operator on either side, or the 2-part
+    /// concat) whose other operand is an [`arb_op_expr`] term.
+    #[test]
+    fn simplify_preserves_semantics_on_every_operator(
+        op in 0..UN_OPS.len() + BIN_OPS.len() + 1,
+        other in arb_op_expr(2),
+        shifted_left in any::<bool>(),
+        input in prop::collection::vec(any::<u8>(), 8)
+    ) {
+        for shifted in shifted_concats() {
+            let (l, r) = if shifted_left {
+                (shifted.clone(), other.clone())
+            } else {
+                (other.clone(), shifted.clone())
+            };
+            let outer = match op {
+                i if i < UN_OPS.len() => Expr::un(UN_OPS[i], shifted.clone()),
+                i if i < UN_OPS.len() + BIN_OPS.len() => Expr::bin(BIN_OPS[i - UN_OPS.len()], l, r),
+                _ => concat2(l, r),
+            };
+            for e in [shifted, outer] {
+                let s = octo_solver::simplify::simplify(&e);
+                prop_assert_eq!(e.eval_file(&input), s.eval_file(&input), "{} simplified to {}", e, s);
+            }
+        }
     }
 
     /// Simplification is idempotent.

@@ -207,15 +207,20 @@ pub(crate) struct Recorded {
 /// The engine keeps one propagation state: the per-byte memory map, one
 /// dense register shadow per call frame (indexed by register number,
 /// grown on first write), and the argument and return taint in flight
-/// between a call or return and its hook. What depends on `ep` lives in
-/// a recorder per tracked function, so one run can extract the
-/// primitives of every function of `ℓ` before the crash says which one
-/// is `ep` (see [`crate::extract_at_crash_ep`]).
+/// between a call or return and its hook. As in the VM, the running
+/// frame's shadow is a field of its own and only suspended callers'
+/// shadows sit on a stack. What depends on `ep` lives in a recorder per
+/// tracked function, so one run can extract the primitives of every
+/// function of `ℓ` before the crash says which one is `ep` (see
+/// [`crate::extract_at_crash_ep`]).
 pub struct TaintEngine {
     granularity: Granularity,
     poc: PocFile,
     mem: HashMap<u64, TaintSet>,
-    frames: Vec<Vec<TaintSet>>,
+    /// Register shadow of the running frame.
+    regs: Vec<TaintSet>,
+    /// Register shadows of the suspended callers, outermost first.
+    callers: Vec<Vec<TaintSet>>,
     /// Destination registers of in-flight calls (one per frame above main).
     call_dsts: Vec<Option<Reg>>,
     /// Argument taints stashed between `on_inst(Call)` and `on_call`; they
@@ -262,7 +267,8 @@ impl TaintEngine {
             granularity,
             poc,
             mem: HashMap::new(),
-            frames: Vec::new(),
+            regs: Vec::new(),
+            callers: Vec::new(),
             call_dsts: Vec::new(),
             pending_args: Vec::new(),
             pending_dst: None,
@@ -328,7 +334,7 @@ impl TaintEngine {
 
     fn reg(&self, op: Operand) -> Option<&TaintSet> {
         match op {
-            Operand::Reg(r) => self.frames.last()?.get(r.0 as usize),
+            Operand::Reg(r) => self.regs.get(r.0 as usize),
             Operand::Imm(_) => None,
         }
     }
@@ -338,15 +344,12 @@ impl TaintEngine {
     }
 
     fn set_reg(&mut self, r: Reg, t: TaintSet) {
-        let Some(regs) = self.frames.last_mut() else {
-            return;
-        };
         let i = r.0 as usize;
-        if let Some(slot) = regs.get_mut(i) {
+        if let Some(slot) = self.regs.get_mut(i) {
             *slot = t;
         } else if !t.is_empty() {
-            regs.resize(i + 1, TaintSet::empty());
-            regs[i] = t;
+            self.regs.resize(i + 1, TaintSet::empty());
+            self.regs[i] = t;
         }
     }
 
@@ -536,8 +539,9 @@ impl Hook for TaintEngine {
 
     fn on_call(&mut self, callee: FuncId, args: &[u64], depth: usize) {
         // Argument i's taint lands in the callee's register i.
-        self.frames.push(std::mem::take(&mut self.pending_args));
+        let caller = std::mem::replace(&mut self.regs, std::mem::take(&mut self.pending_args));
         if depth > 1 {
+            self.callers.push(caller);
             self.call_dsts.push(self.pending_dst.take());
         }
         for rec in &mut self.recorders {
@@ -557,7 +561,7 @@ impl Hook for TaintEngine {
                 }
             }
         }
-        self.frames.pop();
+        self.regs = self.callers.pop().unwrap_or_default();
         let dst = if depth > 1 {
             self.call_dsts.pop().flatten()
         } else {
@@ -901,6 +905,64 @@ entry:
             q.bunch(0).unwrap().iter().collect::<Vec<_>>(),
             vec![(0, b'Q')]
         );
+    }
+
+    #[test]
+    fn caller_registers_survive_nested_calls_untouched_by_callee_taint() {
+        // `b` (tainted) and `k` (clean) in main share their register
+        // numbers with `h` and `g` in helper, which taint them and make a
+        // nested call that taints its own register of that number too.
+        let src = r#"
+func main() {
+entry:
+    fd = open
+    b = getc fd
+    k = 7
+    call helper(fd)
+    buf = alloc 2
+    store.1 buf, b
+    store.1 buf + 1, k
+    call shared(buf)
+    halt 0
+}
+func helper(fd) {
+entry:
+    h = getc fd
+    g = getc fd
+    call inner(fd)
+    ret
+}
+func inner(fd) {
+entry:
+    x = getc fd
+    ret
+}
+func shared(p) {
+entry:
+    v = load.2 p
+    trap 8
+}
+"#;
+        let p = parse_program(src).unwrap();
+        let getc_dsts = |name: &str| -> Vec<Reg> {
+            let f = p.func(p.func_by_name(name).unwrap());
+            let insts = f.blocks.iter().flat_map(|b| &b.insts);
+            insts
+                .filter_map(|i| match i {
+                    Inst::FileGetc { dst, .. } => Some(*dst),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(getc_dsts("main"), vec![Reg(1)]);
+        assert_eq!(getc_dsts("helper"), vec![Reg(1), Reg(2)]);
+        assert_eq!(getc_dsts("inner"), vec![Reg(1)]);
+
+        let (engine, out) = run_taint(src, b"ABCD", "shared");
+        assert_eq!(out.crash().map(|c| c.kind.class()), Some("TRAP"));
+        let q = engine.into_primitives();
+        let bunch: Vec<(u32, u8)> = q.bunch(0).unwrap().iter().collect();
+        assert_eq!(bunch, vec![(0, b'A')], "only main's own getc");
     }
 
     #[test]

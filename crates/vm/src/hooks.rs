@@ -4,9 +4,11 @@
 //! program executes. All methods have empty default bodies, so a hook only
 //! implements what it needs:
 //!
-//! * the taint engine ([`octo-taint`](https://docs.rs)) implements
-//!   `on_inst`, the file events, and the call events;
-//! * the fuzzers implement `on_edge` for coverage;
+//! * the taint engine (`octo-taint`) implements `on_inst`, `on_term`,
+//!   `on_mmap`, `on_call`, `on_ret` and `on_crash`: it reads file bytes
+//!   off the `read` and `getc` instructions in `on_inst`, not off the
+//!   file events;
+//! * the fuzzers implement `on_edge` and `on_call` for coverage;
 //! * tests implement whatever they assert on.
 
 use octo_ir::{BlockId, FuncId, Inst, Terminator, Width};
@@ -20,7 +22,8 @@ pub struct HookCtx<'a> {
     pub func: FuncId,
     /// Currently executing block.
     pub block: BlockId,
-    /// Index of the instruction within the block.
+    /// Index of the instruction within the block; at
+    /// [`Hook::on_term`], the block's instruction count.
     pub inst_idx: usize,
     /// Registers of the current frame (pre-state: the instruction has not
     /// executed yet).
@@ -82,79 +85,3 @@ pub trait Hook {
 pub struct NoHook;
 
 impl Hook for NoHook {}
-
-/// Combines two hooks, delivering every event to both (first `A`, then `B`).
-#[derive(Debug, Default)]
-pub struct Pair<A, B>(pub A, pub B);
-
-impl<A: Hook, B: Hook> Hook for Pair<A, B> {
-    fn on_inst(&mut self, ctx: &HookCtx<'_>, inst: &Inst) {
-        self.0.on_inst(ctx, inst);
-        self.1.on_inst(ctx, inst);
-    }
-    fn on_term(&mut self, ctx: &HookCtx<'_>, term: &Terminator) {
-        self.0.on_term(ctx, term);
-        self.1.on_term(ctx, term);
-    }
-    fn on_mem_read(&mut self, addr: u64, width: Width, value: u64) {
-        self.0.on_mem_read(addr, width, value);
-        self.1.on_mem_read(addr, width, value);
-    }
-    fn on_mem_write(&mut self, addr: u64, width: Width, value: u64) {
-        self.0.on_mem_write(addr, width, value);
-        self.1.on_mem_write(addr, width, value);
-    }
-    fn on_file_read(&mut self, buf_addr: u64, file_off: u64, len: u64) {
-        self.0.on_file_read(buf_addr, file_off, len);
-        self.1.on_file_read(buf_addr, file_off, len);
-    }
-    fn on_file_getc(&mut self, file_off: u64, value: u8) {
-        self.0.on_file_getc(file_off, value);
-        self.1.on_file_getc(file_off, value);
-    }
-    fn on_mmap(&mut self, base: u64, len: u64) {
-        self.0.on_mmap(base, len);
-        self.1.on_mmap(base, len);
-    }
-    fn on_call(&mut self, callee: FuncId, args: &[u64], depth: usize) {
-        self.0.on_call(callee, args, depth);
-        self.1.on_call(callee, args, depth);
-    }
-    fn on_ret(&mut self, func: FuncId, value: Option<u64>, depth: usize) {
-        self.0.on_ret(func, value, depth);
-        self.1.on_ret(func, value, depth);
-    }
-    fn on_edge(&mut self, func: FuncId, from: BlockId, to: BlockId) {
-        self.0.on_edge(func, from, to);
-        self.1.on_edge(func, from, to);
-    }
-    fn on_crash(&mut self, report: &CrashReport) {
-        self.0.on_crash(report);
-        self.1.on_crash(report);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Default)]
-    struct Counter {
-        calls: usize,
-    }
-
-    impl Hook for Counter {
-        fn on_call(&mut self, _callee: FuncId, _args: &[u64], _depth: usize) {
-            self.calls += 1;
-        }
-    }
-
-    #[test]
-    fn pair_delivers_to_both() {
-        let mut pair = Pair(Counter::default(), Counter::default());
-        pair.on_call(FuncId(0), &[], 1);
-        pair.on_call(FuncId(1), &[], 2);
-        assert_eq!(pair.0.calls, 2);
-        assert_eq!(pair.1.calls, 2);
-    }
-}

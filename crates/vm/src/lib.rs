@@ -13,6 +13,13 @@
 //! * crash reports with a call-stack backtrace (for `ep` identification,
 //!   paper "Preprocessing").
 //!
+//! The interpreter runs a basic block at a time ([`vm`]): it resolves a
+//! block once when it enters it and keeps the running activation's
+//! registers out of the frame stack, which holds only suspended callers.
+//! Hooks still see every instruction, in the order and with the context
+//! a per-step interpreter gives them; a differential test holds the two
+//! to the same callbacks, crash reports and instruction counts.
+//!
 //! The crash model maps onto the CWE classes in the paper's Table II:
 //! out-of-bounds access → CWE-119, checked-arithmetic overflow → CWE-190,
 //! watchdog expiry → CWE-835 (infinite loop), plus null dereference,

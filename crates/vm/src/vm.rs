@@ -1,4 +1,9 @@
 //! The concrete MicroIR interpreter.
+//!
+//! It runs a basic block at a time: `Exec::run_block` resolves the block
+//! once when it is entered and then steps through its instructions
+//! against the running activation's registers, which live in `Exec`
+//! itself. Only suspended callers sit on a frame stack.
 
 use octo_ir::{
     decode_block_addr, decode_func_addr, encode_block_addr, encode_func_addr, BlockId, FuncId,
@@ -9,6 +14,11 @@ use crate::crash::{Backtrace, CrashKind, CrashReport};
 use crate::hooks::{Hook, HookCtx, NoHook};
 use crate::mem::Memory;
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
 /// The (only) file descriptor value returned by `open`.
 pub const INPUT_FD: u64 = 3;
 
@@ -16,7 +26,10 @@ pub const INPUT_FD: u64 = 3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Watchdog: executing more instructions than this is reported as a
-    /// suspected infinite loop (CWE-835).
+    /// suspected infinite loop (CWE-835). Every instruction and every
+    /// terminator counts as one. The step that would pass the limit is
+    /// refused, and the crash reports `max_insts + 1` instructions
+    /// executed, the refused one included.
     pub max_insts: u64,
     /// Maximum call depth before a stack-overflow crash.
     pub max_call_depth: usize,
@@ -55,6 +68,8 @@ impl RunOutcome {
     }
 }
 
+/// A suspended caller: where it resumes, its registers, and the register
+/// of its own caller that its return value goes to.
 struct Frame {
     func: FuncId,
     block: BlockId,
@@ -105,13 +120,20 @@ impl<'p> Vm<'p> {
 
     /// Runs to completion, delivering events to `hook`.
     pub fn run_hooked<H: Hook>(&mut self, hook: &mut H) -> RunOutcome {
+        let entry = self.program.entry();
+        let f = self.program.func(entry);
         let mut exec = Exec {
             program: self.program,
             input: self.input,
             mem: Memory::new(),
             file_pos: 0,
             fd_opened: false,
-            frames: Vec::new(),
+            func: entry,
+            block: f.entry(),
+            idx: 0,
+            regs: vec![0; f.n_regs as usize],
+            ret_dst: None,
+            callers: Vec::new(),
             insts: 0,
             limits: self.limits,
         };
@@ -130,10 +152,9 @@ impl<'p> Vm<'p> {
     }
 }
 
-enum Step {
-    Continue,
-    Exited(u64),
-}
+/// A crash and the index it reports: the faulting instruction's, or
+/// `usize::MAX` for the terminator.
+type Fault = (CrashKind, usize);
 
 struct Exec<'p> {
     program: &'p Program,
@@ -141,44 +162,46 @@ struct Exec<'p> {
     mem: Memory,
     file_pos: u64,
     fd_opened: bool,
-    frames: Vec<Frame>,
+    /// The running activation's function and block.
+    func: FuncId,
+    block: BlockId,
+    /// Index of its next instruction; the block's length for the
+    /// terminator.
+    idx: usize,
+    regs: Vec<u64>,
+    /// The caller's register its return value goes to.
+    ret_dst: Option<Reg>,
+    /// Suspended callers, outermost first.
+    callers: Vec<Frame>,
     insts: u64,
     limits: Limits,
 }
 
 impl<'p> Exec<'p> {
     fn run<H: Hook>(&mut self, hook: &mut H) -> RunOutcome {
-        let entry = self.program.entry();
-        let f = self.program.func(entry);
-        self.frames.push(Frame {
-            func: entry,
-            block: f.entry(),
-            idx: 0,
-            regs: vec![0; f.n_regs as usize],
-            ret_dst: None,
-        });
-        hook.on_call(entry, &[], 1);
+        hook.on_call(self.func, &[], 1);
         loop {
-            match self.step(hook) {
-                Ok(Step::Continue) => {}
-                Ok(Step::Exited(code)) => return RunOutcome::Exit(code),
-                Err(kind) => return RunOutcome::Crash(self.report(kind)),
+            match self.run_block(hook) {
+                Ok(None) => {}
+                Ok(Some(code)) => return RunOutcome::Exit(code),
+                Err((kind, inst_idx)) => return RunOutcome::Crash(self.report(kind, inst_idx)),
             }
         }
     }
 
-    fn report(&self, kind: CrashKind) -> CrashReport {
+    fn report(&self, kind: CrashKind, inst_idx: usize) -> CrashReport {
         let frames = self
-            .frames
+            .callers
             .iter()
-            .map(|fr| (fr.func, self.program.func(fr.func).name.clone()))
+            .map(|fr| fr.func)
+            .chain([self.func])
+            .map(|f| (f, self.program.func(f).name.clone()))
             .collect();
-        let top = self.frames.last().expect("crash with live frame");
         CrashReport {
             kind,
-            func: top.func,
-            block: top.block,
-            inst_idx: top.idx.saturating_sub(1),
+            func: self.func,
+            block: self.block,
+            inst_idx,
             backtrace: Backtrace::new(frames),
             insts_executed: self.insts,
         }
@@ -186,13 +209,13 @@ impl<'p> Exec<'p> {
 
     fn eval(&self, op: Operand) -> u64 {
         match op {
-            Operand::Reg(r) => self.frames.last().expect("live frame").regs[r.0 as usize],
+            Operand::Reg(r) => self.regs[r.0 as usize],
             Operand::Imm(v) => v,
         }
     }
 
     fn set(&mut self, r: Reg, v: u64) {
-        self.frames.last_mut().expect("live frame").regs[r.0 as usize] = v;
+        self.regs[r.0 as usize] = v;
     }
 
     fn check_fd(&self, fd: u64) -> Result<(), CrashKind> {
@@ -203,70 +226,65 @@ impl<'p> Exec<'p> {
         }
     }
 
-    fn step<H: Hook>(&mut self, hook: &mut H) -> Result<Step, CrashKind> {
+    /// Counts one step; past the watchdog's limit the step is refused as
+    /// a crash at `inst_idx`.
+    fn tick(&mut self, inst_idx: usize) -> Result<(), Fault> {
         self.insts += 1;
         if self.insts > self.limits.max_insts {
-            return Err(CrashKind::InfiniteLoop);
+            return Err((CrashKind::InfiniteLoop, inst_idx));
         }
-        let (func_id, block_id, idx) = {
-            let fr = self.frames.last().expect("live frame");
-            (fr.func, fr.block, fr.idx)
-        };
+        Ok(())
+    }
+
+    fn ctx(&self, inst_idx: usize) -> HookCtx<'_> {
+        HookCtx {
+            func: self.func,
+            block: self.block,
+            inst_idx,
+            regs: &self.regs,
+            depth: self.callers.len() + 1,
+            file_pos: self.file_pos,
+            file_size: self.input.len() as u64,
+        }
+    }
+
+    /// Runs the running activation's block from its next instruction
+    /// through the terminator. It returns early at a call, which makes
+    /// the callee the running activation, and at a crash. `Some(code)`
+    /// means the program exited.
+    fn run_block<H: Hook>(&mut self, hook: &mut H) -> Result<Option<u64>, Fault> {
         // Borrow the code through the program reference (lifetime 'p), not
         // through `self`: this avoids cloning every instruction — notably
         // call-argument vectors — on every step, which dominates the
         // fuzzing hot loop otherwise.
         let program = self.program;
-        let func = program.func(func_id);
-        let block = func.block(block_id);
+        let func = program.func(self.func);
+        let block = func.block(self.block);
 
-        if idx < block.insts.len() {
-            let inst = &block.insts[idx];
-            {
-                let fr = self.frames.last().expect("live frame");
-                let ctx = HookCtx {
-                    func: func_id,
-                    block: block_id,
-                    inst_idx: idx,
-                    regs: &fr.regs,
-                    depth: self.frames.len(),
-                    file_pos: self.file_pos,
-                    file_size: self.input.len() as u64,
-                };
-                hook.on_inst(&ctx, inst);
+        while let Some(inst) = block.insts.get(self.idx) {
+            let idx = self.idx;
+            self.tick(idx)?;
+            hook.on_inst(&self.ctx(idx), inst);
+            self.idx = idx + 1;
+            if self.exec_inst(inst, hook).map_err(|kind| (kind, idx))? {
+                return Ok(None);
             }
-            self.frames.last_mut().expect("live frame").idx += 1;
-            self.exec_inst(inst, hook)?;
-            return Ok(Step::Continue);
         }
 
-        // Terminator.
-        {
-            let fr = self.frames.last().expect("live frame");
-            let ctx = HookCtx {
-                func: func_id,
-                block: block_id,
-                inst_idx: idx,
-                regs: &fr.regs,
-                depth: self.frames.len(),
-                file_pos: self.file_pos,
-                file_size: self.input.len() as u64,
-            };
-            hook.on_term(&ctx, &block.term);
-        }
-        match &block.term {
-            Terminator::Jmp(target) => self.goto(func_id, block_id, *target, hook),
+        self.tick(usize::MAX)?;
+        hook.on_term(&self.ctx(block.insts.len()), &block.term);
+        let to = match &block.term {
+            Terminator::Jmp(target) => *target,
             Terminator::Br {
                 cond,
                 then_bb,
                 else_bb,
             } => {
-                let taken = if self.eval(*cond) != 0 {
+                if self.eval(*cond) != 0 {
                     *then_bb
                 } else {
                     *else_bb
-                };
-                self.goto(func_id, block_id, taken, hook)
+                }
             }
             Terminator::Switch {
                 scrut,
@@ -274,62 +292,42 @@ impl<'p> Exec<'p> {
                 default,
             } => {
                 let v = self.eval(*scrut);
-                let taken = cases
+                cases
                     .iter()
                     .find(|(c, _)| *c == v)
                     .map(|(_, b)| *b)
-                    .unwrap_or(*default);
-                self.goto(func_id, block_id, taken, hook)
+                    .unwrap_or(*default)
             }
             Terminator::JmpIndirect { target } => {
                 let value = self.eval(*target);
                 match decode_block_addr(value) {
-                    Some((f, b)) if f == func_id && (b.0 as usize) < func.blocks.len() => {
-                        self.goto(func_id, block_id, b, hook)
-                    }
-                    _ => Err(CrashKind::BadIndirect { value }),
+                    Some((f, b)) if f == self.func && (b.0 as usize) < func.blocks.len() => b,
+                    _ => return Err((CrashKind::BadIndirect { value }, usize::MAX)),
                 }
             }
             Terminator::Ret(value) => {
-                let v = value.as_ref().map(|op| self.eval(*op));
-                let fr = self.frames.pop().expect("live frame");
-                hook.on_ret(fr.func, v, self.frames.len() + 1);
-                match self.frames.last_mut() {
-                    None => Ok(Step::Exited(v.unwrap_or(0))),
-                    Some(caller) => {
-                        if let Some(dst) = fr.ret_dst {
-                            caller.regs[dst.0 as usize] = v.unwrap_or(0);
-                        }
-                        Ok(Step::Continue)
-                    }
-                }
+                let v = value.map(|op| self.eval(op));
+                return Ok(self.ret(v, hook));
             }
-            Terminator::Halt { code } => Ok(Step::Exited(self.eval(*code))),
-        }
+            Terminator::Halt { code } => return Ok(Some(self.eval(*code))),
+        };
+        hook.on_edge(self.func, self.block, to);
+        self.block = to;
+        self.idx = 0;
+        Ok(None)
     }
 
-    fn goto<H: Hook>(
-        &mut self,
-        func: FuncId,
-        from: BlockId,
-        to: BlockId,
-        hook: &mut H,
-    ) -> Result<Step, CrashKind> {
-        hook.on_edge(func, from, to);
-        let fr = self.frames.last_mut().expect("live frame");
-        fr.block = to;
-        fr.idx = 0;
-        Ok(Step::Continue)
-    }
-
-    fn do_call<H: Hook>(
+    /// Suspends the running activation and makes `callee` the running
+    /// one, with its parameters bound from `args`.
+    fn call<H: Hook>(
         &mut self,
         callee: FuncId,
         args: &[Operand],
         dst: Option<Reg>,
         hook: &mut H,
     ) -> Result<(), CrashKind> {
-        if self.frames.len() >= self.limits.max_call_depth {
+        let depth = self.callers.len() + 1;
+        if depth >= self.limits.max_call_depth {
             return Err(CrashKind::StackOverflow);
         }
         let f = self.program.func(callee);
@@ -344,18 +342,39 @@ impl<'p> Exec<'p> {
                 regs[i] = v;
             }
         }
-        self.frames.push(Frame {
-            func: callee,
-            block: f.entry(),
-            idx: 0,
-            regs,
-            ret_dst: dst,
+        self.callers.push(Frame {
+            func: std::mem::replace(&mut self.func, callee),
+            block: std::mem::replace(&mut self.block, f.entry()),
+            idx: std::mem::replace(&mut self.idx, 0),
+            regs: std::mem::replace(&mut self.regs, regs),
+            ret_dst: std::mem::replace(&mut self.ret_dst, dst),
         });
-        hook.on_call(callee, &arg_values, self.frames.len());
+        hook.on_call(callee, &arg_values, depth + 1);
         Ok(())
     }
 
-    fn exec_inst<H: Hook>(&mut self, inst: &Inst, hook: &mut H) -> Result<(), CrashKind> {
+    /// Returns `v` from the running activation to its caller, which
+    /// becomes the running one again. Returning from the entry function
+    /// exits the program: `Some(code)`.
+    fn ret<H: Hook>(&mut self, v: Option<u64>, hook: &mut H) -> Option<u64> {
+        hook.on_ret(self.func, v, self.callers.len() + 1);
+        let Some(caller) = self.callers.pop() else {
+            return Some(v.unwrap_or(0));
+        };
+        let dst = std::mem::replace(&mut self.ret_dst, caller.ret_dst);
+        self.func = caller.func;
+        self.block = caller.block;
+        self.idx = caller.idx;
+        self.regs = caller.regs;
+        if let Some(dst) = dst {
+            self.set(dst, v.unwrap_or(0));
+        }
+        None
+    }
+
+    /// Executes one instruction. Returns whether it was a call, which
+    /// made the callee the running activation.
+    fn exec_inst<H: Hook>(&mut self, inst: &Inst, hook: &mut H) -> Result<bool, CrashKind> {
         match inst {
             Inst::Const { dst, value } => self.set(*dst, *value),
             Inst::Move { dst, src } => {
@@ -412,19 +431,20 @@ impl<'p> Exec<'p> {
                 self.set(*dst, base);
             }
             Inst::Call { dst, callee, args } => {
-                self.do_call(*callee, args, *dst, hook)?;
+                self.call(*callee, args, *dst, hook)?;
+                return Ok(true);
             }
             Inst::CallIndirect { dst, target, args } => {
                 let value = self.eval(*target);
                 let callee = decode_func_addr(value)
                     .filter(|f| (f.0 as usize) < self.program.function_count())
                     .ok_or(CrashKind::BadIndirect { value })?;
-                self.do_call(callee, args, *dst, hook)?;
+                self.call(callee, args, *dst, hook)?;
+                return Ok(true);
             }
             Inst::FuncAddr { dst, func } => self.set(*dst, encode_func_addr(*func)),
             Inst::BlockAddr { dst, block } => {
-                let func = self.frames.last().expect("live frame").func;
-                self.set(*dst, encode_block_addr(func, *block));
+                self.set(*dst, encode_block_addr(self.func, *block));
             }
             Inst::FileOpen { dst } => {
                 self.fd_opened = true;
@@ -479,7 +499,7 @@ impl<'p> Exec<'p> {
             Inst::Trap { code } => return Err(CrashKind::Trap { code: *code }),
             Inst::Nop => {}
         }
-        Ok(())
+        Ok(false)
     }
 }
 
@@ -800,6 +820,60 @@ entry:
         assert_eq!(hook.reads[0].1, 0);
         assert_eq!(hook.reads[0].2, 4);
         assert_eq!(hook.getcs, vec![(4, b'E')]);
+    }
+
+    fn crash_at(src: &str, max_insts: u64) -> CrashReport {
+        let p = parse_program(src).expect("parse");
+        let limits = Limits {
+            max_insts,
+            max_call_depth: 16,
+        };
+        let out = Vm::new(&p, b"").with_limits(limits).run();
+        out.crash().expect("crash").clone()
+    }
+
+    const THREE_INSTS: &str = "func main() {\nentry:\n x = 1\n y = 2\n z = 3\n halt z\n}\n";
+
+    #[test]
+    fn bad_ijmp_after_two_instructions_reports_the_terminator() {
+        let r = crash_at("func main() {\nentry:\n x = 1\n y = 2\n ijmp y\n}\n", 100);
+        assert_eq!(r.kind, CrashKind::BadIndirect { value: 2 });
+        assert_eq!(r.inst_idx, usize::MAX);
+        assert_eq!(r.insts_executed, 3);
+    }
+
+    #[test]
+    fn bad_ijmp_in_a_block_without_instructions_reports_the_terminator() {
+        let r = crash_at("func main() {\nentry:\n ijmp 5\n}\n", 100);
+        assert_eq!(r.kind, CrashKind::BadIndirect { value: 5 });
+        assert_eq!(r.inst_idx, usize::MAX);
+        assert_eq!(r.insts_executed, 1);
+    }
+
+    #[test]
+    fn watchdog_refusing_instruction_2_reports_instruction_2() {
+        let r = crash_at(THREE_INSTS, 2);
+        assert_eq!(r.kind, CrashKind::InfiniteLoop);
+        assert_eq!(r.inst_idx, 2);
+        assert_eq!(r.insts_executed, 3, "max_insts + 1");
+    }
+
+    #[test]
+    fn watchdog_refusing_instruction_0_reports_instruction_0() {
+        let r = crash_at(THREE_INSTS, 0);
+        assert_eq!(r.kind, CrashKind::InfiniteLoop);
+        assert_eq!(r.inst_idx, 0);
+        assert_eq!(r.insts_executed, 1, "max_insts + 1");
+    }
+
+    #[test]
+    fn watchdog_refusing_a_terminator_reports_the_terminator() {
+        let r = crash_at(THREE_INSTS, 3);
+        assert_eq!((r.kind, r.inst_idx), (CrashKind::InfiniteLoop, usize::MAX));
+        assert_eq!(r.insts_executed, 4, "max_insts + 1");
+        let r = crash_at("func main() {\nentry:\n halt 0\n}\n", 0);
+        assert_eq!((r.kind, r.inst_idx), (CrashKind::InfiniteLoop, usize::MAX));
+        assert_eq!(r.insts_executed, 1, "max_insts + 1");
     }
 
     #[test]
