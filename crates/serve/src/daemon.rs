@@ -21,7 +21,13 @@
 //! hand the daemon itself to the executor as the event sink, so each
 //! event lands in the job's timeline before it reaches the fan-out, and
 //! `watch` replays a job's recorded events from the table rather than
-//! from a subscription of its own.
+//! from a subscription of its own. Every change a watcher can wait for
+//! (a recorded step, a job's end, shutdown) is signalled on one
+//! condvar, so a watch wakes when its job moves instead of polling.
+//!
+//! The table keeps the newest [`MAX_FINISHED_JOBS`] done jobs; an older
+//! done job is forgotten, so a long-lived daemon's memory is bounded by
+//! its backlog and that cap, not by its history.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,6 +46,12 @@ use crate::timeline::JobTimeline;
 
 /// Queue-wait histogram bounds, microseconds (100 µs … 10 s).
 const QUEUE_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+
+/// Cap on done jobs kept in the job table (a long-lived daemon must not
+/// grow its memory with every job it serves). Past it the oldest done
+/// record is evicted, and its id answers like an id never admitted.
+/// Queued, running and interrupted records are never evicted.
+pub const MAX_FINISHED_JOBS: usize = 1024;
 
 /// What the executor produced for one job.
 #[derive(Debug, Clone)]
@@ -163,6 +175,25 @@ impl JobRecord {
         self.post_mortem = post_mortem;
     }
 
+    /// The line that ends a watch on this job: `done` with the verdict,
+    /// or an error when the job was interrupted or is still queued at
+    /// shutdown. `None` while the job may still record steps.
+    fn watch_end(&self, shutting_down: bool) -> Option<Response> {
+        let id = self.timeline.id;
+        let interrupted = || Response::Error {
+            message: format!("job {id} interrupted by shutdown"),
+        };
+        match self.timeline.phase {
+            JobPhase::Done => Some(Response::Done {
+                id,
+                verdict: self.verdict.clone().expect("done job has a verdict"),
+            }),
+            JobPhase::Interrupted => Some(interrupted()),
+            JobPhase::Queued if shutting_down => Some(interrupted()),
+            JobPhase::Queued | JobPhase::Running => None,
+        }
+    }
+
     fn status(&self) -> JobStatus {
         JobStatus {
             id: self.timeline.id,
@@ -178,6 +209,10 @@ impl JobRecord {
 #[derive(Default)]
 struct State {
     jobs: BTreeMap<u64, JobRecord>,
+    /// Ids of the done records in `jobs`, in the order they finished.
+    finished: VecDeque<u64>,
+    /// Jobs ever done, evicted ones included.
+    done_total: u64,
     /// The last daemon-clock stamp handed out.
     last_stamp: u64,
     interactive: VecDeque<u64>,
@@ -200,11 +235,15 @@ impl State {
         }
     }
 
-    fn done(&self) -> u64 {
-        self.jobs
-            .values()
-            .filter(|j| j.timeline.phase == JobPhase::Done)
-            .count() as u64
+    /// Counts the record of `id`, just done, and evicts the oldest done
+    /// record past [`MAX_FINISHED_JOBS`].
+    fn retire(&mut self, id: u64) {
+        self.done_total += 1;
+        self.finished.push_back(id);
+        if self.finished.len() > MAX_FINISHED_JOBS {
+            let oldest = self.finished.pop_front().expect("over the cap");
+            self.jobs.remove(&oldest);
+        }
     }
 }
 
@@ -216,8 +255,9 @@ pub struct Daemon {
     state: Mutex<State>,
     /// Signalled when work arrives or the lifecycle changes.
     work: Condvar,
-    /// Signalled when a job finishes (drain/join waits on it).
-    idle: Condvar,
+    /// Signalled when a job records a step or ends, and at shutdown:
+    /// `watch` and `wait_idle` wait on it.
+    changed: Condvar,
     fanout: Arc<FanoutSink>,
     metrics: ServeMetrics,
     /// Origin of the daemon clock every timeline stamp is taken on.
@@ -243,7 +283,7 @@ impl Daemon {
                 ..State::default()
             }),
             work: Condvar::new(),
-            idle: Condvar::new(),
+            changed: Condvar::new(),
             fanout: Arc::new(FanoutSink::new()),
             metrics,
             origin: Instant::now(),
@@ -298,6 +338,7 @@ impl Daemon {
             let mut record = JobRecord::queued(id, &spec, None, at);
             record.done(self.stamp(&mut state), verdict, post_mortem);
             state.jobs.insert(id, record);
+            state.retire(id);
         }
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -365,9 +406,10 @@ impl Daemon {
             } else {
                 self.journal_verdict(id, &outcome.verdict);
                 record.done(at, outcome.verdict, outcome.post_mortem);
+                state.retire(id);
             }
             drop(state);
-            self.idle.notify_all();
+            self.changed.notify_all();
         }
     }
 
@@ -425,26 +467,27 @@ impl Daemon {
             queued_interactive: state.interactive.len() as u64,
             queued_bulk: state.bulk.len() as u64,
             running: state.running,
-            done: state.done(),
+            done: state.done_total,
             capacity: self.capacity as u64,
             draining: state.draining,
         }
     }
 
-    /// One job's status, or `None` for unknown ids.
+    /// One job's status, or `None` for unknown and evicted ids.
     pub fn job_status(&self, id: u64) -> Option<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
         state.jobs.get(&id).map(JobRecord::status)
     }
 
     /// A snapshot of one job's timeline (the `/jobs/<id>` body), or
-    /// `None` for unknown ids.
+    /// `None` for unknown and evicted ids.
     pub fn timeline(&self, id: u64) -> Option<JobTimeline> {
         let state = self.state.lock().expect("daemon state poisoned");
         state.jobs.get(&id).map(|j| j.timeline.clone())
     }
 
-    /// Finished verdicts in id (= submission) order.
+    /// Finished verdicts of the retained jobs, in id (= submission)
+    /// order.
     pub fn results(&self) -> Vec<ResultRow> {
         let state = self.state.lock().expect("daemon state poisoned");
         state
@@ -460,7 +503,7 @@ impl Daemon {
             .collect()
     }
 
-    /// Every known job's status, in id (= submission) order — the
+    /// Every retained job's status, in id (= submission) order — the
     /// queue + in-flight + completed listing behind `GET /jobs`.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
@@ -480,39 +523,37 @@ impl Daemon {
 
     /// Streams `id`'s events into `deliver`: first every event the job
     /// has recorded (at most [`crate::timeline::MAX_STEPS_PER_JOB`]),
-    /// then each new one as it is recorded, read from the job table
-    /// every 20 ms. Ends with the `done` line, or with an `error` line
-    /// when the job is unknown, was interrupted, or was still queued
-    /// when the daemon shut down. `deliver` returning `Err` (the peer
-    /// hung up) detaches quietly.
+    /// then each new one as it is recorded. Ends with the `done` line,
+    /// or with an `error` line when the job is unknown (or evicted), was
+    /// interrupted, or was still queued when the daemon shut down.
+    /// `deliver` returning `Err` (the peer hung up) detaches quietly.
     pub fn watch(
         &self,
         id: u64,
         deliver: &mut dyn FnMut(&Response) -> Result<(), String>,
     ) -> Result<(), String> {
-        let interrupted = || Response::Error {
-            message: format!("job {id} interrupted by shutdown"),
-        };
         let mut cursor = 0;
         loop {
-            // Read under the lock, deliver outside it: a slow peer must
-            // not hold up the workers.
+            // Wait and read under the lock, deliver outside it: a slow
+            // peer must not hold up the workers.
             let read = {
                 let state = self.state.lock().expect("daemon state poisoned");
+                // Asleep until the job records a step, reaches its end or
+                // is evicted; every such change notifies `changed`.
+                let state = self
+                    .changed
+                    .wait_while(state, |state| {
+                        state.jobs.get(&id).is_some_and(|record| {
+                            record.timeline.steps.len() == cursor
+                                && record.watch_end(state.shutting_down).is_none()
+                        })
+                    })
+                    .expect("daemon state poisoned");
                 state.jobs.get(&id).map(|record| {
                     let steps = &record.timeline.steps[cursor..];
                     cursor += steps.len();
                     let pending: Vec<Event> = steps.iter().map(|s| s.event.clone()).collect();
-                    let end = match record.timeline.phase {
-                        JobPhase::Done => Some(Response::Done {
-                            id,
-                            verdict: record.verdict.clone().expect("done job has a verdict"),
-                        }),
-                        JobPhase::Interrupted => Some(interrupted()),
-                        JobPhase::Queued if state.shutting_down => Some(interrupted()),
-                        JobPhase::Queued | JobPhase::Running => None,
-                    };
-                    (pending, end)
+                    (pending, record.watch_end(state.shutting_down))
                 })
             };
             let Some((pending, end)) = read else {
@@ -523,9 +564,8 @@ impl Daemon {
             for event in pending {
                 deliver(&Response::Event(event))?;
             }
-            match end {
-                Some(end) => return deliver(&end),
-                None => std::thread::sleep(Duration::from_millis(20)),
+            if let Some(end) = end {
+                return deliver(&end);
             }
         }
     }
@@ -550,6 +590,7 @@ impl Daemon {
         drop(state);
         self.executor.cancel_all();
         self.work.notify_all();
+        self.changed.notify_all();
     }
 
     /// True once the daemon can exit: draining (or shut down) with
@@ -562,14 +603,14 @@ impl Daemon {
     /// Blocks until every queued/running job has finished (used by
     /// graceful drain before exit).
     pub fn wait_idle(&self) {
-        let mut state = self.state.lock().expect("daemon state poisoned");
-        while !state.shutting_down && (state.queued() > 0 || state.running > 0) {
-            let (next, _) = self
-                .idle
-                .wait_timeout(state, Duration::from_millis(50))
-                .expect("daemon state poisoned");
-            state = next;
-        }
+        let state = self.state.lock().expect("daemon state poisoned");
+        drop(
+            self.changed
+                .wait_while(state, |state| {
+                    !state.shutting_down && (state.queued() > 0 || state.running > 0)
+                })
+                .expect("daemon state poisoned"),
+        );
     }
 
     /// The event fan-out: every event the executor emits reaches it,
@@ -610,6 +651,7 @@ impl EventSink for Daemon {
                 record.timeline.record(at, event.clone());
             }
         }
+        self.changed.notify_all();
         self.fanout.emit(event);
     }
 }
@@ -1200,6 +1242,221 @@ mod tests {
             .unwrap();
         assert!(matches!(unknown.last(), Some(Response::Error { .. })));
         drain_and_join(&daemon, workers);
+    }
+
+    #[test]
+    fn done_jobs_past_the_cap_are_forgotten_oldest_first() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 1030);
+        for i in 1..=1030 {
+            daemon
+                .submit(spec(&format!("job-{i}"), Priority::Bulk))
+                .unwrap();
+        }
+        let workers = daemon.start_workers(1);
+        drain_and_join(&daemon, workers);
+        // The six oldest answer like ids never admitted.
+        for id in 1..=6 {
+            assert_eq!(daemon.job_status(id), None, "job {id}");
+            assert!(daemon.timeline(id).is_none(), "job {id}");
+        }
+        let mut seen = Vec::new();
+        daemon
+            .watch(1, &mut |resp| {
+                seen.push(resp.clone());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(
+            seen,
+            vec![Response::Error {
+                message: "unknown job id 1".to_string()
+            }]
+        );
+        for id in 7..=1030 {
+            let phase = daemon.job_status(id).map(|j| j.phase);
+            assert_eq!(phase, Some(JobPhase::Done), "job {id}");
+        }
+        // Evicted jobs still count as done.
+        assert_eq!(daemon.status().done, 1030);
+        let ids: Vec<u64> = daemon.results().iter().map(|r| r.id).collect();
+        assert_eq!(ids, (7..=1030).collect::<Vec<u64>>());
+        let listed: Vec<u64> = daemon.jobs().iter().map(|j| j.id).collect();
+        assert_eq!(listed, ids);
+    }
+
+    #[test]
+    fn restore_evicts_only_done_jobs_past_the_cap() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 16);
+        let mut replay = Replay::default();
+        replay.jobs.push((1, spec("unfinished", Priority::Bulk)));
+        for id in 2..=1031 {
+            replay
+                .jobs
+                .push((id, spec(&format!("done-{id}"), Priority::Bulk)));
+            replay.verdicts.insert(
+                id,
+                VerdictSummary {
+                    verdict: "Type-I".to_string(),
+                    poc_generated: true,
+                    verified: true,
+                    attempts: 1,
+                    quarantined: false,
+                },
+            );
+        }
+        daemon.restore(replay);
+        // The oldest job is not done, so it stays whatever its age.
+        assert_eq!(daemon.job_status(1).unwrap().phase, JobPhase::Queued);
+        for id in 2..=7 {
+            assert_eq!(daemon.job_status(id), None, "job {id}");
+        }
+        for id in 8..=1031 {
+            let phase = daemon.job_status(id).map(|j| j.phase);
+            assert_eq!(phase, Some(JobPhase::Done), "job {id}");
+        }
+        assert_eq!(daemon.status().done, 1030);
+        assert_eq!(daemon.results().len(), 1024);
+    }
+
+    /// A `watch` of one job and a `wait_idle`, each on a side thread
+    /// that reports over a channel as it goes, so a lost notify fails a
+    /// test within 5 s instead of hanging it.
+    struct Waiters {
+        seen: std::sync::mpsc::Receiver<Response>,
+        idle: std::sync::mpsc::Receiver<()>,
+        watcher: JoinHandle<Result<(), String>>,
+        idler: JoinHandle<()>,
+    }
+
+    impl Waiters {
+        fn spawn(daemon: &Arc<Daemon>, id: u64) -> Waiters {
+            let (seen_tx, seen) = std::sync::mpsc::channel();
+            let watcher = {
+                let daemon = Arc::clone(daemon);
+                std::thread::spawn(move || {
+                    daemon.watch(id, &mut |resp| {
+                        seen_tx.send(resp.clone()).map_err(|e| e.to_string())
+                    })
+                })
+            };
+            let (idle_tx, idle) = std::sync::mpsc::channel();
+            let idler = {
+                let daemon = Arc::clone(daemon);
+                std::thread::spawn(move || {
+                    daemon.wait_idle();
+                    let _ = idle_tx.send(());
+                })
+            };
+            Waiters {
+                seen,
+                idle,
+                watcher,
+                idler,
+            }
+        }
+
+        /// The watch's next line.
+        fn next(&self) -> Response {
+            self.seen
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the watch delivers each line")
+        }
+
+        fn idle_returned(&self) -> bool {
+            self.idle.try_recv().is_ok()
+        }
+
+        /// Waits for `wait_idle` to return and the watch to end.
+        fn join(self) {
+            self.idle
+                .recv_timeout(Duration::from_secs(5))
+                .expect("wait_idle returns");
+            assert_eq!(self.watcher.join().unwrap(), Ok(()));
+            self.idler.join().unwrap();
+        }
+    }
+
+    /// A fan-out subscriber that holds the worker at its job's
+    /// `finished` event until `go` receives: the event is recorded and
+    /// notified, but the job is not done yet.
+    struct HoldAtFinish {
+        go: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl EventSink for HoldAtFinish {
+        fn emit(&self, event: Event) {
+            if matches!(event.kind, EventKind::JobFinished { .. }) {
+                let _ = self.go.lock().unwrap().recv();
+            }
+        }
+    }
+
+    #[test]
+    fn a_live_watch_and_wait_idle_wake_on_each_change() {
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), None, 4);
+        let (go, hold) = std::sync::mpsc::channel();
+        daemon.fanout().subscribe(Arc::new(HoldAtFinish {
+            go: Mutex::new(hold),
+        }));
+        daemon.submit(spec("live", Priority::Interactive)).unwrap();
+        let workers = daemon.start_workers(1);
+        wait_running(&executor);
+        let waiters = Waiters::spawn(&daemon, 1);
+        let started = EventKind::JobStarted {
+            job: 1,
+            name: "live".into(),
+        };
+        assert_eq!(waiters.next(), Response::Event(Event::new(0, 0, started)));
+        let phase = Event::new(
+            0,
+            0,
+            EventKind::PhaseFinished {
+                job: 1,
+                phase: "prepare".into(),
+                micros: 1000,
+            },
+        );
+        daemon.emit(phase.clone());
+        assert_eq!(waiters.next(), Response::Event(phase));
+        assert!(!waiters.idle_returned(), "the job is still held");
+        executor.release();
+        let finished = EventKind::JobFinished {
+            job: 1,
+            outcome: "Type-I".into(),
+            micros: 1,
+        };
+        assert_eq!(waiters.next(), Response::Event(Event::new(1, 0, finished)));
+        // The worker is held after recording `finished`, so the watch
+        // waits again; only the worker's notify announces the end.
+        assert!(!waiters.idle_returned(), "the job is not done yet");
+        go.send(()).unwrap();
+        assert!(matches!(waiters.next(), Response::Done { id: 1, .. }));
+        waiters.join();
+        drain_and_join(&daemon, workers);
+    }
+
+    #[test]
+    fn waiters_on_a_queued_job_wake_at_shutdown() {
+        // No workers: the job stays queued, so only shutdown's notify
+        // can wake the watch and `wait_idle`.
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        daemon.submit(spec("stranded", Priority::Bulk)).unwrap();
+        // A step the watch delivers first, so the test knows it is past
+        // its replay and waiting.
+        let hit = Event::new(0, 0, EventKind::CacheHit { job: 1, key: 0xAB });
+        daemon.emit(hit.clone());
+        let waiters = Waiters::spawn(&daemon, 1);
+        assert_eq!(waiters.next(), Response::Event(hit));
+        assert!(!waiters.idle_returned(), "the job is still queued");
+        daemon.shutdown();
+        assert_eq!(
+            waiters.next(),
+            Response::Error {
+                message: "job 1 interrupted by shutdown".to_string()
+            }
+        );
+        waiters.join();
     }
 
     #[test]
