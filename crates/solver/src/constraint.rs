@@ -1,6 +1,9 @@
 //! Constraints and constraint sets.
 
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 use octo_ir::BinOp;
 
@@ -68,24 +71,68 @@ impl fmt::Display for Cond {
 }
 
 /// One relational constraint between two symbolic terms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Building a constraint computes, once, the two facts every solver
+/// entry asks of it: the sorted distinct byte offsets it reads (shared by
+/// its clones, so forked states share them too) and a structural hash.
+/// The fields are private so neither can go stale. `Hash` writes the
+/// cached hash, and `Eq` compares hashes before trees.
+#[derive(Clone)]
 pub struct Constraint {
-    /// Left term (simplified).
-    pub lhs: ExprRef,
-    /// Right term (simplified).
-    pub rhs: ExprRef,
-    /// Relation.
-    pub cond: Cond,
+    lhs: ExprRef,
+    rhs: ExprRef,
+    cond: Cond,
+    /// Sorted distinct offsets of the bytes either side reads.
+    vars: Rc<[u32]>,
+    /// `(lhs, rhs, cond)` hashed with [`hash_keys`].
+    hash: u64,
+}
+
+/// The keys of every constraint's structural hash: one `RandomState`
+/// for the process, so equal constraints hash equal wherever they were
+/// built. It stays keyed because the programs under test choose the
+/// constraints, and with them the memo's keys.
+fn hash_keys() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
 }
 
 impl Constraint {
     /// Creates a constraint, simplifying both sides.
     pub fn new(lhs: ExprRef, rhs: ExprRef, cond: Cond) -> Constraint {
+        Constraint::from_parts(simplify(&lhs), simplify(&rhs), cond)
+    }
+
+    /// The one constructor: computes the byte offsets and the hash.
+    fn from_parts(lhs: ExprRef, rhs: ExprRef, cond: Cond) -> Constraint {
+        let mut vars = Vec::new();
+        lhs.for_each_var(&mut |o| vars.push(o));
+        rhs.for_each_var(&mut |o| vars.push(o));
+        vars.sort_unstable();
+        vars.dedup();
+        let hash = hash_keys().hash_one((&lhs, &rhs, cond));
         Constraint {
-            lhs: simplify(&lhs),
-            rhs: simplify(&rhs),
+            lhs,
+            rhs,
             cond,
+            vars: vars.into(),
+            hash,
         }
+    }
+
+    /// Left term (simplified).
+    pub fn lhs(&self) -> &ExprRef {
+        &self.lhs
+    }
+
+    /// Right term (simplified).
+    pub fn rhs(&self) -> &ExprRef {
+        &self.rhs
+    }
+
+    /// Relation.
+    pub fn cond(&self) -> Cond {
+        self.cond
     }
 
     /// Builds the constraint asserting that a branch condition expression
@@ -135,16 +182,42 @@ impl Constraint {
             .unwrap_or(false)
     }
 
-    /// Distinct byte offsets referenced.
-    pub fn vars(&self) -> std::collections::BTreeSet<u32> {
-        let mut v = self.lhs.vars();
-        v.extend(self.rhs.vars());
-        v
+    /// Distinct byte offsets referenced, ascending.
+    pub fn vars(&self) -> &[u32] {
+        &self.vars
     }
 
     /// Node count of both sides (for memory accounting).
     pub fn size(&self) -> usize {
         self.lhs.size() + self.rhs.size()
+    }
+}
+
+impl PartialEq for Constraint {
+    fn eq(&self, other: &Constraint) -> bool {
+        self.hash == other.hash
+            && self.cond == other.cond
+            && self.lhs == other.lhs
+            && self.rhs == other.rhs
+    }
+}
+
+impl Eq for Constraint {}
+
+impl Hash for Constraint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+// Leaves the cached facts out: the hash differs from run to run.
+impl fmt::Debug for Constraint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Constraint")
+            .field("lhs", &self.lhs)
+            .field("rhs", &self.rhs)
+            .field("cond", &self.cond)
+            .finish()
     }
 }
 
@@ -188,11 +261,7 @@ fn normalize(c: Constraint) -> Normalized {
     }
     // Canonical orientation: constant on the right for Eq/Ne.
     let c = if matches!(c.cond, Cond::Eq | Cond::Ne) && c.lhs.as_const().is_some() {
-        Constraint {
-            lhs: c.rhs,
-            rhs: c.lhs,
-            cond: c.cond,
-        }
+        Constraint::from_parts(c.rhs, c.lhs, c.cond)
     } else {
         c
     };

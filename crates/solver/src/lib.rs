@@ -27,11 +27,16 @@
 //! Directed symbolic execution calls the solver at every fork and every
 //! placed bunch, each time from full domains on a path condition that
 //! only grew. A [`FilterMemo`] makes the repeats cheap: it memoizes the
-//! one-variable and pair filters of propagation, keyed on the
-//! constraint (compared structurally) and the current domain of every
-//! byte it reads, so a hit returns exactly what the filter would
-//! compute and budgets are charged as on a miss. One engine run owns
-//! one memo and hands it to every solver entry
+//! one-variable and pair filters of propagation. A constraint that reads
+//! one byte is keyed on the constraint alone, and its entry is the
+//! constraint's truth table over the byte's 256 values: the filter keeps
+//! exactly the domain's values that the table holds, whatever the
+//! domain. Any other filter is keyed on the constraint and the current
+//! domain of every byte it reads. Either way a hit returns exactly what
+//! the filter would compute, and budgets are charged as on a miss. Each
+//! [`Constraint`] computes its byte offsets and its structural hash once,
+//! when it is built, so a lookup neither walks nor hashes its trees. One
+//! engine run owns one memo and hands it to every solver entry
 //! ([`ConstraintSet::solve_in`], [`ConstraintSet::quick_feasible_in`]);
 //! the plain entry points use a fresh memo per call. A memo is cleared
 //! at [`FILTER_MEMO_CAP`] entries, which bounds its memory and changes

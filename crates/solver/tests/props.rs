@@ -10,6 +10,9 @@
 
 mod common;
 
+use std::hash::BuildHasher;
+use std::rc::Rc;
+
 use common::{
     arb_cond, arb_expr, arb_op_expr, arb_run, arb_wrap_or_small, check_memo_matches_fresh, concat2,
     BIN_OPS, CONDS, UN_OPS, WRAP_CONSTANTS,
@@ -338,6 +341,61 @@ proptest! {
     fn shared_memo_matches_a_fresh_memo_at_every_prefix(run in arb_run()) {
         check_memo_matches_fresh(&run, &mut FilterMemo::new())?;
     }
+
+    /// A constraint's cached offsets are the bytes its two sides read,
+    /// ascending, whether it was built directly or by normalisation
+    /// (the operand swap, the per-byte split).
+    #[test]
+    fn cached_offsets_are_the_bytes_both_sides_read(
+        lhs in arb_op_expr(2),
+        cond in arb_cond(),
+        rhs in prop_oneof![arb_op_expr(2), arb_wrap_or_small().prop_map(Expr::val)],
+        swap in any::<bool>(),
+    ) {
+        let (lhs, rhs) = if swap { (rhs, lhs) } else { (lhs, rhs) };
+        let c = Constraint::new(lhs, rhs, cond);
+        let mut set = ConstraintSet::new();
+        set.push(c.clone());
+        for c in std::iter::once(&c).chain(set.items()) {
+            let mut reads = c.lhs().vars();
+            reads.extend(c.rhs().vars());
+            let reads: Vec<u32> = reads.into_iter().collect();
+            prop_assert_eq!(c.vars(), &reads[..], "{}", c);
+        }
+    }
+
+    /// A constant-on-the-left equality, which normalisation turns round,
+    /// equals and hashes like the same constraint built the right way
+    /// round from a separate copy of its term.
+    #[test]
+    fn swapped_constraint_equals_and_hashes_like_the_direct_one(
+        term in arb_op_expr(2),
+        k in arb_wrap_or_small(),
+        eq in any::<bool>(),
+    ) {
+        let cond = if eq { Cond::Eq } else { Cond::Ne };
+        let mut set = ConstraintSet::new();
+        set.push(Constraint::new(Expr::val(k), term.clone(), cond));
+        // Only a constraint kept whole was swapped; normalisation may
+        // fold it or split it per byte.
+        prop_assume!(set.len() == 1);
+        let swapped = &set.items()[0];
+        let direct = Constraint::new(deep_copy(&term), Expr::val(k), cond);
+        prop_assert_eq!(swapped, &direct);
+        let keys = std::hash::RandomState::new();
+        prop_assert_eq!(keys.hash_one(swapped), keys.hash_one(&direct));
+    }
+}
+
+/// A copy of `e` that shares no node with it, so comparing the two
+/// compares trees, not pointers.
+fn deep_copy(e: &Expr) -> ExprRef {
+    Rc::new(match e {
+        Expr::Const(_) | Expr::Byte(_) => e.clone(),
+        Expr::Concat(parts) => Expr::Concat(parts.iter().map(|p| deep_copy(p)).collect()),
+        Expr::Bin(op, a, b) => Expr::Bin(*op, deep_copy(a), deep_copy(b)),
+        Expr::Un(op, a) => Expr::Un(*op, deep_copy(a)),
+    })
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! checked-in golden file CI diffs), and the artifact cache must collapse
 //! the corpus's shared `(S, poc, ℓ)` groups into single P1 runs.
 
+mod common;
+
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::process::Command;
 
 use octo_corpus::all_pairs;
@@ -13,6 +14,8 @@ use octo_ir::printer::print_program;
 use octo_sched::NullSink;
 use octopocs::batch::{corpus_jobs, prefix_cache_key, run_batch, BatchJob, BatchOptions};
 use octopocs::{verify, PipelineConfig, SoftwarePairInput};
+
+use common::bin_path;
 
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
 
@@ -111,30 +114,9 @@ fn two_targets_of_one_source_share_a_single_p1_run() {
     );
 }
 
-fn cli_path() -> PathBuf {
-    // The octopocs binary lives in the same target directory as this test.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push("octopocs");
-    p
-}
-
-fn ensure_cli() -> PathBuf {
-    let cli = cli_path();
-    if !cli.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", "octopocs"])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    cli
-}
-
 #[test]
 fn cli_batch_runs_a_job_file_with_events() {
-    let cli = ensure_cli();
+    let cli = bin_path("octopocs");
     let dir = std::env::temp_dir().join(format!("octopocs-batch-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
 

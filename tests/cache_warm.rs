@@ -4,27 +4,15 @@
 //! unusable cache directory must degrade the whole run to memory-only —
 //! exit 0, all verdicts intact, one warning.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use common::bin_path;
+
 /// The fault-free corpus verdicts CI pins (`tests/golden/batch_verdicts.json`).
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
-
-/// The binaries live in the same target directory as this test.
-fn bin_path(name: &str) -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
-}
 
 fn workdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("octopocs-warm-{tag}-{}", std::process::id()));

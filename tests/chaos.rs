@@ -7,6 +7,8 @@
 //! checked-in golden file, at any worker count. The committed plan in
 //! `tests/golden/fault_plan.json` doubles as the CI chaos fixture.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -15,6 +17,8 @@ use octo_sched::{NullSink, WatchdogConfig};
 use octopocs::batch::{corpus_jobs, run_batch, BatchOptions, BatchReport};
 use octopocs::verdict::{FailureReason, Verdict};
 use octopocs::PipelineConfig;
+
+use common::bin_path;
 
 /// The fault-free corpus verdicts CI pins (`tests/golden/batch_verdicts.json`).
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
@@ -298,22 +302,6 @@ fn sigkilled_batch_restarts_clean_on_the_same_cache_dir() {
         "restart verdicts drifted from the golden"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The binaries live in the same target directory as this test.
-fn bin_path(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = std::process::Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
 }
 
 #[test]

@@ -3,33 +3,18 @@
 //! representation (printer → files → parser → pipeline), closing the loop
 //! between the dataset, the assembler round-trip, and the tool.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::Command;
 
 use octo_corpus::{all_pairs, Expected};
 use octo_ir::printer::print_program;
 
-fn cli_path() -> PathBuf {
-    // The octopocs binary lives in the same target directory as this test.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push("octopocs");
-    p
-}
+use common::bin_path;
 
 #[test]
 fn cli_reproduces_table2_verdicts_from_exported_files() {
-    let cli = cli_path();
-    if !cli.exists() {
-        // The binary is built as part of the workspace; if this test runs
-        // in isolation before the binary exists, build it.
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", "octopocs"])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
+    let cli = bin_path("octopocs");
     let dir = std::env::temp_dir().join(format!("octopocs-corpus-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
 

@@ -5,8 +5,9 @@
 //! candidate document must be deterministic at any worker count (CI
 //! diffs it against `tests/golden/clone_candidates.json`).
 
+mod common;
+
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::process::Command;
 
 use octo_clone::CloneParams;
@@ -14,6 +15,8 @@ use octo_corpus::all_pairs;
 use octo_sched::NullSink;
 use octopocs::batch::{run_batch, BatchJob, BatchOptions};
 use octopocs::{corpus_scan_inputs, expand_scan, run_scan, PipelineConfig};
+
+use common::bin_path;
 
 const GOLDEN_CANDIDATES: &str = include_str!("golden/clone_candidates.json");
 const GOLDEN_VERDICTS: &str = include_str!("golden/batch_verdicts.json");
@@ -147,29 +150,9 @@ fn scan_off_diagonal_jobs_agree_with_direct_batch() {
     }
 }
 
-fn cli_path() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push("octopocs");
-    p
-}
-
-fn ensure_cli() -> PathBuf {
-    let cli = cli_path();
-    if !cli.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", "octopocs"])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    cli
-}
-
 #[test]
 fn cli_scan_corpus_candidates_are_deterministic_across_workers() {
-    let cli = ensure_cli();
+    let cli = bin_path("octopocs");
     let dir = std::env::temp_dir().join(format!("octopocs-scan-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
     let mut docs = Vec::new();
@@ -204,7 +187,7 @@ fn cli_scan_corpus_candidates_are_deterministic_across_workers() {
 #[test]
 fn cli_clone_and_canonical_lint_work_on_files() {
     use octo_ir::printer::print_program;
-    let cli = ensure_cli();
+    let cli = bin_path("octopocs");
     let dir = std::env::temp_dir().join(format!("octopocs-clone-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
     let pair = all_pairs().into_iter().next().expect("idx1");

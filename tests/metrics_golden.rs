@@ -4,13 +4,16 @@
 //! tallies, cache traffic, per-phase instruction counts — must be exact
 //! and identical across runs, whatever the worker count.
 
+mod common;
+
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 use std::process::Command;
 
 use octo_sched::NullSink;
 use octopocs::batch::{corpus_jobs, run_batch, BatchOptions, BatchReport};
 use octopocs::PipelineConfig;
+
+use common::bin_path;
 
 const SCHEMA: &str = include_str!("golden/metrics_schema.txt");
 
@@ -120,29 +123,9 @@ fn corpus_counters_are_exact_and_deterministic() {
     }
 }
 
-fn cli_path() -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push("octopocs");
-    p
-}
-
-fn ensure_cli() -> PathBuf {
-    let cli = cli_path();
-    if !cli.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", "octopocs"])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    cli
-}
-
 #[test]
 fn cli_metrics_exports_match_the_schema() {
-    let cli = ensure_cli();
+    let cli = bin_path("octopocs");
     let dir = std::env::temp_dir().join(format!("octopocs-metrics-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("workdir");
     let json_path = dir.join("metrics.json");

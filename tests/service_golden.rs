@@ -6,11 +6,15 @@
 //! capacity with an explicit rejection (never a hang), and honour the
 //! drain signals and numeric-flag validation of `octopocs batch`.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use octo_serve::{Client, Endpoint, Request, Response};
+
+use common::bin_path;
 
 /// The golden corpus verdicts (also pinned by `batch_golden.rs`).
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
@@ -22,22 +26,6 @@ const METRICS_SCHEMA: &str = include_str!("golden/metrics_schema.txt");
 /// A fault plan that wedges every job's directed engine (cancellable,
 /// never progressing) — the deterministic way to keep a worker busy.
 const HANG_PLAN: &str = "{\"seed\":1,\"rules\":[{\"site\":\"directed-hang\",\"nth\":1}]}";
-
-fn bin_path(name: &str) -> PathBuf {
-    // The binaries live in the same target directory as this test.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
-}
 
 /// A scratch directory holding the daemon's socket and journal.
 fn workdir(tag: &str) -> PathBuf {
