@@ -836,8 +836,9 @@ impl BatchRuntime {
     /// accounting, trace and fault guards, the retry-then-quarantine
     /// attempt loop inside a panic envelope, lifecycle events into
     /// `sink`, and per-job metrics. `index` tags the job everywhere (the
-    /// event stream, the trace ring, the fault context); `queued_at` is
-    /// when the job was submitted (queue latency is measured from it).
+    /// event stream, the trace ring, the fault context); `queue_wait` is
+    /// how long the job waited between submission and this call, as the
+    /// caller measured it.
     ///
     /// When the run-level drain token has fired, a job not yet started
     /// is skipped outright and an in-flight attempt that dies
@@ -850,7 +851,7 @@ impl BatchRuntime {
         index: usize,
         worker: usize,
         job: &BatchJob,
-        queued_at: Instant,
+        queue_wait: Duration,
         sink: &dyn EventSink,
     ) -> BatchEntry {
         let options = &self.options;
@@ -858,7 +859,7 @@ impl BatchRuntime {
         // Queue latency: how long the job sat submitted-but-unclaimed.
         recorder
             .job_queue_latency
-            .observe(micros(queued_at.elapsed().as_secs_f64()));
+            .observe(queue_wait.as_micros() as u64);
         let job_start = Instant::now();
         // Route this job's engine-level trace events (solver entries,
         // state deaths, bunch assertions, …) into the shared ring,
@@ -1027,7 +1028,7 @@ pub fn run_batch(
     let indices: Vec<usize> = (0..jobs.len()).collect();
 
     let (results, sched) = run_jobs(indices, options.workers, |worker, i| {
-        runtime.run_job(i, worker, &jobs[i], start, sink)
+        runtime.run_job(i, worker, &jobs[i], start.elapsed(), sink)
     });
 
     // A job can only reach the scheduler's own envelope by panicking in
@@ -1664,10 +1665,10 @@ fine:
         // individually keeps its artifact cache and metrics across
         // calls.
         let runtime = BatchRuntime::new(&PipelineConfig::default(), &BatchOptions::default());
-        let a = runtime.run_job(0, 0, &job("gated", t_gated()), Instant::now(), &NullSink);
+        let a = runtime.run_job(0, 0, &job("gated", t_gated()), Duration::ZERO, &NullSink);
         assert_eq!(a.report.verdict.type_label(), "Type-II");
         assert!(!a.cache_hit);
-        let b = runtime.run_job(1, 0, &job("safe", t_safe()), Instant::now(), &NullSink);
+        let b = runtime.run_job(1, 0, &job("safe", t_safe()), Duration::ZERO, &NullSink);
         assert_eq!(b.report.verdict.type_label(), "Type-III");
         assert!(b.cache_hit, "second job reuses the warm prefix");
         runtime.refresh_metrics();

@@ -4,6 +4,10 @@ use octo_cfg::CfgMode;
 use octo_taint::{ContextMode, Granularity};
 use octo_vm::Limits;
 
+/// Extra symbolic-file bytes beyond the original PoC length (guiding
+/// inputs may be longer than `S`'s).
+const FILE_SLACK: u64 = 64;
+
 /// Configuration shared by all four phases.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
@@ -14,12 +18,6 @@ pub struct PipelineConfig {
     /// dynamic CFG mainly; however, we have the option of using a static
     /// CFG").
     pub cfg_mode: CfgMode,
-    /// Length of the symbolic input file; `None` derives it from the
-    /// original PoC length plus slack.
-    pub file_len: Option<u64>,
-    /// Extra symbolic-file bytes beyond the original PoC length when
-    /// `file_len` is `None` (guiding inputs may be longer than `S`'s).
-    pub file_slack: u64,
     /// Concrete-execution limits (P1 on `S`, P4 on `T`). The instruction
     /// watchdog doubles as the CWE-835 infinite-loop detector.
     pub vm_limits: Limits,
@@ -50,8 +48,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             theta: 120,
             cfg_mode: CfgMode::Dynamic,
-            file_len: None,
-            file_slack: 64,
             vm_limits: Limits::default(),
             taint_context: ContextMode::ContextAware,
             taint_granularity: Granularity::Byte,
@@ -95,11 +91,10 @@ impl PipelineConfig {
         self
     }
 
-    /// The symbolic file length for a PoC of `poc_len` bytes.
+    /// The symbolic file length for a PoC of `poc_len` bytes: the PoC
+    /// length plus `FILE_SLACK` (64) bytes.
     pub fn resolve_file_len(&self, poc_len: usize) -> u64 {
-        self.file_len
-            .unwrap_or(poc_len as u64 + self.file_slack)
-            .max(1)
+        poc_len as u64 + FILE_SLACK
     }
 }
 
@@ -119,16 +114,7 @@ mod tests {
     fn file_len_resolution() {
         let c = PipelineConfig::default();
         assert_eq!(c.resolve_file_len(100), 164);
-        let c = PipelineConfig {
-            file_len: Some(32),
-            ..PipelineConfig::default()
-        };
-        assert_eq!(c.resolve_file_len(100), 32);
-        let c = PipelineConfig {
-            file_len: Some(0),
-            ..PipelineConfig::default()
-        };
-        assert_eq!(c.resolve_file_len(0), 1);
+        assert_eq!(c.resolve_file_len(0), 64);
     }
 
     #[test]

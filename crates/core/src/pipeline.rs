@@ -444,7 +444,6 @@ pub(crate) fn verify_suffix(
         max_fallbacks: config.max_fallbacks,
         step_budget: config.symex_step_budget,
         loop_acceleration: config.loop_acceleration,
-        ..DirectedConfig::default()
     };
     let mut engine = DirectedEngine::new(input.t, ep_t, &map, extraction, directed_config);
     if let Some(token) = cancel {

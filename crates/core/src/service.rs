@@ -11,7 +11,7 @@
 //! that `shutdown` (or SIGINT/SIGTERM) fires to wind in-flight jobs
 //! down as [`FailureReason::Cancelled`].
 
-use std::time::Instant;
+use std::time::Duration;
 
 use octo_obs::MetricsRegistry;
 use octo_sched::{CancelToken, EventSink};
@@ -58,12 +58,17 @@ impl ServeExecutor {
 }
 
 impl JobExecutor for ServeExecutor {
-    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
-        // The daemon already measured queue wait; from the runtime's
-        // point of view the job starts now.
+    fn run(
+        &self,
+        id: u64,
+        job: &BatchJob,
+        worker: usize,
+        queue_wait: Duration,
+        sink: &dyn EventSink,
+    ) -> ExecOutcome {
         let entry = self
             .runtime
-            .run_job(id as usize, worker, job, Instant::now(), sink);
+            .run_job(id as usize, worker, job, queue_wait, sink);
         let cancelled = matches!(
             &entry.report.verdict,
             Verdict::Failure {
@@ -149,6 +154,37 @@ mod tests {
         let names = executor.registry().names();
         assert!(names.iter().any(|n| n == "serve_admissions_total"));
         assert!(names.iter().any(|n| n == "batch_jobs_total"));
+    }
+
+    #[test]
+    fn job_queue_latency_records_the_daemons_queue_wait() {
+        // Queued before the one worker starts, the corpus jobs wait
+        // behind each other; the engine's histogram must hold the wait
+        // the daemon measured, not the instant the job began.
+        let executor = Arc::new(ServeExecutor::new(
+            &PipelineConfig::default(),
+            &BatchOptions {
+                workers: 1,
+                ..BatchOptions::default()
+            },
+        ));
+        let daemon = Daemon::new(executor.clone(), None, 64);
+        for job in crate::batch::corpus_jobs() {
+            daemon
+                .submit(JobSpec::from_job(&job, Priority::Bulk))
+                .unwrap();
+        }
+        let workers = daemon.start_workers(1);
+        daemon.wait_idle();
+        daemon.drain();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let histogram = |name| executor.registry().get_histogram(name).expect(name);
+        let serve = histogram("serve_queue_wait_micros");
+        let engine = histogram("job_queue_latency_micros");
+        assert_eq!(serve.count(), 15);
+        assert_eq!((engine.count(), engine.sum()), (serve.count(), serve.sum()));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const SITE_COUNT: usize = 7;
 /// occurrence fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// Solver entry (`solve_with`): the solve is abandoned and returns
+    /// Solver entry (`solve_in`): the solve is abandoned and returns
     /// `SolveResult::Injected`.
     SolverSolve,
     /// Directed engine entry: the engine panics (exercises panic

@@ -70,8 +70,17 @@ pub struct ExecOutcome {
 pub trait JobExecutor: Send + Sync {
     /// Runs job `id` (the daemon-global id, also the event-stream job
     /// index) to completion (or cancellation), emitting progress events
-    /// for worker lane `worker` into `sink`.
-    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome;
+    /// for worker lane `worker` into `sink`. `queue_wait` is the time
+    /// from admission to a worker claiming the job, the value the daemon
+    /// records in `serve_queue_wait_micros`.
+    fn run(
+        &self,
+        id: u64,
+        job: &BatchJob,
+        worker: usize,
+        queue_wait: Duration,
+        sink: &dyn EventSink,
+    ) -> ExecOutcome;
 
     /// The registry the daemon's `serve_*` metrics live in (shared with
     /// the engine's own metrics so one `metrics` reply carries both).
@@ -361,7 +370,7 @@ impl Daemon {
 
     fn worker_loop(&self, worker: usize) {
         loop {
-            let (id, job) = {
+            let (id, job, wait) = {
                 let mut state = self.state.lock().expect("daemon state poisoned");
                 loop {
                     if state.shutting_down {
@@ -381,7 +390,7 @@ impl Daemon {
                         let wait = at - record.timeline.submitted_us;
                         self.metrics.queue_wait.observe(wait);
                         let job = record.job.take().expect("a queued job holds its job");
-                        break (id, job);
+                        break (id, job, Duration::from_micros(wait));
                     }
                     if state.draining {
                         // Nothing queued and no more admissions: done.
@@ -394,7 +403,7 @@ impl Daemon {
                     state = next;
                 }
             };
-            let outcome = self.executor.run(id, &job, worker, self);
+            let outcome = self.executor.run(id, &job, worker, wait, self);
             let mut state = self.state.lock().expect("daemon state poisoned");
             state.running -= 1;
             let at = self.stamp(&mut state);
@@ -699,7 +708,14 @@ impl StubExecutor {
 impl JobExecutor for StubExecutor {
     /// Emits `started` and `finished` into `sink` around the (possibly
     /// gated) job, as the real runtime does.
-    fn run(&self, id: u64, job: &BatchJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
+    fn run(
+        &self,
+        id: u64,
+        job: &BatchJob,
+        worker: usize,
+        _queue_wait: Duration,
+        sink: &dyn EventSink,
+    ) -> ExecOutcome {
         let index = id as usize;
         sink.emit(Event::new(
             0,

@@ -35,12 +35,20 @@
 //! domain of every byte it reads. Either way a hit returns exactly what
 //! the filter would compute, and budgets are charged as on a miss. Each
 //! [`Constraint`] computes its byte offsets and its structural hash once,
-//! when it is built, so a lookup neither walks nor hashes its trees. One
-//! engine run owns one memo and hands it to every solver entry
-//! ([`ConstraintSet::solve_in`], [`ConstraintSet::quick_feasible_in`]);
-//! the plain entry points use a fresh memo per call. A memo is cleared
-//! at [`FILTER_MEMO_CAP`] entries, which bounds its memory and changes
-//! no answer.
+//! when it is built, so a lookup neither walks nor hashes its trees.
+//!
+//! The memo is the solver's whole per-run state. One engine run owns one
+//! memo and hands it to every solver entry
+//! ([`ConstraintSet::solve_in`], [`ConstraintSet::quick_feasible_in`]),
+//! and each entry counts itself, its wall time and its interval
+//! refutations on it; [`FilterMemo::counters`] reads them as
+//! [`SolverCounters`], with the simplifier's rewrites since the memo was
+//! made (the one thread-local count, because expressions are simplified
+//! where no run is at hand). The plain entry points
+//! ([`ConstraintSet::solve`], [`ConstraintSet::quick_feasible`]) use a
+//! fresh memo per call. A memo's filter results are cleared at
+//! [`FILTER_MEMO_CAP`] entries, which bounds its memory and changes no
+//! answer and no count.
 //!
 //! A filter that misses is cheap as well. The pair filter keeps a value
 //! of one byte only if some value of the other byte supports it, and it

@@ -19,8 +19,8 @@ thread_local! {
     static REWRITES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A rewrite rule fired: count it for the observability layer (surfaced
-/// through `SolverCounters::simplify_rewrites`).
+/// A rewrite rule fired: count it for the observability layer (read
+/// through [`crate::FilterMemo::counters`]).
 fn note_rewrite() {
     REWRITES.with(|c| c.set(c.get().wrapping_add(1)));
 }

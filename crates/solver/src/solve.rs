@@ -1,31 +1,26 @@
 //! The solving engine: domain propagation plus bounded backtracking search.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::domain::ByteDomain;
 
-thread_local! {
-    static SOLVES: Cell<u64> = const { Cell::new(0) };
-    static SOLVE_NANOS: Cell<u64> = const { Cell::new(0) };
-    static INTERVAL_REFUTATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Snapshot of the thread-local solver activity counters.
+/// The solver work one [`FilterMemo`] has counted, read with
+/// [`FilterMemo::counters`].
 ///
-/// Every [`ConstraintSet::solve_with`] entry (including
-/// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves` and adds
-/// the wall time it spends solving to `solve_nanos` (an entry a fault
-/// plan abandons spends none); a wide constraint (three or more free
-/// bytes) refuted by interval reasoning alone bumps
+/// Every [`ConstraintSet::solve_in`] entry (including
+/// [`ConstraintSet::quick_feasible_in`] pre-checks) counts one `solves`
+/// and adds the wall time it spends solving to `solve_nanos` (an entry a
+/// fault plan abandons spends none); a wide constraint (three or more
+/// free bytes) refuted by interval reasoning alone counts one
 /// `interval_refutations` (the pair filter's interval pre-check does
-/// not); rewrite-rule firings in
-/// the simplifier bump `simplify_rewrites`. Callers take two snapshots
-/// and diff them with [`SolverCounters::since`] to attribute work to a
-/// region — the counters are per-thread, so a verification job measures
-/// only itself.
+/// not). These three are counted on the memo the entry was given, so an
+/// engine run counts exactly its own entries. `simplify_rewrites` is the
+/// simplifier's rewrite-rule firings on the memo's thread since the memo
+/// was made: expressions are simplified where no memo is at hand (when a
+/// constraint is built or pushed, and in the symbolic executor's value
+/// operations), so that one count stays a thread-local.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverCounters {
     /// Solver entries (full solves and propagation-only pre-checks).
@@ -38,40 +33,6 @@ pub struct SolverCounters {
     pub simplify_rewrites: u64,
 }
 
-impl SolverCounters {
-    /// Reads the current thread's counters.
-    pub fn snapshot() -> SolverCounters {
-        SolverCounters {
-            solves: SOLVES.with(Cell::get),
-            solve_nanos: SOLVE_NANOS.with(Cell::get),
-            interval_refutations: INTERVAL_REFUTATIONS.with(Cell::get),
-            simplify_rewrites: crate::simplify::rewrites_total(),
-        }
-    }
-
-    /// The activity between `earlier` and this snapshot.
-    pub fn since(&self, earlier: &SolverCounters) -> SolverCounters {
-        SolverCounters {
-            solves: self.solves.wrapping_sub(earlier.solves),
-            solve_nanos: self.solve_nanos.wrapping_sub(earlier.solve_nanos),
-            interval_refutations: self
-                .interval_refutations
-                .wrapping_sub(earlier.interval_refutations),
-            simplify_rewrites: self
-                .simplify_rewrites
-                .wrapping_sub(earlier.simplify_rewrites),
-        }
-    }
-}
-
-fn add(cell: &'static std::thread::LocalKey<Cell<u64>>, n: u64) {
-    cell.with(|c| c.set(c.get().wrapping_add(n)));
-}
-
-fn bump(cell: &'static std::thread::LocalKey<Cell<u64>>) {
-    add(cell, 1);
-}
-
 /// Domains of some of one constraint's bytes, in offset order.
 type Domains = Box<[ByteDomain]>;
 
@@ -81,8 +42,9 @@ type Domains = Box<[ByteDomain]>;
 /// Tables II–IV one run holds at most 466 entries.
 pub const FILTER_MEMO_CAP: usize = 16 * 1024;
 
-/// Domain-filter results memoized across the solver entries of one
-/// engine run.
+/// The solver's state for one engine run: domain-filter results
+/// memoized across the run's solver entries, and the counts of those
+/// entries.
 ///
 /// Propagation narrows each byte's domain constraint by constraint: a
 /// constraint with one free byte filters it value by value, one with two
@@ -102,14 +64,17 @@ pub const FILTER_MEMO_CAP: usize = 16 * 1024;
 /// a hit changes nothing but speed. Keys are structural, not per-push
 /// ids, so a condition rebuilt on another path still hits. The pair
 /// filter's work budget is charged on hits as on misses, so every answer
-/// and every [`SolverCounters`] delta is the same with a shared memo as
-/// with a fresh one.
+/// and every count is the same with a shared memo as with a fresh one.
+///
+/// Every solver entry counts itself on the memo it was given (see
+/// [`SolverCounters`]), so [`FilterMemo::counters`] is the work of the
+/// run that owns the memo, and of no other.
 ///
 /// One engine run owns one memo and drops it when it returns; nothing
 /// outlives the run. Entry points without a run
-/// ([`ConstraintSet::solve_with`], [`ConstraintSet::quick_feasible`])
-/// use a fresh memo per call. At [`FILTER_MEMO_CAP`] entries, truth
-/// tables included, the memo is cleared.
+/// ([`ConstraintSet::solve`], [`ConstraintSet::quick_feasible`]) use a
+/// fresh memo per call. At [`FILTER_MEMO_CAP`] entries, truth tables
+/// included, the filter results are cleared; the counts never are.
 #[derive(Debug)]
 pub struct FilterMemo {
     /// Per constraint that reads one byte: the values that satisfy it.
@@ -119,6 +84,10 @@ pub struct FilterMemo {
     filters: HashMap<Constraint, HashMap<Domains, Domains>>,
     len: usize,
     cap: usize,
+    /// The entries' counts (`simplify_rewrites` unused: see `counters`).
+    counts: SolverCounters,
+    /// The simplifier's thread-local count when the memo was made.
+    rewrites_at_start: u64,
 }
 
 impl FilterMemo {
@@ -129,6 +98,18 @@ impl FilterMemo {
             filters: HashMap::new(),
             len: 0,
             cap: FILTER_MEMO_CAP,
+            counts: SolverCounters::default(),
+            rewrites_at_start: crate::simplify::rewrites_total(),
+        }
+    }
+
+    /// What the solver entries given this memo have counted, and the
+    /// simplifier's rewrites on this thread since the memo was made.
+    pub fn counters(&self) -> SolverCounters {
+        SolverCounters {
+            simplify_rewrites: crate::simplify::rewrites_total()
+                .wrapping_sub(self.rewrites_at_start),
+            ..self.counts
         }
     }
 
@@ -176,7 +157,8 @@ impl FilterMemo {
             .insert(domains.into(), narrowed);
     }
 
-    /// Counts one new entry, clearing the memo first if it is full.
+    /// Counts one new entry, clearing the filter results first if the
+    /// memo is full.
     fn make_room(&mut self) {
         if self.len >= self.cap {
             self.tables.clear();
@@ -290,36 +272,30 @@ impl SolveResult {
 }
 
 impl ConstraintSet {
-    /// Solves the set with default limits.
+    /// Solves the set with default limits and a fresh memo.
     pub fn solve(&self) -> SolveResult {
-        self.solve_with(SolveLimits::default())
-    }
-
-    /// Solves the set with explicit limits.
-    pub fn solve_with(&self, limits: SolveLimits) -> SolveResult {
-        self.solve_in(limits, &mut FilterMemo::new())
+        self.solve_in(SolveLimits::default(), &mut FilterMemo::new())
     }
 
     /// Solves the set with explicit limits, reusing (and extending) the
-    /// filter results in `memo`. The answer is the one
-    /// [`ConstraintSet::solve_with`] gives.
+    /// filter results in `memo` and counting the entry on it. The answer
+    /// is the one a fresh memo gives.
     pub fn solve_in(&self, limits: SolveLimits, memo: &mut FilterMemo) -> SolveResult {
-        bump(&SOLVES);
+        memo.counts.solves += 1;
         // Fault-injection site: abandon the solve at entry (after the
-        // counter bump, so solver accounting stays truthful about the
-        // attempt). Inert without an installed fault context.
+        // count, so solver accounting stays truthful about the attempt).
+        // Inert without an installed fault context.
         if octo_faults::should_inject(octo_faults::FaultSite::SolverSolve) {
             return SolveResult::Injected;
         }
         let start = Instant::now();
-        // Flight-recorder bracket around the whole entry. The payload
-        // (a counter snapshot) is gated on a live recorder so the batch
-        // hot path stays untouched.
+        // Flight-recorder bracket around the whole entry. Its payload
+        // (the entry's refutations) is read only under a live recorder.
         let traced = octo_trace::is_active().then(|| {
             octo_trace::emit(octo_trace::TraceKind::SolverBegin {
                 constraints: self.len() as u64,
             });
-            INTERVAL_REFUTATIONS.with(Cell::get)
+            memo.counts.interval_refutations
         });
         let result = if self.is_trivially_false() {
             // Normalisation proved the contradiction and dropped the
@@ -330,7 +306,7 @@ impl ConstraintSet {
             Solver::new(self, limits, memo).solve()
         };
         let elapsed = start.elapsed();
-        add(&SOLVE_NANOS, elapsed.as_nanos() as u64);
+        memo.counts.solve_nanos += elapsed.as_nanos() as u64;
         if let Some(refutations_before) = traced {
             octo_trace::emit(octo_trace::TraceKind::SolverEnd {
                 result: match &result {
@@ -340,14 +316,16 @@ impl ConstraintSet {
                     SolveResult::Injected => "injected",
                 },
                 micros: elapsed.as_micros() as u64,
-                refutations: INTERVAL_REFUTATIONS.with(Cell::get) - refutations_before,
+                refutations: memo.counts.interval_refutations - refutations_before,
             });
         }
         result
     }
 
-    /// Propagation-only feasibility pre-check (used by directed symbolic
-    /// execution to prune branches without paying for a full solve).
+    /// Propagation-only feasibility pre-check with a fresh memo. The
+    /// symbolic engines prune branches with it, through
+    /// [`ConstraintSet::quick_feasible_in`], without paying for a full
+    /// solve.
     ///
     /// `false` means *definitely unsatisfiable*; `true` means "not
     /// refuted by propagation" (the full solve may still say `Unsat`).
@@ -356,7 +334,7 @@ impl ConstraintSet {
     }
 
     /// [`ConstraintSet::quick_feasible`], reusing (and extending) the
-    /// filter results in `memo`.
+    /// filter results in `memo` and counting the entry on it.
     pub fn quick_feasible_in(&self, memo: &mut FilterMemo) -> bool {
         if self.is_trivially_false() {
             return false;
@@ -490,7 +468,7 @@ impl<'a> Solver<'a> {
                     // cannot reach the required constant).
                     _ => {
                         if refuted_within(c, &|off| self.bounds_of(off)) {
-                            bump(&INTERVAL_REFUTATIONS);
+                            self.memo.counts.interval_refutations += 1;
                             return false;
                         }
                     }
@@ -1099,38 +1077,83 @@ mod tests {
         assert!(set.solve().is_sat());
     }
 
-    #[test]
-    fn counters_attribute_solver_activity() {
-        let before = SolverCounters::snapshot();
-
-        let mut set = ConstraintSet::new();
-        set.assert_byte(0, 7);
-        assert!(set.solve().is_sat());
-        assert!(set.quick_feasible());
-
-        // An interval-refutable wide constraint: b0+b1+b2 (max 765) must
-        // equal 1000.
-        let mut wide = ConstraintSet::new();
+    /// `b0 + b1 + b2 == 1000`: three free bytes whose sum reaches at
+    /// most 765, so interval reasoning refutes it.
+    fn wide_refutable() -> ConstraintSet {
         let sum = Expr::bin(
             BinOp::Add,
             Expr::bin(BinOp::Add, Expr::byte(0), Expr::byte(1)),
             Expr::byte(2),
         );
-        wide.push(Constraint::new(sum, Expr::val(1000), Cond::Eq));
-        assert_eq!(wide.solve(), SolveResult::Unsat);
+        set_of(Constraint::new(sum, Expr::val(1000), Cond::Eq))
+    }
 
-        let d = SolverCounters::snapshot().since(&before);
-        assert!(d.solves >= 3, "solve + quick_feasible + unsat: {d:?}");
-        assert!(d.interval_refutations >= 1, "{d:?}");
+    #[test]
+    fn counters_attribute_solver_activity() {
+        let mut memo = FilterMemo::new();
+        let mut set = ConstraintSet::new();
+        set.assert_byte(0, 7);
+        assert!(set.solve_in(SolveLimits::default(), &mut memo).is_sat());
+        assert!(set.quick_feasible_in(&mut memo));
+        let unsat = wide_refutable().solve_in(SolveLimits::default(), &mut memo);
+        assert_eq!(unsat, SolveResult::Unsat);
+
+        let d = memo.counters();
+        assert_eq!(d.solves, 3, "solve + quick_feasible + unsat: {d:?}");
+        assert_eq!(d.interval_refutations, 1, "{d:?}");
     }
 
     #[test]
     fn simplify_rewrites_are_counted() {
-        let before = SolverCounters::snapshot();
+        let memo = FilterMemo::new();
         let e = Expr::bin(BinOp::Add, Expr::val(2), Expr::val(40));
         assert_eq!(crate::simplify::simplify(&e).as_const(), Some(42));
-        let d = SolverCounters::snapshot().since(&before);
+        let d = memo.counters();
         assert!(d.simplify_rewrites >= 1, "{d:?}");
+    }
+
+    #[test]
+    fn alternating_memos_each_count_only_their_own_entries() {
+        let mut sat = ConstraintSet::new();
+        sat.assert_byte(0, 7);
+        let wide = wide_refutable();
+        let (mut a, mut b) = (FilterMemo::new(), FilterMemo::new());
+        for _ in 0..3 {
+            assert!(sat.solve_in(SolveLimits::default(), &mut a).is_sat());
+            assert!(!wide.quick_feasible_in(&mut b));
+            assert!(!wide.quick_feasible_in(&mut b));
+        }
+        let (a, b) = (a.counters(), b.counters());
+        assert_eq!((a.solves, a.interval_refutations), (3, 0), "{a:?}");
+        assert_eq!((b.solves, b.interval_refutations), (6, 6), "{b:?}");
+    }
+
+    #[test]
+    fn solver_end_reports_the_refutations_the_memo_counted() {
+        use octo_trace::{FlightRecorder, TraceKind};
+        use std::sync::Arc;
+
+        // Two entries on one memo: each reports its own refutation, not
+        // the memo's running total.
+        let mut memo = FilterMemo::new();
+        let rec = Arc::new(FlightRecorder::new(64));
+        let guard = octo_trace::install(&rec, 0, 0);
+        for _ in 0..2 {
+            let unsat = wide_refutable().solve_in(SolveLimits::default(), &mut memo);
+            assert_eq!(unsat, SolveResult::Unsat);
+        }
+        drop(guard);
+        let refutations: Vec<u64> = rec
+            .snapshot()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::SolverEnd { refutations, .. } => Some(refutations),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(refutations, [1, 1]);
+        let total: u64 = refutations.iter().sum();
+        assert_eq!(total, memo.counters().interval_refutations);
     }
 
     #[test]

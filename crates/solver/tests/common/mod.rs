@@ -8,9 +8,7 @@ use std::rc::Rc;
 use octo_ir::{BinOp, UnOp};
 use proptest::prelude::*;
 
-use crate::{
-    Cond, Constraint, ConstraintSet, Expr, ExprRef, FilterMemo, SolveLimits, SolverCounters,
-};
+use crate::{Cond, Constraint, ConstraintSet, Expr, ExprRef, FilterMemo, SolveLimits};
 
 /// Constants at and next to the points where 8-, 16-, 32- and 64-bit
 /// arithmetic wraps, and where the sign bit flips.
@@ -162,7 +160,8 @@ pub fn arb_run() -> impl Strategy<Value = Vec<Vec<Constraint>>> {
 /// grows. At every prefix of every path, `memo` (shared across the whole
 /// run, as one engine run shares it across its states) must give the
 /// same `quick_feasible` answer, the same `SolveResult` (model included)
-/// and the same solver counter deltas as a fresh memo per call.
+/// and the same counts as a fresh memo per call: the shared memo's
+/// counters move by what the two fresh memos count.
 pub fn check_memo_matches_fresh(
     run: &[Vec<Constraint>],
     memo: &mut FilterMemo,
@@ -171,24 +170,34 @@ pub fn check_memo_matches_fresh(
         let mut set = ConstraintSet::new();
         for c in path {
             set.push(c.clone());
-            let fresh = counted(|| (set.quick_feasible(), set.solve()));
-            let shared = counted(|| {
-                (
-                    set.quick_feasible_in(memo),
-                    set.solve_in(SolveLimits::default(), memo),
-                )
-            });
-            prop_assert_eq!(shared, fresh, "prefix {:?}", set.items());
+            let (mut check, mut solve) = (FilterMemo::new(), FilterMemo::new());
+            let fresh = (
+                set.quick_feasible_in(&mut check),
+                set.solve_in(SolveLimits::default(), &mut solve),
+            );
+            let (check, solve) = (counts(&check), counts(&solve));
+            let fresh_counts: [u64; 3] = std::array::from_fn(|i| check[i] + solve[i]);
+            let before = counts(memo);
+            let shared = (
+                set.quick_feasible_in(memo),
+                set.solve_in(SolveLimits::default(), memo),
+            );
+            let after = counts(memo);
+            let moved: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+            prop_assert_eq!(
+                (shared, moved),
+                (fresh, fresh_counts),
+                "prefix {:?}",
+                set.items()
+            );
         }
     }
     Ok(())
 }
 
-/// Runs `f`; returns its result with the solver counters it moved
-/// (wall time left out).
-fn counted<T>(f: impl FnOnce() -> T) -> (T, [u64; 3]) {
-    let before = SolverCounters::snapshot();
-    let out = f();
-    let d = SolverCounters::snapshot().since(&before);
-    (out, [d.solves, d.interval_refutations, d.simplify_rewrites])
+/// A memo's counters, wall time left out: solves, interval refutations,
+/// simplifier rewrites.
+fn counts(memo: &FilterMemo) -> [u64; 3] {
+    let c = memo.counters();
+    [c.solves, c.interval_refutations, c.simplify_rewrites]
 }

@@ -19,11 +19,10 @@ use common::{
 };
 use octo_ir::BinOp;
 use octo_solver::interval::{eval_interval, refutes, Interval};
-// `common` names some of these (`ExprRef`, `SolverCounters`, …) through
+// `common` names some of these (`ExprRef`, `FilterMemo`, …) through
 // `crate::`, so it compiles inside the solver's unit tests as well.
 use octo_solver::{
     Cond, Constraint, ConstraintSet, Expr, ExprRef, FilterMemo, SolveLimits, SolveResult,
-    SolverCounters,
 };
 use proptest::prelude::*;
 
@@ -411,10 +410,11 @@ fn exhausted_budget_reports_unknown_not_a_wrong_verdict() {
         Expr::byte(2),
     );
     set.push(Constraint::new(sum, Expr::val(766), Cond::Eq));
-    match set.solve_with(SolveLimits {
+    let limits = SolveLimits {
         max_nodes: 3,
         max_pair_work: 0,
-    }) {
+    };
+    match set.solve_in(limits, &mut FilterMemo::new()) {
         SolveResult::Unknown => {}
         SolveResult::Unsat => {} // propagation may still catch it — fine
         SolveResult::Sat(m) => {

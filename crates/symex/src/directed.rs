@@ -25,7 +25,7 @@ use octo_cfg::DistanceMap;
 use octo_ir::{BlockId, FuncId, Program};
 use octo_poc::{CrashPrimitives, PocFile};
 use octo_sched::CancelToken;
-use octo_solver::{Cond, Constraint, Expr, FilterMemo, SolveLimits, SolveResult, SolverCounters};
+use octo_solver::{Cond, Constraint, Expr, FilterMemo, SolveLimits, SolveResult};
 use octo_trace::{emit, TraceKind};
 
 use crate::exec::{Arms, DeadReason, Fork, StepEvent, SymExecutor};
@@ -45,12 +45,6 @@ pub struct DirectedConfig {
     pub max_fallbacks: usize,
     /// Total instruction budget across the run.
     pub step_budget: u64,
-    /// How many infeasible bunch placements to tolerate before concluding
-    /// the combine constraints are unsatisfiable. The paper follows the
-    /// single backward-found correct path, so the first failures are on
-    /// the most direct paths; alternates only re-derive the same conflict
-    /// at shifted file positions.
-    pub max_stitch_failures: u32,
     /// Loop acceleration (the paper's §III-D future work). When a branch
     /// inside `ℓ` is *forced* — its negation is already refuted by the
     /// collected constraints, which happens on every iteration of a copy
@@ -68,7 +62,6 @@ impl Default for DirectedConfig {
             theta: 120,
             max_fallbacks: 4096,
             step_budget: 2_000_000,
-            max_stitch_failures: 16,
             loop_acceleration: false,
         }
     }
@@ -198,6 +191,13 @@ impl DirectedOutcome {
 /// How many engine steps pass between two cancellation polls.
 pub const CANCEL_POLL_STEPS: u64 = 512;
 
+/// How many infeasible bunch placements a run tolerates before
+/// concluding the combine constraints are unsatisfiable. The paper
+/// follows the single backward-found correct path, so the first failures
+/// are on the most direct paths; alternates only re-derive the same
+/// conflict at shifted file positions.
+const MAX_STITCH_FAILURES: u32 = 16;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Guided by the distance oracle (outside `ℓ`).
@@ -213,18 +213,22 @@ struct PathState {
     mode: Mode,
 }
 
-/// Mutable per-run context shared by the step loop and the branch
-/// handlers: the fallback stack (with per-entry size so memory
-/// accounting is O(1)), the flags that select the exit verdict, and the
-/// solver's filter memo, which every solver entry of the run shares and
-/// which is dropped with the run.
+/// What one directed run keeps besides its current path, made when the
+/// run starts and shared by the step loop and the branch handlers: the
+/// fallback stack (with per-entry size so memory accounting is O(1)),
+/// the flags that select the exit verdict, the run's statistics, and
+/// the solver's filter memo, which every solver entry of the run shares
+/// and counts itself on.
 #[derive(Default)]
 struct RunCtx {
     /// Alternate-direction states kept for backtracking, each with its
     /// `approx_bytes` at push time.
     fallbacks: Vec<(PathState, u64)>,
-    /// Propagation filter results shared by the run's solver entries.
+    /// The solver's per-run state: filter results and entry counts.
     memo: FilterMemo,
+    /// The run's statistics; the solver fields are stamped from `memo`
+    /// when the run finishes.
+    stats: DirectedStats,
     /// Sum of the stored fallback sizes.
     fallback_bytes: u64,
     loop_budget_hit: bool,
@@ -235,14 +239,41 @@ struct RunCtx {
 impl RunCtx {
     /// Pops the most recent fallback, keeping `fallback_bytes` and the
     /// backtrack count in sync.
-    fn pop(&mut self, stats: &mut DirectedStats) -> Option<PathState> {
+    fn pop(&mut self) -> Option<PathState> {
         let (p, bytes) = self.fallbacks.pop()?;
         self.fallback_bytes -= bytes;
-        stats.backtracks += 1;
+        self.stats.backtracks += 1;
         emit(TraceKind::FallbackPop {
             depth: self.fallbacks.len() as u64,
         });
         Some(p)
+    }
+
+    /// Raises the memory watermark to the current live state plus the
+    /// fallback stack.
+    fn note_mem(&mut self, cur: &PathState) {
+        self.stats.peak_mem_bytes = self
+            .stats
+            .peak_mem_bytes
+            .max(cur.state.approx_bytes() + self.fallback_bytes);
+    }
+
+    /// Snapshots a dying state into `stats.death` (the verdict is decided
+    /// on the *last* death) and mirrors it into the flight record.
+    fn note_death(&mut self, state: &SymState, reason: &'static str) {
+        let note = DeathNote {
+            reason,
+            ep_entries: state.ep_entries,
+            constraints: state.constraints.len() as u64,
+            last_constraint: state.constraints.items().last().map(ToString::to_string),
+            fallback_depth: self.fallbacks.len() as u64,
+        };
+        emit(TraceKind::StateDead {
+            reason,
+            ep_entries: note.ep_entries,
+            constraints: note.constraints,
+        });
+        self.stats.death = Some(note);
     }
 }
 
@@ -291,16 +322,16 @@ impl<'p> DirectedEngine<'p> {
     /// Runs P2+P3 to a verdict.
     ///
     /// All bookkeeping funnels through this single finish point: the
-    /// inner engine loop accumulates steps, backtracks, and
-    /// memory in place, and the wall clock plus the solver-counter
-    /// deltas are stamped exactly once here — no early-exit path can
-    /// return stale zeros.
+    /// inner engine loop accumulates steps, backtracks, and memory in
+    /// the run's context, and the wall clock plus the counts of the
+    /// run's solver memo are stamped exactly once here — no early-exit
+    /// path can return stale zeros.
     pub fn run(&self) -> (DirectedOutcome, DirectedStats) {
         let start = Instant::now();
-        let solver_before = SolverCounters::snapshot();
-        let mut stats = DirectedStats::default();
-        let outcome = self.run_inner(&mut stats);
-        let solver = SolverCounters::snapshot().since(&solver_before);
+        let mut ctx = RunCtx::default();
+        let outcome = self.run_inner(&mut ctx);
+        let solver = ctx.memo.counters();
+        let mut stats = ctx.stats;
         stats.solver_calls = solver.solves;
         stats.solver_micros = solver.solve_nanos / 1_000;
         stats.interval_refutations = solver.interval_refutations;
@@ -313,7 +344,7 @@ impl<'p> DirectedEngine<'p> {
         (outcome, stats)
     }
 
-    fn run_inner(&self, stats: &mut DirectedStats) -> DirectedOutcome {
+    fn run_inner(&self, ctx: &mut RunCtx) -> DirectedOutcome {
         let entry_func = self.program.entry();
         let entry_block = self.program.func(entry_func).entry();
         if !self.map.reaches(entry_func, entry_block) {
@@ -323,7 +354,6 @@ impl<'p> DirectedEngine<'p> {
             return DirectedOutcome::Unsat;
         }
 
-        let mut ctx = RunCtx::default();
         let mut cur = PathState {
             state: SymState::initial(self.program),
             mode: Mode::Directed,
@@ -336,7 +366,7 @@ impl<'p> DirectedEngine<'p> {
             panic!("injected panic: directed engine (fault plan)");
         }
         if octo_faults::should_inject(octo_faults::FaultSite::DirectedLoopDead) {
-            self.note_death(&cur.state, "fault-injected", &ctx, stats);
+            ctx.note_death(&cur.state, "fault-injected");
             return DirectedOutcome::LoopBudget;
         }
         if let Some(token) = self.cancel.as_ref() {
@@ -348,7 +378,7 @@ impl<'p> DirectedEngine<'p> {
                 while !token.is_cancelled() {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
-                return self.cancelled_outcome(&cur, &ctx, stats);
+                return self.cancelled_outcome(&cur, ctx);
             }
         }
 
@@ -358,16 +388,16 @@ impl<'p> DirectedEngine<'p> {
             // an already-expired deadline never starts executing. The
             // heartbeat rides the same cadence, so the watchdog can tell
             // a slow-but-stepping engine from a wedged one.
-            if stats.total_steps.is_multiple_of(CANCEL_POLL_STEPS) {
+            if ctx.stats.total_steps.is_multiple_of(CANCEL_POLL_STEPS) {
                 if let Some(token) = self.cancel.as_ref() {
                     token.beat();
                     if token.is_cancelled() {
-                        return self.cancelled_outcome(&cur, &ctx, stats);
+                        return self.cancelled_outcome(&cur, ctx);
                     }
                 }
             }
-            if stats.total_steps >= self.config.step_budget {
-                self.note_death(&cur.state, "step-budget", &ctx, stats);
+            if ctx.stats.total_steps >= self.config.step_budget {
+                ctx.note_death(&cur.state, "step-budget");
                 // Unsat evidence outweighs a bare budget verdict: every
                 // path that reached ep contradicted the crash primitives.
                 return if ctx.unsat_seen {
@@ -376,7 +406,7 @@ impl<'p> DirectedEngine<'p> {
                     DirectedOutcome::Budget
                 };
             }
-            stats.total_steps += 1;
+            ctx.stats.total_steps += 1;
 
             // Returning from `ℓ` switches back to directed mode.
             if let Mode::ModelFollow { ep_depth } = cur.mode {
@@ -385,7 +415,7 @@ impl<'p> DirectedEngine<'p> {
                 }
             }
 
-            let event = self.executor.step_in(&mut cur.state, &mut ctx.memo);
+            let event = self.executor.step(&mut cur.state, &mut ctx.memo);
             let next: Option<PathState> = match event {
                 StepEvent::Continue => Some(cur),
                 StepEvent::EnteredEp {
@@ -397,36 +427,36 @@ impl<'p> DirectedEngine<'p> {
                     Stitch::More => {
                         // Stitching appended bunch constraints — a
                         // growth point for the memory watermark.
-                        self.note_mem(&cur, &ctx, stats);
+                        ctx.note_mem(&cur);
                         Some(cur)
                     }
                     Stitch::Infeasible => {
                         ctx.unsat_seen = true;
                         ctx.stitch_failures += 1;
                         emit(TraceKind::StitchInfeasible { entry });
-                        self.note_death(&cur.state, "stitch-infeasible", &ctx, stats);
-                        if ctx.stitch_failures >= self.config.max_stitch_failures {
+                        ctx.note_death(&cur.state, "stitch-infeasible");
+                        if ctx.stitch_failures >= MAX_STITCH_FAILURES {
                             return DirectedOutcome::Unsat;
                         }
                         None
                     }
                 },
-                StepEvent::Fork(fork) => self.fork(cur, &fork, &mut ctx, stats),
+                StepEvent::Fork(fork) => self.fork(cur, &fork, ctx),
                 StepEvent::Exited => {
-                    self.note_death(&cur.state, "exited", &ctx, stats);
+                    ctx.note_death(&cur.state, "exited");
                     None
                 }
                 StepEvent::Crashed(_) => {
-                    self.note_death(&cur.state, "crashed", &ctx, stats);
+                    ctx.note_death(&cur.state, "crashed");
                     None
                 }
                 StepEvent::Dead(DeadReason::ConcretizeFailed) => {
                     ctx.unsat_seen = true;
-                    self.note_death(&cur.state, "concretize-failed", &ctx, stats);
+                    ctx.note_death(&cur.state, "concretize-failed");
                     None
                 }
                 StepEvent::Dead(_) => {
-                    self.note_death(&cur.state, "dead", &ctx, stats);
+                    ctx.note_death(&cur.state, "dead");
                     None
                 }
             };
@@ -435,15 +465,15 @@ impl<'p> DirectedEngine<'p> {
             // caught event-driven at fallback pushes and stitch points;
             // this cadence covers gradual constraint growth and is O(1)
             // thanks to the running `fallback_bytes` sum.
-            if stats.total_steps.is_multiple_of(64) {
+            if ctx.stats.total_steps.is_multiple_of(64) {
                 if let Some(p) = next.as_ref() {
-                    self.note_mem(p, &ctx, stats);
+                    ctx.note_mem(p);
                 }
             }
 
             cur = match next {
                 Some(p) => p,
-                None => match ctx.pop(stats) {
+                None => match ctx.pop() {
                     Some(p) => p,
                     None => {
                         return if ctx.unsat_seen {
@@ -462,7 +492,7 @@ impl<'p> DirectedEngine<'p> {
             state: final_state,
             mode: Mode::Directed,
         };
-        self.note_mem(&final_path, &ctx, stats);
+        ctx.note_mem(&final_path);
         // P3.3: solve everything; the model becomes poc'.
         let entries = final_path.state.ep_entries;
         let guiding = final_path.state.constraints.clone();
@@ -480,12 +510,12 @@ impl<'p> DirectedEngine<'p> {
                 }
             }
             SolveResult::Unsat => {
-                self.note_death(&final_path.state, "final-unsat", &ctx, stats);
+                ctx.note_death(&final_path.state, "final-unsat");
                 DirectedOutcome::Unsat
             }
             SolveResult::Unknown => DirectedOutcome::Budget,
             SolveResult::Injected => {
-                self.note_death(&final_path.state, "fault-injected", &ctx, stats);
+                ctx.note_death(&final_path.state, "fault-injected");
                 DirectedOutcome::Injected
             }
         }
@@ -494,12 +524,7 @@ impl<'p> DirectedEngine<'p> {
     /// The single wind-down point for a fired cancel token: records the
     /// trace events and the death note, distinguishing a watchdog
     /// escalation (`"hung"`) from an ordinary deadline.
-    fn cancelled_outcome(
-        &self,
-        cur: &PathState,
-        ctx: &RunCtx,
-        stats: &mut DirectedStats,
-    ) -> DirectedOutcome {
+    fn cancelled_outcome(&self, cur: &PathState, ctx: &mut RunCtx) -> DirectedOutcome {
         let token = self
             .cancel
             .as_ref()
@@ -511,60 +536,26 @@ impl<'p> DirectedEngine<'p> {
             });
         }
         emit(TraceKind::CancelFired {
-            step: stats.total_steps,
+            step: ctx.stats.total_steps,
         });
-        self.note_death(
-            &cur.state,
-            if escalated { "hung" } else { "deadline" },
-            ctx,
-            stats,
-        );
+        ctx.note_death(&cur.state, if escalated { "hung" } else { "deadline" });
         DirectedOutcome::Cancelled
-    }
-
-    /// Raises the memory watermark to the current live state plus the
-    /// fallback stack.
-    fn note_mem(&self, cur: &PathState, ctx: &RunCtx, stats: &mut DirectedStats) {
-        stats.peak_mem_bytes = stats
-            .peak_mem_bytes
-            .max(cur.state.approx_bytes() + ctx.fallback_bytes);
-    }
-
-    /// Snapshots a dying state into `stats.death` (the verdict is decided
-    /// on the *last* death) and mirrors it into the flight record.
-    fn note_death(
-        &self,
-        state: &SymState,
-        reason: &'static str,
-        ctx: &RunCtx,
-        stats: &mut DirectedStats,
-    ) {
-        let note = DeathNote {
-            reason,
-            ep_entries: state.ep_entries,
-            constraints: state.constraints.len() as u64,
-            last_constraint: state.constraints.items().last().map(ToString::to_string),
-            fallback_depth: ctx.fallbacks.len() as u64,
-        };
-        emit(TraceKind::StateDead {
-            reason,
-            ep_entries: note.ep_entries,
-            constraints: note.constraints,
-        });
-        stats.death = Some(note);
     }
 
     /// Stores an alternate direction for backtracking (bounded by
     /// `max_fallbacks`) and keeps the stack-depth watermark current.
     /// Returns whether the state was kept.
-    fn push_fallback(&self, cand: PathState, ctx: &mut RunCtx, stats: &mut DirectedStats) -> bool {
+    fn push_fallback(&self, cand: PathState, ctx: &mut RunCtx) -> bool {
         if ctx.fallbacks.len() >= self.config.max_fallbacks {
             return false;
         }
         let bytes = cand.state.approx_bytes();
         ctx.fallback_bytes += bytes;
         ctx.fallbacks.push((cand, bytes));
-        stats.peak_fallback_depth = stats.peak_fallback_depth.max(ctx.fallbacks.len() as u64);
+        ctx.stats.peak_fallback_depth = ctx
+            .stats
+            .peak_fallback_depth
+            .max(ctx.fallbacks.len() as u64);
         emit(TraceKind::FallbackPush {
             depth: ctx.fallbacks.len() as u64,
         });
@@ -577,16 +568,10 @@ impl<'p> DirectedEngine<'p> {
 
     /// Picks fork directions: feasible arms ordered by distance to `ep`;
     /// the best continues, the rest go onto the fallback stack.
-    fn fork(
-        &self,
-        cur: PathState,
-        fork: &Fork<'_>,
-        ctx: &mut RunCtx,
-        stats: &mut DirectedStats,
-    ) -> Option<PathState> {
+    fn fork(&self, cur: PathState, fork: &Fork<'_>, ctx: &mut RunCtx) -> Option<PathState> {
         let func = cur.state.top().func;
         if let Mode::ModelFollow { .. } = cur.mode {
-            return self.follow_model(cur, fork, ctx, stats);
+            return self.follow_model(cur, fork, ctx);
         }
         let mut order: Vec<(usize, Option<u32>)> = (0..fork.arms.count())
             .map(|arm| (arm, self.distance(func, fork.arms.target(arm))))
@@ -594,7 +579,7 @@ impl<'p> DirectedEngine<'p> {
         if order.iter().all(|(_, d)| d.is_none()) {
             // Off the guided region (e.g. both successors rejoin via a
             // return) — decide by the current model, like inside ℓ.
-            return self.follow_model(cur, fork, ctx, stats);
+            return self.follow_model(cur, fork, ctx);
         }
         // Order candidates by distance (unreachable last).
         order.sort_by_key(|(_, d)| d.unwrap_or(u32::MAX));
@@ -608,7 +593,7 @@ impl<'p> DirectedEngine<'p> {
             };
             let visits = self.executor.take(&mut cand.state, fork, arm);
             if visits > self.config.theta {
-                stats.loop_retries += 1;
+                ctx.stats.loop_retries += 1;
                 ctx.loop_budget_hit = true;
                 emit(TraceKind::LoopRetry { visits });
                 continue;
@@ -618,7 +603,7 @@ impl<'p> DirectedEngine<'p> {
             }
             if kept.is_none() {
                 kept = Some(cand);
-            } else if self.push_fallback(cand, ctx, stats) {
+            } else if self.push_fallback(cand, ctx) {
                 siblings += 1;
             }
         }
@@ -630,9 +615,9 @@ impl<'p> DirectedEngine<'p> {
                 if siblings > 0 {
                     emit(TraceKind::StateFork { siblings });
                 }
-                self.note_mem(k, ctx, stats);
+                ctx.note_mem(k);
             }
-            None => self.note_death(&cur.state, "branch-dead", ctx, stats),
+            None => ctx.note_death(&cur.state, "branch-dead"),
         }
         kept
     }
@@ -644,14 +629,13 @@ impl<'p> DirectedEngine<'p> {
         mut cur: PathState,
         fork: &Fork<'_>,
         ctx: &mut RunCtx,
-        stats: &mut DirectedStats,
     ) -> Option<PathState> {
         let Some(v) = cur
             .state
-            .model_in(&mut ctx.memo)
+            .model(&mut ctx.memo)
             .and_then(|model| fork.scrut.eval(&|off| Some(model.byte(off))))
         else {
-            self.note_death(&cur.state, "model-unavailable", ctx, stats);
+            ctx.note_death(&cur.state, "model-unavailable");
             return None;
         };
         let arm = fork.arms.select(v);
@@ -662,7 +646,7 @@ impl<'p> DirectedEngine<'p> {
             // Forced branch: the direction is already implied by the
             // collected constraints — transfer control without growing the
             // path condition or the loop budget.
-            stats.forced_branches += 1;
+            ctx.stats.forced_branches += 1;
             let frame = cur.state.top_mut();
             frame.block = fork.arms.target(arm);
             frame.idx = 0;
@@ -670,9 +654,9 @@ impl<'p> DirectedEngine<'p> {
         }
         let visits = self.executor.take(&mut cur.state, fork, arm);
         if visits > self.config.theta {
-            stats.loop_retries += 1;
+            ctx.stats.loop_retries += 1;
             emit(TraceKind::LoopRetry { visits });
-            self.note_death(&cur.state, "loop-retry", ctx, stats);
+            ctx.note_death(&cur.state, "loop-retry");
             return None;
         }
         Some(cur)

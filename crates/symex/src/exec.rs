@@ -127,9 +127,11 @@ pub struct SymExecutor<'p> {
     pub ep: Option<FuncId>,
     /// Per-state instruction budget.
     pub max_steps: u64,
-    /// Call depth limit.
-    pub max_depth: usize,
 }
+
+/// Call depth limit: a call that would make a state deeper is a
+/// [`DeadReason::DepthLimit`] death.
+const MAX_DEPTH: usize = 128;
 
 impl<'p> SymExecutor<'p> {
     /// Creates a stepper for `program` with a symbolic file of `file_len`
@@ -140,7 +142,6 @@ impl<'p> SymExecutor<'p> {
             file_len,
             ep: None,
             max_steps: 200_000,
-            max_depth: 128,
         }
     }
 
@@ -173,7 +174,7 @@ impl<'p> SymExecutor<'p> {
         if let Some(c) = v.as_concrete() {
             return Ok(c);
         }
-        let model = state.model_in(memo).ok_or(DeadReason::ConcretizeFailed)?;
+        let model = state.model(memo).ok_or(DeadReason::ConcretizeFailed)?;
         let expr = v.to_expr();
         let val = expr
             .eval(&|off| Some(model.byte(off)))
@@ -212,14 +213,9 @@ impl<'p> SymExecutor<'p> {
         self.goto(state, fork.arms.target(arm))
     }
 
-    /// Advances `state` by one instruction or terminator.
-    pub fn step(&self, state: &mut SymState) -> StepEvent<'p> {
-        self.step_in(state, &mut FilterMemo::new())
-    }
-
-    /// [`SymExecutor::step`] inside an engine run: concretisation solves
-    /// reuse the run's filter `memo`.
-    pub fn step_in(&self, state: &mut SymState, memo: &mut FilterMemo) -> StepEvent<'p> {
+    /// Advances `state` by one instruction or terminator. Concretisation
+    /// solves use (and count on) the run's filter `memo`.
+    pub fn step(&self, state: &mut SymState, memo: &mut FilterMemo) -> StepEvent<'p> {
         state.steps += 1;
         if state.steps > self.max_steps {
             return StepEvent::Dead(DeadReason::StepBudget);
@@ -321,7 +317,7 @@ impl<'p> SymExecutor<'p> {
         args: &[Operand],
         dst: Option<octo_ir::Reg>,
     ) -> StepEvent<'p> {
-        if state.depth() >= self.max_depth {
+        if state.depth() >= MAX_DEPTH {
             return StepEvent::Dead(DeadReason::DepthLimit);
         }
         let f = self.program.func(callee);
@@ -586,8 +582,9 @@ mod tests {
         let p = Box::leak(Box::new(p));
         let ex = SymExecutor::new(p, file_len);
         let mut st = SymState::initial(p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => continue,
                 e => return (st, e),
             }
@@ -668,8 +665,9 @@ no:
         let p = parse_program(src).unwrap();
         let ex = SymExecutor::new(&p, 4);
         let mut st = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => {}
                 StepEvent::Fork(fork) => {
                     ex.take(&mut st, &fork, 0);
@@ -704,8 +702,9 @@ no:
         let p = parse_program(src).unwrap();
         let ex = SymExecutor::new(&p, 8);
         let mut st = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => {}
                 StepEvent::Fork(fork) => {
                     ex.take(&mut st, &fork, 0);
@@ -714,7 +713,7 @@ no:
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let m = st.model().expect("sat");
+        let m = st.model(&mut memo).expect("sat");
         assert_eq!(m.byte(0), 0x44);
         assert_eq!(m.byte(3), 0x11);
     }
@@ -738,8 +737,9 @@ entry:
         let ep = p.func_by_name("shared").unwrap();
         let ex = SymExecutor::new(&p, 4).with_ep(ep);
         let mut st = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => {}
                 StepEvent::EnteredEp {
                     entry,
@@ -773,8 +773,9 @@ entry:
         let mut ex = SymExecutor::new(&p, 0);
         ex.max_steps = 100;
         let mut st = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => {}
                 StepEvent::Dead(DeadReason::StepBudget) => break,
                 other => panic!("unexpected {other:?}"),
@@ -822,14 +823,15 @@ other:
         let p = parse_program(src).unwrap();
         let ex = SymExecutor::new(&p, 2);
         let mut st = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         loop {
-            match ex.step(&mut st) {
+            match ex.step(&mut st, &mut memo) {
                 StepEvent::Continue => {}
                 StepEvent::Fork(fork) => {
                     // take the default (the last arm): b != 1 && b != 2
                     assert_eq!(fork.arms.count(), 3);
                     ex.take(&mut st, &fork, 2);
-                    let m = st.model().expect("sat");
+                    let m = st.model(&mut memo).expect("sat");
                     assert!(m.byte(0) != 1 && m.byte(0) != 2);
                     break;
                 }

@@ -126,7 +126,7 @@ impl<'p> NaiveExplorer<'p> {
                     break 'outer NaiveOutcome::BudgetExhausted;
                 }
                 total_steps += 1;
-                match self.executor.step_in(&mut state, &mut memo) {
+                match self.executor.step(&mut state, &mut memo) {
                     StepEvent::Continue | StepEvent::EnteredEp { .. } => {}
                     StepEvent::Crashed(_) if state.frames.iter().any(|f| f.func == self.target) => {
                         // Crash at the vulnerable location.
@@ -209,7 +209,7 @@ entry:
         let (outcome, stats) = NaiveExplorer::new(&p, 4, t).run();
         match outcome {
             NaiveOutcome::ReachedTarget { mut state } => {
-                let m = state.model().expect("sat");
+                let m = state.model(&mut FilterMemo::new()).expect("sat");
                 assert_eq!(m.byte(0), 0x42);
             }
             other => panic!("expected reach, got {other:?}"),

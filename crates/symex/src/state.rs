@@ -98,17 +98,12 @@ impl SymState {
         self.model_cache = None;
     }
 
-    /// Solves the current constraints, caching the model.
+    /// Solves the current constraints with the run's filter `memo`,
+    /// caching the model.
     ///
     /// Returns `None` when the set is unsatisfiable or the solver budget is
     /// exhausted.
-    pub fn model(&mut self) -> Option<Model> {
-        self.model_in(&mut FilterMemo::new())
-    }
-
-    /// [`SymState::model`] inside an engine run: the solve reuses the
-    /// run's filter `memo`.
-    pub fn model_in(&mut self, memo: &mut FilterMemo) -> Option<Model> {
+    pub fn model(&mut self, memo: &mut FilterMemo) -> Option<Model> {
         let version = self.constraints.len();
         if let Some((v, m)) = &self.model_cache {
             if *v == version {
@@ -183,11 +178,12 @@ mod tests {
     fn model_cache_invalidation() {
         let p = program();
         let mut s = SymState::initial(&p);
+        let mut memo = FilterMemo::new();
         s.add_constraint(Constraint::byte_eq(0, 7));
-        let m1 = s.model().unwrap();
+        let m1 = s.model(&mut memo).unwrap();
         assert_eq!(m1.byte(0), 7);
         s.add_constraint(Constraint::byte_eq(1, 9));
-        let m2 = s.model().unwrap();
+        let m2 = s.model(&mut memo).unwrap();
         assert_eq!(m2.byte(1), 9);
     }
 
@@ -197,7 +193,7 @@ mod tests {
         let mut s = SymState::initial(&p);
         s.add_constraint(Constraint::byte_eq(0, 1));
         s.add_constraint(Constraint::byte_eq(0, 2));
-        assert!(s.model().is_none());
+        assert!(s.model(&mut FilterMemo::new()).is_none());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Execution trace recording.
 //!
 //! A [`TraceHook`] records the block-level path one execution takes — the
-//! analogue of a PIN basic-block trace. Traces back dynamic-CFG evidence,
-//! diffing two inputs' behaviour, and the `--trace` mode of the CLI tool.
+//! analogue of a PIN basic-block trace — and [`Trace::divergence`] finds
+//! where two runs' paths part. Its one user is `examples/trace_diff.rs`,
+//! which shows where the original PoC and `poc'` go in the target. It is
+//! not the CLI's flight recorder: `--trace-chrome` and `--trace-jsonl`
+//! export `octo-trace` events.
 
 use std::fmt;
 

@@ -3,15 +3,17 @@
 //! regardless of worker count. The batch event stream is the ground
 //! truth — each `PhaseFinished { job, phase }` event corresponds to one
 //! closed phase guard, which also wrote the pair into the flight
-//! recorder.
+//! recorder. The solver brackets in the flight record must also agree
+//! with each job's directed-engine statistics.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use octo_poc::PocFile;
-use octo_sched::{EventKind, EventLog};
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octo_sched::{EventKind, EventLog, NullSink};
+use octo_trace::TraceKind;
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchOptions};
 use octopocs::{FlightRecorder, PipelineConfig};
 
 const SHARED: &str = r#"
@@ -166,4 +168,50 @@ fn spans_pair_exactly_once_with_two_workers() {
 #[test]
 fn spans_pair_exactly_once_with_eight_workers() {
     spans_appear_exactly_once(8);
+}
+
+/// Per corpus job, the flight record holds one `SolverBegin` per solver
+/// entry the directed run counted (`solver_calls`), and its `SolverEnd`
+/// refutations sum to the run's `interval_refutations`, under the three
+/// engine configurations of the engine golden.
+#[test]
+fn solver_brackets_agree_with_every_corpus_jobs_stats() {
+    let configs = [
+        ("default", PipelineConfig::default()),
+        ("accelerate", PipelineConfig::default().accelerate_loops()),
+        (
+            "theta4+accelerate",
+            PipelineConfig::default().with_theta(4).accelerate_loops(),
+        ),
+    ];
+    for (name, config) in configs {
+        let rec = Arc::new(FlightRecorder::new(1 << 20));
+        let options = BatchOptions {
+            trace: Some(Arc::clone(&rec)),
+            ..BatchOptions::default()
+        };
+        let report = run_batch(&corpus_jobs(), &config, &options, &NullSink);
+        assert_eq!(rec.dropped(), 0, "{name}: the recorder kept every event");
+        // Per job: (SolverBegin events, sum of SolverEnd refutations).
+        let mut traced: HashMap<u32, (u64, u64)> = HashMap::new();
+        for e in rec.snapshot() {
+            match e.kind {
+                TraceKind::SolverBegin { .. } => traced.entry(e.job).or_default().0 += 1,
+                TraceKind::SolverEnd { refutations, .. } => {
+                    traced.entry(e.job).or_default().1 += refutations
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(report.entries.len(), 15);
+        for (job, entry) in report.entries.iter().enumerate() {
+            let stats = entry
+                .report
+                .symex_stats
+                .as_ref()
+                .map_or((0, 0), |s| (s.solver_calls, s.interval_refutations));
+            let got = traced.get(&(job as u32)).copied().unwrap_or_default();
+            assert_eq!(got, stats, "{name}: job {job} ({})", entry.name);
+        }
+    }
 }
