@@ -47,15 +47,14 @@ fn run_once(jobs: &[BatchJob], scope: bool) -> (f64, u64, u64) {
     let scrapes = Arc::new(AtomicU64::new(0));
     let samples = Arc::new(AtomicU64::new(0));
     if scope {
-        let listener = octo_serve::bind_http("127.0.0.1:0").expect("bind http");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind http");
         let addr = listener.local_addr().expect("local addr").to_string();
         let rates = Arc::new(RateRecorder::new(64));
         {
             let daemon = daemon.clone();
-            let stop = stop.clone();
             let rates = Arc::clone(&rates);
             pressure.push(std::thread::spawn(move || {
-                octo_serve::serve_http(&daemon, Some(rates), listener, &stop);
+                octo_serve::serve_http(&daemon, Some(rates), listener);
             }));
         }
         {

@@ -36,6 +36,7 @@ use octo_sched::{
     run_jobs, ArtifactCache, CacheStats, CancelToken, EventClock, EventKind, EventSink, KeyHasher,
     SchedStats, Watchdog, WatchdogConfig,
 };
+use octo_serve::daemon::MICROS_BUCKETS;
 use octo_serve::json::json_escape;
 use octo_serve::VerdictSummary;
 use octo_store::{BlobStore, StoreStats};
@@ -500,9 +501,6 @@ fn verify_with_cache(
     report.wall_seconds = start.elapsed().as_secs_f64();
     (report, hit, key)
 }
-
-/// Wall-time histogram bounds, microseconds (100µs … 10s).
-const MICROS_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// Bunch-payload histogram bounds, bytes.
 const BUNCH_BUCKETS: [u64; 6] = [1, 4, 16, 64, 256, 1_024];

@@ -35,11 +35,14 @@
 //! Lifecycle: a `drain` request stops admissions, finishes the queue,
 //! and exits; a `shutdown` request (or SIGINT/SIGTERM) also cancels
 //! in-flight jobs cooperatively — they come back as incomplete, not as
-//! verdicts. A second signal force-exits with status 130. On a clean
-//! exit the daemon writes `--metrics-json` (when given) and removes the
-//! socket file. Exit code 0 = clean drain/shutdown via the protocol,
-//! 130 = exit forced or initiated by a signal, 3 = usage or startup
-//! error.
+//! verdicts. A second signal force-exits with status 130. The
+//! listeners block in `accept` and nothing polls: the socket server,
+//! the HTTP plane and the rate sampler all end in the daemon's one
+//! finish wait, and the socket server wakes from it every 100 ms only
+//! to turn a signal into a shutdown. On a clean exit the daemon writes
+//! `--metrics-json` (when given) and removes the socket file. Exit code
+//! 0 = clean drain/shutdown via the protocol, 130 = exit forced or
+//! initiated by a signal, 3 = usage or startup error.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -128,13 +131,14 @@ fn main() -> ExitCode {
     );
 
     // octo-scope: the HTTP observability plane plus its rate sampler.
-    // Both threads stop on drain or daemon completion and are detached —
-    // they hold only Arcs and never touch the JSON-protocol listeners.
+    // Both threads end once the daemon has finished, in its one finish
+    // wait, and never touch the JSON-protocol listeners.
+    let mut scope = Vec::new();
     if let Some(addr) = &http {
-        let listener = match octo_serve::bind_http(addr) {
+        let listener = match std::net::TcpListener::bind(addr) {
             Ok(listener) => listener,
             Err(e) => {
-                eprintln!("octopocsd: {e}");
+                eprintln!("octopocsd: cannot bind {addr}: {e}");
                 return ExitCode::from(3);
             }
         };
@@ -147,29 +151,21 @@ fn main() -> ExitCode {
         {
             let rates = Arc::clone(&rates);
             let executor = Arc::clone(&executor);
-            let stop = drain.clone();
             let daemon = daemon.clone();
-            std::thread::spawn(move || {
+            scope.push(std::thread::spawn(move || {
                 let started = std::time::Instant::now();
-                while !stop.is_cancelled() && !daemon.finished() {
+                loop {
                     executor.sample_rates(&rates, started.elapsed().as_micros() as u64);
-                    // Sub-second sleeps so shutdown is prompt.
-                    for _ in 0..10 {
-                        if stop.is_cancelled() || daemon.finished() {
-                            break;
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(100));
+                    if daemon.wait_finished(Some(std::time::Duration::from_secs(1))) {
+                        break;
                     }
                 }
-            });
+            }));
         }
-        {
-            let stop = drain.clone();
-            let daemon = daemon.clone();
-            std::thread::spawn(move || {
-                octo_serve::serve_http(&daemon, Some(rates), listener, &stop);
-            });
-        }
+        let daemon = daemon.clone();
+        scope.push(std::thread::spawn(move || {
+            octo_serve::serve_http(&daemon, Some(rates), listener);
+        }));
     }
 
     let server_config = ServerConfig {
@@ -180,7 +176,7 @@ fn main() -> ExitCode {
         eprintln!("octopocsd: {e}");
         return ExitCode::from(3);
     }
-    for handle in workers {
+    for handle in workers.into_iter().chain(scope) {
         let _ = handle.join();
     }
     // Journal hygiene: an orderly exit rewrites the journal down to

@@ -42,11 +42,6 @@ impl ServeExecutor {
         }
     }
 
-    /// The run-level cancel token (wire this to the drain signals).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Refreshes the derived gauges (cache, uptime, watchdog) and
     /// snapshots the registry into `recorder` — the octo-scope rate
     /// sampler calls this on its interval so `/metrics/rates` windows
@@ -230,14 +225,16 @@ mod tests {
 
     #[test]
     fn cancel_all_drains_queued_jobs_as_interrupted() {
+        let drain = CancelToken::new();
         let executor = Arc::new(ServeExecutor::new(
             &PipelineConfig::default(),
             &BatchOptions {
                 workers: 1,
+                cancel: Some(drain.clone()),
                 ..BatchOptions::default()
             },
         ));
-        let daemon = Daemon::new(executor.clone(), None, 8);
+        let daemon = Daemon::new(executor, None, 8);
         daemon.submit(spec("doomed")).unwrap();
         daemon.shutdown();
         let workers = daemon.start_workers(1);
@@ -247,7 +244,7 @@ mod tests {
         // Shutdown before any worker started: the job is never run and
         // never journaled as done.
         assert!(daemon.results().is_empty());
-        assert!(executor.cancel_token().is_cancelled());
+        assert!(drain.is_cancelled(), "shutdown fires the options' token");
         // A fresh submit is refused while draining.
         assert!(matches!(
             daemon.submit(spec("late")),

@@ -23,7 +23,8 @@
 //! `watch` replays a job's recorded events from the table rather than
 //! from a subscription of its own. Every change a watcher can wait for
 //! (a recorded step, a job's end, shutdown) is signalled on one
-//! condvar, so a watch wakes when its job moves instead of polling.
+//! condvar, so a watch wakes when its job moves instead of polling; the
+//! front ends sleep on another until the daemon has finished.
 //!
 //! The table keeps the newest [`MAX_FINISHED_JOBS`] done jobs; an older
 //! done job is forgotten, so a long-lived daemon's memory is bounded by
@@ -44,8 +45,8 @@ use crate::proto::{
 };
 use crate::timeline::JobTimeline;
 
-/// Queue-wait histogram bounds, microseconds (100 µs … 10 s).
-const QUEUE_WAIT_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+/// Bounds of every microsecond histogram, the queue wait's included.
+pub const MICROS_BUCKETS: [u64; 6] = [100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
 
 /// Cap on done jobs kept in the job table (a long-lived daemon must not
 /// grow its memory with every job it serves). Past it the oldest done
@@ -129,7 +130,7 @@ impl ServeMetrics {
             replays: reg.counter("serve_replays_total"),
             queue_depth_interactive: reg.gauge("serve_queue_depth_interactive"),
             queue_depth_bulk: reg.gauge("serve_queue_depth_bulk"),
-            queue_wait: reg.histogram("serve_queue_wait_micros", &QUEUE_WAIT_BUCKETS),
+            queue_wait: reg.histogram("serve_queue_wait_micros", &MICROS_BUCKETS),
         }
     }
 
@@ -237,6 +238,11 @@ impl State {
         (self.interactive.len() + self.bulk.len()) as u64
     }
 
+    /// Draining (or shut down) with nothing queued or running.
+    fn finished(&self) -> bool {
+        self.draining && (self.shutting_down || (self.queued() == 0 && self.running == 0))
+    }
+
     fn enqueue(&mut self, id: u64, priority: Priority) {
         match priority {
             Priority::Interactive => self.interactive.push_back(id),
@@ -267,6 +273,9 @@ pub struct Daemon {
     /// Signalled when a job records a step or ends, and at shutdown:
     /// `watch` and `wait_idle` wait on it.
     changed: Condvar,
+    /// Signalled at drain and shutdown, and when a job ends while
+    /// draining: `wait_finished` waits on it, not on every step.
+    finish: Condvar,
     fanout: Arc<FanoutSink>,
     metrics: ServeMetrics,
     /// Origin of the daemon clock every timeline stamp is taken on.
@@ -293,6 +302,7 @@ impl Daemon {
             }),
             work: Condvar::new(),
             changed: Condvar::new(),
+            finish: Condvar::new(),
             fanout: Arc::new(FanoutSink::new()),
             metrics,
             origin: Instant::now(),
@@ -396,11 +406,7 @@ impl Daemon {
                         // Nothing queued and no more admissions: done.
                         return;
                     }
-                    let (next, _) = self
-                        .work
-                        .wait_timeout(state, Duration::from_millis(50))
-                        .expect("daemon state poisoned");
-                    state = next;
+                    state = self.work.wait(state).expect("daemon state poisoned");
                 }
             };
             let outcome = self.executor.run(id, &job, worker, wait, self);
@@ -417,8 +423,12 @@ impl Daemon {
                 record.done(at, outcome.verdict, outcome.post_mortem);
                 state.retire(id);
             }
+            let draining = state.draining;
             drop(state);
             self.changed.notify_all();
+            if draining {
+                self.finish.notify_all();
+            }
         }
     }
 
@@ -587,6 +597,7 @@ impl Daemon {
         let pending = state.queued() + state.running;
         drop(state);
         self.work.notify_all();
+        self.finish.notify_all();
         pending
     }
 
@@ -600,13 +611,34 @@ impl Daemon {
         self.executor.cancel_all();
         self.work.notify_all();
         self.changed.notify_all();
+        self.finish.notify_all();
     }
 
     /// True once the daemon can exit: draining (or shut down) with
     /// nothing queued or running.
     pub fn finished(&self) -> bool {
+        self.state.lock().expect("daemon state poisoned").finished()
+    }
+
+    /// Sleeps until the daemon has finished, or at most `timeout`, and
+    /// returns whether it has. The front ends (socket server, HTTP
+    /// plane, rate sampler) all stop on this one wait.
+    pub fn wait_finished(&self, timeout: Option<Duration>) -> bool {
         let state = self.state.lock().expect("daemon state poisoned");
-        state.draining && (state.shutting_down || (state.queued() == 0 && state.running == 0))
+        let unfinished = |state: &mut State| !state.finished();
+        let state = match timeout {
+            Some(timeout) => {
+                self.finish
+                    .wait_timeout_while(state, timeout, unfinished)
+                    .expect("daemon state poisoned")
+                    .0
+            }
+            None => self
+                .finish
+                .wait_while(state, unfinished)
+                .expect("daemon state poisoned"),
+        };
+        state.finished()
     }
 
     /// Blocks until every queued/running job has finished (used by
@@ -730,13 +762,9 @@ impl JobExecutor for StubExecutor {
             .expect("executed poisoned")
             .push(job.name.clone());
         if let Some((flag, cv)) = &self.gate {
-            let mut open = flag.lock().expect("gate poisoned");
-            while !*open && !self.cancelled.load(Ordering::Acquire) {
-                let (next, _) = cv
-                    .wait_timeout(open, Duration::from_millis(10))
-                    .expect("gate poisoned");
-                open = next;
-            }
+            // `cancel_all` opens the gate too.
+            let open = flag.lock().expect("gate poisoned");
+            drop(cv.wait_while(open, |open| !*open).expect("gate poisoned"));
         }
         let cancelled = self.cancelled.load(Ordering::Acquire);
         sink.emit(Event::new(
@@ -1473,6 +1501,36 @@ mod tests {
             }
         );
         waiters.join();
+    }
+
+    #[test]
+    fn the_finish_wait_wakes_when_the_last_job_ends_while_draining() {
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), None, 4);
+        daemon.submit(spec("last", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        wait_running(&executor);
+        assert_eq!(daemon.drain(), 1);
+        assert!(!daemon.wait_finished(Some(Duration::ZERO)), "a job runs");
+        // No timeout: only the worker's notify at the job's end can wake it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&daemon);
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(waiter.wait_finished(None));
+        });
+        // Nothing shows that the waiter is asleep; this lets it get there.
+        // A waiter that is not yet asleep sees the end without a notify,
+        // so the pause can only make the test miss a lost notify.
+        std::thread::sleep(Duration::from_millis(100));
+        executor.release();
+        let finished = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the job's end wakes the finish wait");
+        assert!(finished);
+        handle.join().unwrap();
+        for w in workers {
+            w.join().unwrap();
+        }
     }
 
     #[test]

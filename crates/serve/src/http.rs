@@ -17,17 +17,21 @@
 //! `431` — always a JSON `{"error":…}` body, never a panic, and never
 //! any interference with the JSON-protocol listeners (the HTTP plane
 //! runs on its own listener and threads).
+//!
+//! The plane lives as long as the daemon: [`serve_http`] waits for the
+//! daemon to finish while the accept loop it shares with
+//! [`crate::server`] blocks in `accept`, then releases its listener.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use octo_obs::RateRecorder;
-use octo_sched::CancelToken;
 
 use crate::daemon::Daemon;
 use crate::json::json_escape;
+use crate::server::{loopback, read_line_capped, spawn_accept_loop, Line};
 
 /// Cap on the HTTP request line, bytes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;
@@ -219,79 +223,42 @@ fn read_request(reader: &mut impl BufRead) -> Result<(String, String), HttpRespo
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line of at most `cap`
-/// bytes. `Err(true)` = over the cap, `Err(false)` = EOF/transport
-/// error before the terminator.
+/// bytes, reading no further when it is longer. `Err(true)` = over the
+/// cap, `Err(false)` = EOF/transport error before the terminator.
 fn read_crlf_line(reader: &mut impl BufRead, cap: usize) -> Result<String, bool> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok([]) => return Err(false),
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(false),
-        };
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if buf.len() + pos > cap {
-                    return Err(true);
-                }
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                if buf.last() == Some(&b'\r') {
-                    buf.pop();
-                }
-                return String::from_utf8(buf).map_err(|_| false);
+    match read_line_capped(reader, cap) {
+        Line::Ok(mut line) => {
+            if line.last() == Some(&b'\r') {
+                line.pop();
             }
-            None => {
-                let len = chunk.len();
-                if buf.len() + len > cap {
-                    return Err(true);
-                }
-                buf.extend_from_slice(chunk);
-                reader.consume(len);
-            }
+            String::from_utf8(line).map_err(|_| false)
         }
+        Line::Oversized => Err(true),
+        Line::Closed => Err(false),
     }
 }
 
-/// Binds the HTTP listener (nonblocking, ready for [`serve_http`]).
-/// Split from the serve loop so embedders can bind port `0` and read
-/// the assigned address before serving.
-pub fn bind_http(addr: &str) -> Result<TcpListener, String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-    Ok(listener)
-}
-
-/// Accept loop for the observability plane. Runs until the daemon
-/// finishes or `stop` fires; each connection is served (one request)
-/// on its own thread. Never touches the JSON-protocol listeners.
-pub fn serve_http(
-    daemon: &Arc<Daemon>,
-    rates: Option<Arc<RateRecorder>>,
-    listener: TcpListener,
-    stop: &CancelToken,
-) {
+/// Serves the observability plane on `listener`, one request per
+/// connection, until the daemon has finished. Never touches the
+/// JSON-protocol listeners.
+pub fn serve_http(daemon: &Arc<Daemon>, rates: Option<Arc<RateRecorder>>, listener: TcpListener) {
     let scope = Arc::new(Scope::new(Arc::clone(daemon), rates));
-    while !stop.is_cancelled() && !daemon.finished() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let scope = Arc::clone(&scope);
-                std::thread::spawn(move || {
-                    // A stalled peer must not pin the thread forever.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                    let Ok(reader) = stream.try_clone() else {
-                        return;
-                    };
-                    scope.handle(BufReader::new(reader), stream);
-                });
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
+    let addr = listener.local_addr().map(loopback);
+    let handle = move |_: &Daemon, reader, stream: TcpStream| {
+        // A stalled peer must not pin the thread forever.
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+        scope.handle(reader, stream);
+    };
+    spawn_accept_loop(
+        daemon,
+        listener,
+        TcpListener::accept,
+        TcpStream::try_clone,
+        handle,
+    );
+    daemon.wait_finished(None);
+    let _ = addr.and_then(TcpStream::connect);
 }
 
 /// A minimal blocking HTTP GET against the plane (used by `octopocs
@@ -493,13 +460,13 @@ mod tests {
         daemon.submit(spec("one", Priority::Bulk)).unwrap();
         let workers = daemon.start_workers(1);
         daemon.wait_idle();
-        let listener = bind_http("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let stop = CancelToken::new();
-        let serve_stop = stop.clone();
+        let (done, returned) = std::sync::mpsc::channel();
         let serve_daemon = daemon.clone();
         let handle = std::thread::spawn(move || {
-            serve_http(&serve_daemon, None, listener, &serve_stop);
+            serve_http(&serve_daemon, None, listener);
+            let _ = done.send(());
         });
         let (status, body) =
             http_get(&addr, "/healthz", Duration::from_secs(5)).expect("healthz reachable");
@@ -509,9 +476,12 @@ mod tests {
             http_get(&addr, "/jobs/1", Duration::from_secs(5)).expect("timeline reachable");
         assert_eq!(status, 200);
         assert!(body.contains("\"outcome\":\"Type-I\""), "{body}");
-        stop.cancel();
-        handle.join().unwrap();
+        // Draining the idle daemon finishes it, and that ends the plane.
         daemon.drain();
+        returned
+            .recv_timeout(Duration::from_secs(5))
+            .expect("serve_http returns once the daemon has finished");
+        handle.join().unwrap();
         for w in workers {
             w.join().unwrap();
         }

@@ -15,7 +15,7 @@
 //!   [`BatchJob`] until pickup, verdict and timeline), and the
 //!   [`daemon::JobExecutor`] seam the core crate plugs its pipeline
 //!   into.
-//! - [`server`]: the socket accept loop and capped line reader.
+//! - [`server`]: the blocking accept loop and the capped line reader.
 //! - [`client`]: the connection type the CLI subcommands drive.
 //! - [`timeline`]: per-job timelines (submit → queue wait → attempts →
 //!   phase spans), kept in the daemon's job record and fed by the
@@ -39,7 +39,7 @@ pub mod timeline;
 
 pub use client::{Client, Endpoint};
 pub use daemon::{Daemon, ExecOutcome, JobExecutor, ServeMetrics, SubmitError};
-pub use http::{bind_http, http_get, serve_http, HttpResponse, Scope};
+pub use http::{http_get, serve_http, HttpResponse, Scope};
 pub use journal::{Journal, Replay};
 pub use proto::{
     render_verdicts_json, BatchJob, JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Request,

@@ -1,15 +1,22 @@
-//! The daemon's socket front end: accept loop, per-connection threads,
-//! and the capped line reader.
+//! The daemon's socket front end: blocking accept loops, per-connection
+//! threads, and the capped line reader.
 //!
-//! The server listens on a Unix socket (and optionally TCP), spawns a
-//! thread per connection, and answers one response line per request
-//! line — except `watch`, which streams. Malformed input of any kind
-//! (bad JSON, unknown verbs, oversized lines) is answered with a
-//! structured `error` line and the connection stays open; only EOF or a
-//! transport error closes it.
+//! The server listens on a Unix socket (and optionally TCP), serves
+//! each connection on a thread of its own, and answers one response
+//! line per request line — except `watch`, which streams. Malformed
+//! input of any kind (bad JSON, unknown verbs, oversized lines) is
+//! answered with a structured `error` line and the connection stays
+//! open; only EOF or a transport error closes it.
+//!
+//! Nothing polls: each listener blocks in `accept`, and [`serve`] sleeps
+//! in [`Daemon::wait_finished`], then releases each listener with one
+//! connection to its own address. The HTTP plane shares the accept loop
+//! and the line reader.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,6 +24,11 @@ use octo_sched::CancelToken;
 
 use crate::daemon::{Daemon, SubmitError};
 use crate::proto::{Request, Response, MAX_LINE_BYTES};
+
+/// How often [`serve`] looks at its stop token while it waits for the
+/// daemon to finish. A signal handler can only set the token, so this
+/// check is what turns a signal into a shutdown.
+const STOP_CHECK: Duration = Duration::from_millis(100);
 
 /// Where the server listens.
 #[derive(Debug, Clone)]
@@ -28,54 +40,42 @@ pub struct ServerConfig {
     pub tcp: Option<String>,
 }
 
-/// Outcome of reading one protocol line.
-enum Line {
-    /// A complete line (without the newline).
-    Ok(String),
-    /// The line exceeded [`MAX_LINE_BYTES`]; it was discarded up to the
-    /// next newline.
+/// Outcome of reading one capped line.
+pub(crate) enum Line {
+    /// A complete line, without its newline.
+    Ok(Vec<u8>),
+    /// The line runs past the cap; it was read up to the cap only.
     Oversized,
-    /// The peer closed (or the transport failed).
+    /// The peer closed (or the transport failed) before the newline.
     Closed,
 }
 
-/// Reads one newline-terminated line, enforcing the protocol cap. An
-/// oversized line is consumed (so the stream stays in sync) and
-/// reported as [`Line::Oversized`] instead of disconnecting.
-fn read_line_capped(reader: &mut impl BufRead) -> Line {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
+/// Reads one newline-terminated line of at most `cap` bytes, the
+/// newline not counted: the line reader of the JSON protocol, which
+/// reads on past an oversized line, and of the HTTP plane, which stops.
+pub(crate) fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Line {
+    let mut line = Vec::new();
     loop {
         let chunk = match reader.fill_buf() {
             Ok([]) => return Line::Closed,
             Ok(chunk) => chunk,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Line::Closed,
         };
-        match chunk.iter().position(|&b| b == b'\n') {
+        let room = cap - line.len();
+        match chunk.iter().take(room + 1).position(|&b| b == b'\n') {
             Some(pos) => {
-                if !oversized && buf.len() + pos <= MAX_LINE_BYTES {
-                    buf.extend_from_slice(&chunk[..pos]);
-                } else {
-                    oversized = true;
-                }
+                line.extend_from_slice(&chunk[..pos]);
                 reader.consume(pos + 1);
-                if oversized {
-                    return Line::Oversized;
-                }
-                return match String::from_utf8(buf) {
-                    Ok(line) => Line::Ok(line),
-                    Err(_) => Line::Ok(String::from("\u{fffd}")),
-                };
+                return Line::Ok(line);
+            }
+            None if chunk.len() > room => {
+                reader.consume(room);
+                return Line::Oversized;
             }
             None => {
                 let len = chunk.len();
-                if !oversized && buf.len() + len <= MAX_LINE_BYTES {
-                    buf.extend_from_slice(chunk);
-                } else {
-                    oversized = true;
-                    buf.clear();
-                }
+                line.extend_from_slice(chunk);
                 reader.consume(len);
             }
         }
@@ -96,170 +96,182 @@ fn write_line(writer: &mut impl Write, resp: &Response) -> Result<(), String> {
 /// `BufRead`/`Write` pair — the socket listeners in [`serve`] are just
 /// this function behind accept loops.
 pub fn handle_connection<R: BufRead, W: Write>(daemon: &Daemon, mut reader: R, mut writer: W) {
+    // Set while the rest of an oversized line is read and discarded.
+    let mut oversized = false;
     loop {
-        let line = match read_line_capped(&mut reader) {
+        let line = match read_line_capped(&mut reader, MAX_LINE_BYTES) {
             Line::Closed => return,
             Line::Oversized => {
-                let resp = Response::Error {
-                    message: format!("line exceeds {MAX_LINE_BYTES} bytes"),
-                };
-                if write_line(&mut writer, &resp).is_err() {
+                oversized = true;
+                continue;
+            }
+            Line::Ok(line) => String::from_utf8(line).unwrap_or_else(|_| String::from("\u{fffd}")),
+        };
+        let request = match std::mem::take(&mut oversized) {
+            true => Err(format!("line exceeds {MAX_LINE_BYTES} bytes")),
+            false if line.trim().is_empty() => continue,
+            false => Request::parse(&line),
+        };
+        let done = matches!(request, Ok(Request::Shutdown));
+        let resp = match request {
+            Err(message) => Response::Error { message },
+            Ok(Request::Watch { id }) => {
+                if daemon
+                    .watch(id, &mut |resp| write_line(&mut writer, resp))
+                    .is_err()
+                {
                     return;
                 }
                 continue;
             }
-            Line::Ok(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::parse(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                if write_line(&mut writer, &Response::Error { message }).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let done = matches!(request, Request::Shutdown);
-        let outcome = match request {
-            Request::Ping => write_line(&mut writer, &Response::Pong),
-            Request::Submit { job } => {
-                let resp = match daemon.submit(job) {
-                    Ok(id) => Response::Accepted { id },
-                    Err(SubmitError::Rejected(reason)) => Response::Rejected { reason },
-                    Err(SubmitError::Invalid(message)) => Response::Error { message },
-                };
-                write_line(&mut writer, &resp)
-            }
-            Request::Status { id: None } => {
-                write_line(&mut writer, &Response::Status(daemon.status()))
-            }
-            Request::Status { id: Some(id) } => {
-                let resp = match daemon.job_status(id) {
-                    Some(job) => Response::Job(job),
-                    None => Response::Error {
-                        message: format!("unknown job id {id}"),
-                    },
-                };
-                write_line(&mut writer, &resp)
-            }
-            Request::Watch { id } => daemon.watch(id, &mut |resp| write_line(&mut writer, resp)),
-            Request::Results => write_line(
-                &mut writer,
-                &Response::Results {
-                    jobs: daemon.results(),
+            Ok(Request::Ping) => Response::Pong,
+            Ok(Request::Submit { job }) => match daemon.submit(job) {
+                Ok(id) => Response::Accepted { id },
+                Err(SubmitError::Rejected(reason)) => Response::Rejected { reason },
+                Err(SubmitError::Invalid(message)) => Response::Error { message },
+            },
+            Ok(Request::Status { id: None }) => Response::Status(daemon.status()),
+            Ok(Request::Status { id: Some(id) }) => match daemon.job_status(id) {
+                Some(job) => Response::Job(job),
+                None => Response::Error {
+                    message: format!("unknown job id {id}"),
                 },
-            ),
-            Request::Metrics => write_line(
-                &mut writer,
-                &Response::Metrics {
-                    body: daemon.metrics_json(),
-                },
-            ),
-            Request::Drain => write_line(
-                &mut writer,
-                &Response::Draining {
-                    pending: daemon.drain(),
-                },
-            ),
-            Request::Shutdown => {
+            },
+            Ok(Request::Results) => Response::Results {
+                jobs: daemon.results(),
+            },
+            Ok(Request::Metrics) => Response::Metrics {
+                body: daemon.metrics_json(),
+            },
+            Ok(Request::Drain) => Response::Draining {
+                pending: daemon.drain(),
+            },
+            Ok(Request::Shutdown) => {
                 daemon.shutdown();
-                write_line(&mut writer, &Response::ShuttingDown)
+                Response::ShuttingDown
             }
         };
-        if outcome.is_err() || done {
+        if write_line(&mut writer, &resp).is_err() || done {
             return;
         }
     }
 }
 
-/// Serves one accepted connection on a thread of its own. The read half
-/// is cloned on that thread, so a failed clone (or thread spawn), say
-/// for want of file descriptors, drops this connection only and the
-/// accept loop goes on.
-fn spawn_handler<S>(daemon: &Arc<Daemon>, stream: S, try_clone: fn(&S) -> std::io::Result<S>)
-where
-    S: Read + Write + Send + 'static,
+/// Runs a blocking `listener`'s accept loop on a thread of its own until
+/// the first accept after the daemon has finished, serving each
+/// connection with `handle` on a thread that clones its read half: a
+/// failed clone or spawn drops that connection only. A failed accept
+/// (say, out of file descriptors) backs off through the finish wait.
+/// The loop is not joined, since its release can fail, or reach whoever
+/// has bound the socket path since.
+pub(crate) fn spawn_accept_loop<L, S, A>(
+    daemon: &Arc<Daemon>,
+    listener: L,
+    accept: fn(&L) -> std::io::Result<(S, A)>,
+    try_clone: fn(&S) -> std::io::Result<S>,
+    handle: impl Fn(&Daemon, BufReader<S>, S) + Clone + Send + 'static,
+) where
+    L: Send + 'static,
+    S: Read + Send + 'static,
+    A: 'static,
 {
     let daemon = Arc::clone(daemon);
-    let _ = std::thread::Builder::new().spawn(move || {
-        if let Ok(reader) = try_clone(&stream) {
-            handle_connection(&daemon, BufReader::new(reader), stream);
+    std::thread::spawn(move || loop {
+        let accepted = accept(&listener);
+        if daemon.finished() {
+            return;
         }
+        let Ok((stream, _)) = accepted else {
+            daemon.wait_finished(Some(Duration::from_millis(20)));
+            continue;
+        };
+        let (daemon, handle) = (Arc::clone(&daemon), handle.clone());
+        let _ = std::thread::Builder::new().spawn(move || {
+            if let Ok(reader) = try_clone(&stream) {
+                handle(&daemon, BufReader::new(reader), stream);
+            }
+        });
     });
 }
 
-/// Runs the accept loop until the daemon finishes (drain completed or
-/// shutdown requested) or `stop` fires — `stop` is mapped to a full
-/// [`Daemon::shutdown`], the graceful-on-first-signal path.
-///
-/// Returns once no further connections will be served; the caller joins
-/// the worker threads and removes the socket file.
+/// `addr` as a release connects to it: an unspecified IP (a bind to
+/// every interface) becomes loopback.
+pub(crate) fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Serves the JSON protocol on the Unix socket (and the TCP address)
+/// until the daemon finishes: a drain completes, or a shutdown, which
+/// `stop` firing requests — the graceful-on-first-signal path. Returns
+/// with the listeners released and the socket file removed; the caller
+/// joins the worker threads.
 pub fn serve(
     daemon: &Arc<Daemon>,
     config: &ServerConfig,
     stop: &CancelToken,
 ) -> Result<(), String> {
     #[cfg(unix)]
-    let unix_listener = {
+    let unix = {
         let _ = std::fs::remove_file(&config.socket);
-        let listener = std::os::unix::net::UnixListener::bind(&config.socket)
-            .map_err(|e| format!("cannot bind {}: {e}", config.socket.display()))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-        listener
+        UnixListener::bind(&config.socket)
+            .map_err(|e| format!("cannot bind {}: {e}", config.socket.display()))?
     };
-    let tcp_listener = match &config.tcp {
-        Some(addr) => {
-            let listener =
-                TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| format!("cannot set nonblocking: {e}"))?;
-            Some(listener)
-        }
-        None => None,
-    };
+    let tcp = config
+        .tcp
+        .as_ref()
+        .map(|addr| TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}")))
+        .transpose()?;
+    #[cfg(unix)]
+    spawn_accept_loop(
+        daemon,
+        unix,
+        UnixListener::accept,
+        UnixStream::try_clone,
+        handle_connection,
+    );
+    let tcp_addr = tcp.map(|listener| {
+        let addr = listener.local_addr().map(loopback);
+        spawn_accept_loop(
+            daemon,
+            listener,
+            TcpListener::accept,
+            TcpStream::try_clone,
+            handle_connection,
+        );
+        addr
+    });
 
-    let mut signalled = false;
-    loop {
-        if stop.is_cancelled() && !signalled {
-            signalled = true;
+    while !daemon.wait_finished(Some(STOP_CHECK)) {
+        if stop.is_cancelled() {
             daemon.shutdown();
-        }
-        if daemon.finished() {
-            break;
-        }
-        let mut accepted = false;
-        #[cfg(unix)]
-        if let Ok((stream, _)) = unix_listener.accept() {
-            accepted = true;
-            spawn_handler(daemon, stream, std::os::unix::net::UnixStream::try_clone);
-        }
-        if let Some(listener) = &tcp_listener {
-            if let Ok((stream, _)) = listener.accept() {
-                accepted = true;
-                spawn_handler(daemon, stream, TcpStream::try_clone);
-            }
-        }
-        if !accepted {
-            std::thread::sleep(Duration::from_millis(20));
         }
     }
     #[cfg(unix)]
-    let _ = std::fs::remove_file(&config.socket);
+    {
+        let _ = UnixStream::connect(&config.socket);
+        let _ = std::fs::remove_file(&config.socket);
+    }
+    if let Some(addr) = tcp_addr {
+        let _ = addr.and_then(TcpStream::connect);
+    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, Endpoint};
     use crate::daemon::StubExecutor;
     use crate::proto::{JobSpec, Priority};
     use std::io::Cursor;
+    use std::path::{Path, PathBuf};
+    use std::sync::mpsc::{channel, Receiver};
+    use std::time::Instant;
 
     fn spec(name: &str) -> JobSpec {
         JobSpec {
@@ -309,6 +321,31 @@ mod tests {
     }
 
     #[test]
+    fn capped_reader_stops_at_the_cap_across_chunk_boundaries() {
+        // Three-byte chunks, so every line straddles `fill_buf` calls.
+        let input = b"abcd\nabcdefghij\nab".to_vec();
+        let mut reader = BufReader::with_capacity(3, Cursor::new(input));
+        let mut read = || match read_line_capped(&mut reader, 4) {
+            Line::Ok(line) => Ok(String::from_utf8(line).unwrap()),
+            Line::Oversized => Err("oversized"),
+            Line::Closed => Err("closed"),
+        };
+        assert_eq!(read(), Ok("abcd".to_string()), "exactly the cap");
+        // An oversized line is read up to the cap only; the rest follows.
+        assert_eq!(read(), Err("oversized"));
+        assert_eq!(read(), Err("oversized"));
+        assert_eq!(read(), Ok("ij".to_string()));
+        assert_eq!(read(), Err("closed"), "EOF before the newline");
+    }
+
+    #[test]
+    fn oversized_line_cut_off_by_eof_gets_no_answer() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        let input = "x".repeat(MAX_LINE_BYTES + 10);
+        assert_eq!(roundtrip(&daemon, &input), vec![]);
+    }
+
+    #[test]
     fn submit_status_results_flow_over_the_connection_layer() {
         let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
         let submit = Request::Submit { job: spec("one") }.render();
@@ -319,5 +356,88 @@ mod tests {
             Response::Status(s) => assert_eq!(s.queued_bulk, 1),
             other => panic!("expected status, got {other:?}"),
         }
+    }
+
+    /// Connects to `socket`, retrying until `serve` has bound it.
+    fn connect(socket: &Path) -> Client {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match Client::connect(&Endpoint::Unix(socket.to_path_buf())) {
+                Ok(client) => return client,
+                Err(e) => assert!(Instant::now() < deadline, "serve never listened: {e}"),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `serve` on a side thread, on a fresh Unix socket and a TCP
+    /// port, and returns once it has answered a ping. The receiver gets
+    /// `serve`'s result when it returns.
+    fn serving(
+        daemon: &Arc<Daemon>,
+        tag: &str,
+        stop: &CancelToken,
+    ) -> (PathBuf, Receiver<Result<(), String>>) {
+        let socket =
+            std::env::temp_dir().join(format!("octo-serve-{tag}-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            socket: socket.clone(),
+            tcp: Some("127.0.0.1:0".to_string()),
+        };
+        let (done, returned) = channel();
+        let (daemon, stop) = (Arc::clone(daemon), stop.clone());
+        std::thread::spawn(move || {
+            let _ = done.send(serve(&daemon, &config, &stop));
+        });
+        assert_eq!(connect(&socket).request(&Request::Ping), Ok(Response::Pong));
+        (socket, returned)
+    }
+
+    #[test]
+    fn serve_returns_once_the_daemon_finishes() {
+        for tag in ["shutdown", "idle-drain", "stop-token"] {
+            let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+            let stop = CancelToken::new();
+            let (socket, returned) = serving(&daemon, tag, &stop);
+            match tag {
+                "shutdown" => daemon.shutdown(),
+                "idle-drain" => assert_eq!(daemon.drain(), 0),
+                _ => stop.cancel(),
+            }
+            let result = returned
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("serve still running 5 s after {tag}"));
+            assert_eq!(result, Ok(()), "{tag}");
+            assert!(daemon.finished(), "{tag}");
+            assert!(!socket.exists(), "{tag}: the socket file is removed");
+        }
+    }
+
+    #[test]
+    fn clients_connecting_one_after_another_wait_for_no_poll() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 4);
+        let stop = CancelToken::new();
+        let (socket, returned) = serving(&daemon, "sequential", &stop);
+        let start = Instant::now();
+        for _ in 0..10 {
+            let mut client = connect(&socket);
+            assert_eq!(client.request(&Request::Ping), Ok(Response::Pong));
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(100),
+            "ten clients, each waiting for its pong, took {elapsed:?}"
+        );
+        daemon.drain();
+        let result = returned.recv_timeout(Duration::from_secs(5));
+        assert_eq!(result, Ok(Ok(())));
+    }
+
+    #[test]
+    fn a_release_reaches_a_bind_to_every_interface_over_loopback() {
+        let addr = |text: &str| text.parse::<SocketAddr>().unwrap();
+        assert_eq!(loopback(addr("0.0.0.0:7333")), addr("127.0.0.1:7333"));
+        assert_eq!(loopback(addr("[::]:7333")), addr("[::1]:7333"));
+        assert_eq!(loopback(addr("10.1.2.3:7333")), addr("10.1.2.3:7333"));
     }
 }

@@ -692,6 +692,36 @@ fn batch_drains_gracefully_on_sigterm() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An idle daemon given one SIGTERM exits 130 within 10 s and removes
+/// its socket file. The signal handler only fires the drain token, so
+/// this runs through the socket server's one stop-token check, and the
+/// HTTP plane and rate sampler must end with the daemon.
+#[test]
+fn idle_daemon_exits_130_on_sigterm() {
+    let dir = workdir("daemon-sigterm");
+    let (mut child, socket) = start_daemon(&dir, &["--http", "127.0.0.1:0"]);
+    let term = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(term.success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll daemon") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("daemon still running 10 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(130));
+    assert!(!socket.exists(), "the socket file is removed");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: numeric flags are validated with clear errors (exit 3)
 /// instead of spinning up a broken run.
 #[test]
