@@ -6,7 +6,12 @@ use octo_ir::{FuncId, Inst, Operand, Reg, Terminator};
 use octo_poc::{Bunch, CrashPrimitives, PocFile};
 use octo_vm::{CrashReport, Hook, HookCtx};
 
-use crate::set::TaintSet;
+use crate::label::{Label, LabelTable};
+
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 /// Taint granularity (paper §IV-A: "we also handle the tainting at the
 /// byte character-level").
@@ -37,8 +42,10 @@ pub enum ContextMode {
 pub struct TaintConfig {
     /// The entry point of the shared code area `ℓ`.
     pub ep: FuncId,
-    /// All functions of `ℓ` (used for reporting; the dynamic extent of an
-    /// `ep` activation defines "inside ℓ").
+    /// All functions of `ℓ`. Nothing in this crate reads it:
+    /// [`TaintEngine::new`] and [`crate::extract_with_limits`] record `ep`
+    /// alone (the dynamic extent of an `ep` activation defines "inside
+    /// ℓ"), and [`crate::extract_at_crash_ep`] takes `ℓ` as an argument.
     pub shared: Vec<FuncId>,
     /// Byte- or word-level tainting.
     pub granularity: Granularity,
@@ -94,6 +101,10 @@ struct Recorder {
     entries: u32,
     acc: Option<Bunch>,
     acc_args: Vec<u64>,
+    /// The label last added to the open bunch, or empty. A run records
+    /// the same label into a bunch over and over (idx03 records one byte
+    /// 333,331 times), and adding it again changes nothing.
+    last: Label,
     primitives: CrashPrimitives,
     taint_records: u64,
 }
@@ -108,6 +119,7 @@ impl Recorder {
             entries: 0,
             acc: None,
             acc_args: Vec::new(),
+            last: Label::EMPTY,
             primitives: CrashPrimitives::new(),
             taint_records: 0,
         }
@@ -123,6 +135,7 @@ impl Recorder {
             });
         }
         self.inside_depth = Some(depth);
+        self.last = Label::EMPTY;
         match self.context {
             ContextMode::ContextAware => {
                 self.acc = Some(Bunch::new(self.entries));
@@ -143,11 +156,14 @@ impl Recorder {
     }
 
     /// Adds the offsets of `t` to the open bunch (P1.3).
-    fn record(&mut self, t: &TaintSet, poc: &PocFile) {
+    fn record(&mut self, t: Label, table: &LabelTable, poc: &PocFile) {
         if let Some(b) = &mut self.acc {
             self.taint_records += 1;
-            for off in t.iter() {
-                b.add(off, poc.byte(off));
+            if t != self.last {
+                self.last = t;
+                for off in table.offsets(t) {
+                    b.add(off, poc.byte(off));
+                }
             }
         }
     }
@@ -156,6 +172,7 @@ impl Recorder {
         if self.context == ContextMode::ContextFree && !final_close {
             return;
         }
+        self.last = Label::EMPTY;
         if let Some(b) = self.acc.take() {
             if self.live {
                 octo_trace::emit(octo_trace::TraceKind::BunchRecorded {
@@ -207,29 +224,34 @@ pub(crate) struct Recorded {
 /// The engine keeps one propagation state: the per-byte memory map, one
 /// dense register shadow per call frame (indexed by register number,
 /// grown on first write), and the argument and return taint in flight
-/// between a call or return and its hook. As in the VM, the running
-/// frame's shadow is a field of its own and only suspended callers'
-/// shadows sit on a stack. What depends on `ep` lives in a recorder per
-/// tracked function, so one run can extract the primitives of every
-/// function of `ℓ` before the crash says which one is `ep` (see
-/// [`crate::extract_at_crash_ep`]).
+/// between a call or return and its hook. Each holds [`Label`]s of the
+/// run's [`LabelTable`]. As in the VM, the running frame's shadow is a
+/// field of its own and only suspended callers' shadows sit on a stack.
+/// Those are the table's roots: at a block boundary, once the table has
+/// outgrown its bound, a collection keeps the sets they name and drops
+/// the rest, so the table stays proportional to live taint.
+///
+/// What depends on `ep` lives in a recorder per tracked function, so one
+/// run can extract the primitives of every function of `ℓ` before the
+/// crash says which one is `ep` (see [`crate::extract_at_crash_ep`]).
 pub struct TaintEngine {
     granularity: Granularity,
     poc: PocFile,
-    mem: HashMap<u64, TaintSet>,
+    table: LabelTable,
+    mem: HashMap<u64, Label>,
     /// Register shadow of the running frame.
-    regs: Vec<TaintSet>,
+    regs: Vec<Label>,
     /// Register shadows of the suspended callers, outermost first.
-    callers: Vec<Vec<TaintSet>>,
+    callers: Vec<Vec<Label>>,
     /// Destination registers of in-flight calls (one per frame above main).
     call_dsts: Vec<Option<Reg>>,
     /// Argument taints stashed between `on_inst(Call)` and `on_call`; they
     /// become the callee's register shadow.
-    pending_args: Vec<TaintSet>,
+    pending_args: Vec<Label>,
     /// Dst register stashed between `on_inst(Call)` and `on_call`.
     pending_dst: Option<Reg>,
     /// Return-value taint stashed between `on_term(Ret)` and `on_ret`.
-    pending_ret: TaintSet,
+    pending_ret: Label,
     /// One per tracked function; `TaintEngine::new` tracks `ep` alone.
     recorders: Vec<Recorder>,
     /// How many recorders are inside an activation of their function.
@@ -266,13 +288,14 @@ impl TaintEngine {
         TaintEngine {
             granularity,
             poc,
+            table: LabelTable::new(),
             mem: HashMap::new(),
             regs: Vec::new(),
             callers: Vec::new(),
             call_dsts: Vec::new(),
             pending_args: Vec::new(),
             pending_dst: None,
-            pending_ret: TaintSet::empty(),
+            pending_ret: Label::EMPTY,
             recorders,
             inside: 0,
             crash: None,
@@ -332,38 +355,34 @@ impl TaintEngine {
         }
     }
 
-    fn reg(&self, op: Operand) -> Option<&TaintSet> {
+    fn reg(&self, op: Operand) -> Label {
         match op {
-            Operand::Reg(r) => self.regs.get(r.0 as usize),
-            Operand::Imm(_) => None,
+            Operand::Reg(r) => self.regs.get(r.0 as usize).copied().unwrap_or_default(),
+            Operand::Imm(_) => Label::EMPTY,
         }
     }
 
-    fn op_taint(&self, op: Operand) -> TaintSet {
-        self.reg(op).cloned().unwrap_or_default()
-    }
-
-    fn set_reg(&mut self, r: Reg, t: TaintSet) {
+    fn set_reg(&mut self, r: Reg, t: Label) {
         let i = r.0 as usize;
         if let Some(slot) = self.regs.get_mut(i) {
             *slot = t;
         } else if !t.is_empty() {
-            self.regs.resize(i + 1, TaintSet::empty());
+            self.regs.resize(i + 1, Label::EMPTY);
             self.regs[i] = t;
         }
     }
 
-    fn mem_taint_range(&self, addr: u64, len: u64) -> TaintSet {
-        let mut acc = TaintSet::empty();
+    fn mem_taint_range(&mut self, addr: u64, len: u64) -> Label {
+        let mut acc = Label::EMPTY;
         for i in 0..len {
-            if let Some(t) = self.mem.get(&addr.wrapping_add(i)) {
-                acc = acc.union(t);
+            if let Some(&t) = self.mem.get(&addr.wrapping_add(i)) {
+                acc = self.table.union(acc, t);
             }
         }
         acc
     }
 
-    fn set_mem_range(&mut self, addr: u64, len: u64, t: &TaintSet) {
+    fn set_mem_range(&mut self, addr: u64, len: u64, t: Label) {
         for i in 0..len {
             let a = addr.wrapping_add(i);
             if t.is_empty() {
@@ -371,7 +390,7 @@ impl TaintEngine {
                 // removes the address from the tainted set.
                 self.mem.remove(&a);
             } else {
-                self.mem.insert(a, t.clone());
+                self.mem.insert(a, t);
             }
         }
         self.note_tainted_peak();
@@ -384,13 +403,13 @@ impl TaintEngine {
 
     /// Adds the offsets of `t` to the bunch of every recorder inside `ℓ`
     /// (P1.3).
-    fn record(&mut self, t: &TaintSet) {
+    fn record(&mut self, t: Label) {
         if self.inside == 0 || t.is_empty() {
             return;
         }
         for rec in &mut self.recorders {
             if rec.inside_depth.is_some() {
-                rec.record(t, &self.poc);
+                rec.record(t, &self.table, &self.poc);
             }
         }
     }
@@ -402,10 +421,8 @@ impl TaintEngine {
         match self.granularity {
             Granularity::Byte => {
                 for i in 0..len {
-                    self.mem.insert(
-                        addr.wrapping_add(i),
-                        TaintSet::single((file_off + i) as u32),
-                    );
+                    let t = self.table.single((file_off + i) as u32);
+                    self.mem.insert(addr.wrapping_add(i), t);
                 }
             }
             Granularity::Word => {
@@ -419,18 +436,65 @@ impl TaintEngine {
                         .push((file_off + i) as u32);
                 }
                 for (base, offs) in groups {
-                    let set = TaintSet::from_iter(offs);
+                    let t = self.table.from_offsets(offs);
                     for j in 0..8 {
-                        self.mem.insert(base.wrapping_add(j), set.clone());
+                        self.mem.insert(base.wrapping_add(j), t);
                     }
                 }
             }
         }
         self.note_tainted_peak();
     }
+
+    /// Collects the label table over the propagation state, its roots,
+    /// and renames their labels. Recorders forget their last label, which
+    /// may now name another set.
+    #[cold]
+    #[inline(never)]
+    fn collect(&mut self) {
+        let TaintEngine {
+            table,
+            mem,
+            regs,
+            callers,
+            pending_args,
+            pending_ret,
+            recorders,
+            ..
+        } = self;
+        table.begin_collection();
+        let mut n = 0;
+        for l in roots(mem, regs, callers, pending_args, pending_ret) {
+            table.mark(*l);
+            n += 1;
+        }
+        table.compact(n);
+        for l in roots(mem, regs, callers, pending_args, pending_ret) {
+            *l = table.renamed(*l);
+        }
+        for rec in recorders {
+            rec.last = Label::EMPTY;
+        }
+    }
+}
+
+/// Every label of the propagation state: the label table's roots.
+fn roots<'a>(
+    mem: &'a mut HashMap<u64, Label>,
+    regs: &'a mut [Label],
+    callers: &'a mut [Vec<Label>],
+    pending_args: &'a mut [Label],
+    pending_ret: &'a mut Label,
+) -> impl Iterator<Item = &'a mut Label> {
+    (mem.values_mut())
+        .chain(regs)
+        .chain(callers.iter_mut().flatten())
+        .chain(pending_args)
+        .chain(std::iter::once(pending_ret))
 }
 
 impl Hook for TaintEngine {
+    #[inline(always)]
     fn on_inst(&mut self, ctx: &HookCtx<'_>, inst: &Inst) {
         let eval = |op: Operand| match op {
             Operand::Reg(r) => ctx.regs[r.0 as usize],
@@ -443,17 +507,13 @@ impl Hook for TaintEngine {
             | Inst::BlockAddr { dst, .. }
             | Inst::FileOpen { dst }
             | Inst::FileTell { dst, .. }
-            | Inst::FileSize { dst, .. } => self.set_reg(*dst, TaintSet::empty()),
+            | Inst::FileSize { dst, .. } => self.set_reg(*dst, Label::EMPTY),
             Inst::Move { dst, src } | Inst::Un { dst, src, .. } => {
-                let t = self.op_taint(*src);
+                let t = self.reg(*src);
                 self.set_reg(*dst, t);
             }
             Inst::Bin { dst, lhs, rhs, .. } | Inst::CheckedBin { dst, lhs, rhs, .. } => {
-                let t = match (self.reg(*lhs), self.reg(*rhs)) {
-                    (Some(l), Some(r)) => l.union(r),
-                    (Some(t), None) | (None, Some(t)) => t.clone(),
-                    (None, None) => TaintSet::empty(),
-                };
+                let t = self.table.union(self.reg(*lhs), self.reg(*rhs));
                 self.set_reg(*dst, t);
             }
             Inst::Load {
@@ -464,9 +524,8 @@ impl Hook for TaintEngine {
             } => {
                 let a = eval(*addr).wrapping_add(*offset);
                 let data = self.mem_taint_range(a, width.bytes());
-                let addr_t = self.op_taint(*addr);
-                let full = data.union(&addr_t);
-                self.record(&full);
+                let full = self.table.union(data, self.reg(*addr));
+                self.record(full);
                 self.set_reg(*dst, full);
             }
             Inst::Store {
@@ -476,15 +535,18 @@ impl Hook for TaintEngine {
                 width,
             } => {
                 let a = eval(*addr).wrapping_add(*offset);
-                let old = self.mem_taint_range(a, width.bytes());
-                let src_t = self.op_taint(*src);
-                let addr_t = self.op_taint(*addr);
-                let touched = old.union(&src_t).union(&addr_t);
-                self.record(&touched);
-                self.set_mem_range(a, width.bytes(), &src_t);
+                let src_t = self.reg(*src);
+                // What the store touches counts only inside ℓ.
+                if self.inside > 0 {
+                    let old = self.mem_taint_range(a, width.bytes());
+                    let new = self.table.union(src_t, self.reg(*addr));
+                    let touched = self.table.union(old, new);
+                    self.record(touched);
+                }
+                self.set_mem_range(a, width.bytes(), src_t);
             }
             Inst::Call { dst, args, .. } | Inst::CallIndirect { dst, args, .. } => {
-                self.pending_args = args.iter().map(|a| self.op_taint(*a)).collect();
+                self.pending_args = args.iter().map(|a| self.reg(*a)).collect();
                 self.pending_dst = *dst;
             }
             Inst::FileRead { dst, buf, len, .. } => {
@@ -496,11 +558,11 @@ impl Hook for TaintEngine {
                     self.upload(buf_addr, pos, count);
                     // Bytes read while inside ℓ are used in ℓ.
                     if self.inside > 0 {
-                        let offs = TaintSet::from_iter(pos as u32..(pos + count) as u32);
-                        self.record(&offs);
+                        let offs = self.table.from_offsets(pos as u32..(pos + count) as u32);
+                        self.record(offs);
                     }
                 }
-                self.set_reg(*dst, TaintSet::empty());
+                self.set_reg(*dst, Label::EMPTY);
             }
             Inst::FileGetc { dst, .. } => {
                 if ctx.file_pos < ctx.file_size {
@@ -508,28 +570,32 @@ impl Hook for TaintEngine {
                     // it lands in a register instead of memory, so it is
                     // billed here rather than in `upload`.
                     self.bytes_uploaded += 1;
-                    let t = TaintSet::single(ctx.file_pos as u32);
-                    self.record(&t);
+                    let t = self.table.single(ctx.file_pos as u32);
+                    self.record(t);
                     self.set_reg(*dst, t);
                 } else {
-                    self.set_reg(*dst, TaintSet::empty());
+                    self.set_reg(*dst, Label::EMPTY);
                 }
             }
             Inst::MemMap { dst, .. } => {
                 // The whole input is uploaded; actual use inside ℓ is
                 // recorded at the subsequent loads.
-                self.set_reg(*dst, TaintSet::empty());
+                self.set_reg(*dst, Label::EMPTY);
             }
             Inst::FileSeek { .. } | Inst::Trap { .. } | Inst::Nop => {}
         }
     }
 
+    #[inline(always)]
     fn on_term(&mut self, _ctx: &HookCtx<'_>, term: &Terminator) {
         if let Terminator::Ret(v) = term {
             self.pending_ret = match v {
-                Some(v) => self.op_taint(*v),
-                None => TaintSet::empty(),
+                Some(v) => self.reg(*v),
+                None => Label::EMPTY,
             };
+        }
+        if self.table.over_bound() {
+            self.collect();
         }
     }
 
@@ -569,13 +635,13 @@ impl Hook for TaintEngine {
         };
         if let Some(dst) = dst {
             let t = if value.is_some() {
-                std::mem::take(&mut self.pending_ret)
+                self.pending_ret
             } else {
-                TaintSet::empty()
+                Label::EMPTY
             };
             self.set_reg(dst, t);
         }
-        self.pending_ret = TaintSet::empty();
+        self.pending_ret = Label::EMPTY;
     }
 
     fn on_crash(&mut self, report: &CrashReport) {
@@ -963,6 +1029,101 @@ entry:
         let q = engine.into_primitives();
         let bunch: Vec<(u32, u8)> = q.bunch(0).unwrap().iter().collect();
         assert_eq!(bunch, vec![(0, b'A')], "only main's own getc");
+    }
+
+    /// An `S` that maps its input and folds every byte into one register
+    /// with `add`, then enters `ep`: each step unions a new set one offset
+    /// larger than the last, so without collection the label table would
+    /// hold every prefix, about n²/2 offsets.
+    const FOLD: &str = r#"
+func main() {
+entry:
+    fd = open
+    base = mmap fd
+    n = fsize fd
+    acc = 0
+    i = 0
+    jmp loop
+loop:
+    done = uge i, n
+    br done, fin, body
+body:
+    p = add base, i
+    v = load.1 p
+    acc = add acc, v
+    i = add i, 1
+    jmp loop
+fin:
+    call ep(acc)
+    halt 0
+}
+func ep(x) {
+entry:
+    trap 1
+}
+"#;
+
+    #[test]
+    fn the_label_table_stays_within_its_collection_bound() {
+        use crate::label::{HEADROOM, MIN_BOUND};
+        let n = 4_000;
+        let poc: Vec<u8> = (0..n).map(|i| i as u8).collect();
+        let (engine, out) = run_taint(FOLD, &poc, "ep");
+        assert_eq!(out.crash().map(|c| c.kind.class()), Some("TRAP"));
+        let folded = engine.table.offsets(engine.regs[0]);
+        assert!(folded.eq(0..n as u32), "ep's argument carries every offset");
+
+        // The roots are the n mapped bytes and a frame of registers.
+        let roots = n + 16;
+        let (peak, max_bound) = engine.table.peak;
+        assert!(peak > 0, "the fold collects");
+        assert!(
+            max_bound <= HEADROOM * (n + roots) + MIN_BOUND,
+            "bound {max_bound}"
+        );
+        // The check at the block boundary lets the table pass its bound by
+        // what one block adds: here one union of at most n offsets and its
+        // memo entry.
+        let peak = peak.max(engine.table.used());
+        assert!(peak <= max_bound + n + 1, "peak {peak}, bound {max_bound}");
+        assert!(peak * 50 < n * n / 2, "peak {peak} is not quadratic");
+    }
+
+    #[test]
+    fn a_collection_makes_recorders_forget_their_last_label() {
+        // The collection at the end of `entry` moves {2, 3} into the slot
+        // of the dead {0, 1}, and `next` makes {4, 5} under the label
+        // {2, 3} had when it was recorded last.
+        let src = r#"
+func main() {
+entry:
+    fd = open
+    buf = alloc 8
+    n = read fd, buf, 8
+    call ep(buf)
+    halt 0
+}
+func ep(p) {
+entry:
+    a = load.2 p
+    a = 0
+    b = load.2 p + 2
+    jmp next
+next:
+    c = load.2 p + 4
+    trap 1
+}
+"#;
+        let p = parse_program(src).unwrap();
+        let ep = p.func_by_name("ep").unwrap();
+        let poc = b"abcdefgh";
+        let mut engine = TaintEngine::new(TaintConfig::new(ep, vec![ep]), PocFile::from(&poc[..]));
+        engine.table.force_collection();
+        let out = Vm::new(&p, poc).run_hooked(&mut engine);
+        assert!(out.is_crash());
+        let q = engine.into_primitives();
+        let offs: Vec<u32> = q.bunch(0).unwrap().iter().map(|(o, _)| o).collect();
+        assert_eq!(offs, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

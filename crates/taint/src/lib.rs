@@ -18,12 +18,18 @@
 //!    arguments `ep` received (phase P3 replays those arguments in `T`).
 //!
 //! **State.** The engine keeps one propagation state per run: a per-byte
-//! memory map (`HashMap<u64, TaintSet>` with std's keyed hasher, because
-//! `S` picks the addresses), one dense register shadow per call frame
-//! (a `Vec<TaintSet>` indexed by register number), and the argument and
-//! return taint in flight across calls. A [`TaintSet`] holds one offset
-//! inline, so the common single-byte flow (one per `getc`) allocates
-//! nothing; only sets of two or more offsets share an `Rc`.
+//! memory map (`HashMap<u64, Label>` with std's keyed hasher, because `S`
+//! picks the addresses), one dense register shadow per call frame (a
+//! `Vec<Label>` indexed by register number), and the argument and return
+//! taint in flight across calls. A [`Label`] is a 4-byte `Copy` name for
+//! a set of file offsets: 0 is untainted, `off + 1` the single offset
+//! `off` (one per `getc`, the common flow, which never touches the
+//! table), and otherwise an index into the run's [`LabelTable`] of sorted
+//! offset slices. The table memoises unions by label pair. At a block
+//! boundary, once the table and its memo have outgrown a constant
+//! multiple of the live offsets plus the labels held in the state, a
+//! collection keeps the sets the state names, compacts them and renames
+//! the state's labels, so the table stays proportional to live taint.
 //!
 //! **Recorders.** What depends on `ep` (the entry count, the open bunch
 //! and its arguments, the finished bunches and `taint_records`) lives in
@@ -75,10 +81,12 @@
 
 pub mod engine;
 pub mod extract;
-pub mod set;
+pub mod label;
+#[cfg(test)]
+mod set;
 
 pub use engine::{ContextMode, Granularity, TaintConfig, TaintEngine, TaintStats};
 pub use extract::{
     extract_at_crash_ep, extract_crash_primitives, extract_with_limits, Extraction, TaintError,
 };
-pub use set::TaintSet;
+pub use label::{Label, LabelTable};

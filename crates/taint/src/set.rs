@@ -1,4 +1,6 @@
-//! Small sorted sets of file offsets.
+//! Small sorted sets of file offsets, `Rc`-shared: the set type of the
+//! reference engine (`engine::reference`), which the label engine
+//! replaced.
 
 use std::rc::Rc;
 
